@@ -150,9 +150,6 @@ def _cmd_knot(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="polytorus", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--threads", type=int, default=0,
-                   help="worker cap for census and embedding checks "
-                        "(accepted for compatibility; runs single-process)")
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="write a named triangulation")

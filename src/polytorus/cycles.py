@@ -588,7 +588,8 @@ class DistanceLayerReport:
 
 
 def distance_layers(T: SimplicialTorus, M: Cycle, v: int,
-                    basis: HomologyBasis | None = None) -> DistanceLayerReport:
+                    basis: HomologyBasis | None = None,
+                    ttype: TorusTypeResult | None = None) -> DistanceLayerReport:
     """Split the BFS distance classes around v along M and check the
     layer inequalities of the vertex bound.
 
@@ -597,16 +598,18 @@ def distance_layers(T: SimplicialTorus, M: Cycle, v: int,
     the right copy of v without crossing M (vertices of M count as right);
     otherwise to the left part.  Split layers exist for i <= floor((k-1)/2),
     plus the single class at distance k/2 when k is even.
+
+    ``ttype`` is T's ``stick_number_and_type`` result, computed when omitted.
     """
     if basis is None:
         basis = homology_basis(T)
     if v not in M.vertices:
         raise PolytorusError(f"vertex {v} not on the marking cycle")
-    m, _ = shortest_nonseparating(T, basis)
+    if ttype is None:
+        ttype = stick_number_and_type(T, basis)
+    m, k = ttype.m, ttype.s
     if len(M) > m:
         raise MarkNotShortest(len(M), m)
-    ttype = stick_number_and_type(T, basis)
-    k = ttype.s
 
     dist = _bfs_dist(T.neighbors, v, None)
     cut = cut_along_cycle(T, M)
@@ -746,7 +749,7 @@ def analysis_report(T: SimplicialTorus) -> dict:
     basis = homology_basis(T)
     res = stick_number_and_type(T, basis)
     v0 = min(res.witness_m.vertices)
-    layers = distance_layers(T, res.witness_m, v0, basis)
+    layers = distance_layers(T, res.witness_m, v0, basis, res)
     bound = lower_bound(res.m, res.s)
     return {
         "schema": 1,

@@ -437,11 +437,6 @@ def supporting_plane_of_edge(points, i, j):
     return None
 
 
-def strictly_below(plane, p: Vec) -> bool:
-    n, c = plane
-    return dot(n, p) < c
-
-
 def parse_rational(token: str) -> Fraction:
     """Parse 'p/q', integer, or decimal literals exactly."""
     token = token.strip()

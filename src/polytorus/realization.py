@@ -899,6 +899,7 @@ def export_mesh(mesh: Mesh, path, fmt: str = "off", precision: int = 12):
 
 
 def import_off(path) -> Mesh:
+    """Read an OFF triangle mesh; malformed input raises ParseError with its line."""
     with open(path, "r", encoding="utf-8") as fh:
         tokens = []
         for line_no, raw in enumerate(fh, start=1):
@@ -908,20 +909,39 @@ def import_off(path) -> Mesh:
             tokens.append((line_no, line))
     if not tokens or tokens[0][1] != "OFF":
         raise ParseError(tokens[0][0] if tokens else 0, "missing OFF header")
-    counts = tokens[1][1].split()
-    nv, nf = int(counts[0]), int(counts[1])
+
+    def entry(i, what):
+        if i >= len(tokens):
+            raise ParseError(tokens[-1][0], f"end of file, expected {what}")
+        return tokens[i]
+
+    line_no, line = entry(1, "the counts line")
+    try:
+        nv, nf, _ = (int(p) for p in line.split())
+    except ValueError:
+        raise ParseError(line_no, line) from None
+    if nv < 0 or nf < 0:
+        raise ParseError(line_no, line)
     coords = {}
     for i in range(nv):
-        line_no, line = tokens[2 + i]
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(line_no, line)
-        coords[i + 1] = tuple(Fraction(p) for p in parts)
+        line_no, line = entry(2 + i, f"vertex {i + 1} of {nv}")
+        try:
+            x, y, z = (Fraction(p) for p in line.split())
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(line_no, line) from None
+        coords[i + 1] = (x, y, z)
     faces = []
     for i in range(nf):
-        line_no, line = tokens[2 + nv + i]
-        parts = line.split()
-        if len(parts) != 4 or parts[0] != "3":
+        line_no, line = entry(2 + nv + i, f"face {i + 1} of {nf}")
+        try:
+            size, *idx = (int(p) for p in line.split())
+        except ValueError:
+            raise ParseError(line_no, line) from None
+        if size != 3 or len(idx) != 3 or not all(0 <= j < nv for j in idx):
             raise ParseError(line_no, line)
-        faces.append(tuple(int(p) + 1 for p in parts[1:]))
-    return Mesh(coords, SimplicialTorus(faces), {"kind": "off-import"})
+        faces.append(tuple(j + 1 for j in idx))
+    T = SimplicialTorus(faces)
+    if T.n_vertices != nv:
+        # labels would be compacted and no longer match the coordinates
+        raise PolytorusError(f"OFF file lists {nv} vertices but its faces use {T.n_vertices}")
+    return Mesh(coords, T, {"kind": "off-import"})

@@ -9,8 +9,14 @@ Isomorphism machinery works through a canonical labeling: a traversal of the
 face-adjacency structure started from a *flag* (an ordered face) relabels the
 vertices deterministically, and the lexicographic minimum over all flags is a
 relabeling-invariant normal form.  The complexes handled here are tiny
-(a few dozen vertices), so the quadratic flag sweep is perfectly adequate and
-also hands us the full automorphism group for free.
+(a few dozen vertices), so the quadratic flag sweep is adequate.
+
+The automorphism group does not need that normal form.  The traversal from
+one fixed reference flag gives a reference code, the relabeled faces in visit
+order.  The traversal from any other flag reproduces that code exactly when
+some automorphism carries the flag onto the reference flag, and it stops at
+the first face that differs, usually after a few faces.  So only |Aut|
+traversals run to the end, and the group is computed once per torus.
 """
 
 from __future__ import annotations
@@ -245,6 +251,7 @@ class SimplicialTorus:
         self._edge_faces = None
         self._neighbors = None
         self._oriented = None
+        self._automorphisms = None
 
     # -- cached structure ---------------------------------------------------
 
@@ -323,13 +330,24 @@ def vertex_link(T: SimplicialTorus, v: int) -> Cycle:
 # -- canonical form and isomorphism -------------------------------------------
 
 
-def _traverse_flag(faces, edge_faces, apex, flag):
+def _flags(face):
+    """The six oriented triples of a face, in a fixed order."""
+    a, b, c = face
+    return ((a, b, c), (b, c, a), (c, a, b), (a, c, b), (c, b, a), (b, a, c))
+
+
+def _traverse_flag(faces, edge_faces, apex, flag, ref=None):
     """Deterministic relabeling induced by one oriented starting face.
 
     ``flag`` is an oriented triple (a, b, c) of some face.  Faces are visited
     breadth-first; crossing edge (x, y) of an oriented face enters the
     neighbor as (y, x, w), so the traversal depends only on the combinatorial
-    structure.  Returns (canonical face list, labeling old->new).
+    structure.  Returns (code, labeling old->new), where the code lists the
+    relabeled faces as sorted triples in visit order; sorted, it is the face
+    list of the relabeled torus.
+
+    With a reference ``ref`` (the code of another traversal), returns None as
+    soon as a visited face differs from the face at the same place in ``ref``.
     """
     a, b, c = flag
     labels = {a: 1, b: 2, c: 3}
@@ -342,7 +360,10 @@ def _traverse_flag(faces, edge_faces, apex, flag):
     out = []
     while queue:
         x, y, z = queue.popleft()
-        out.append(tuple(sorted((labels[x], labels[y], labels[z]))))
+        face = tuple(sorted((labels[x], labels[y], labels[z])))
+        if ref is not None and face != ref[len(out)]:
+            return None
+        out.append(face)
         for u, v, cur_w in ((x, y, z), (y, z, x), (z, x, y)):
             e = (min(u, v), max(u, v))
             f1, f2 = edge_faces[e]
@@ -356,30 +377,27 @@ def _traverse_flag(faces, edge_faces, apex, flag):
                     labels[w] = nxt
                     nxt += 1
                 queue.append((v, u, w))
-    out.sort()
-    return tuple(out), labels
+    return out, labels
+
+
+def _apex_maps(faces):
+    """Per face, the vertex opposite each of its edges."""
+    return [{(a, b): c, (a, c): b, (b, c): a} for a, b, c in faces]
 
 
 def _canonical_scan(T: SimplicialTorus):
-    """Minimum canonical form over all flags, with all optimal labelings."""
+    """Minimum canonical form over all flags, with the first labeling attaining it."""
     faces = T.faces
     edge_faces = T.edge_faces
-    apex = []
+    apex = _apex_maps(faces)
+    best = best_labeling = None
     for f in faces:
-        a, b, c = f
-        apex.append({(a, b): c, (a, c): b, (b, c): a})
-    best = None
-    best_labelings = []
-    for f in faces:
-        a, b, c = f
-        for flag in ((a, b, c), (b, c, a), (c, a, b), (a, c, b), (c, b, a), (b, a, c)):
-            form, labels = _traverse_flag(faces, edge_faces, apex, flag)
+        for flag in _flags(f):
+            code, labels = _traverse_flag(faces, edge_faces, apex, flag)
+            form = tuple(sorted(code))
             if best is None or form < best:
-                best = form
-                best_labelings = [labels]
-            elif form == best:
-                best_labelings.append(labels)
-    return best, best_labelings
+                best, best_labeling = form, labels
+    return best, best_labeling
 
 
 def canonical_form(T: SimplicialTorus) -> tuple[Face, ...]:
@@ -390,20 +408,32 @@ def canonical_form(T: SimplicialTorus) -> tuple[Face, ...]:
 
 def canonical_labeling(T: SimplicialTorus) -> dict[int, int]:
     """One labeling old->new realizing canonical_form(T)."""
-    _, labelings = _canonical_scan(T)
-    return labelings[0]
+    _, labeling = _canonical_scan(T)
+    return labeling
 
 
 def automorphism_group(T: SimplicialTorus) -> list[dict[int, int]]:
-    """All face-preserving vertex bijections.
+    """All face-preserving vertex bijections, the identity first.
 
-    Every flag whose traversal attains the canonical form corresponds to
-    exactly one automorphism, so the sweep enumerates the full group.
+    The reference flag is the first flag of ``T.faces[0]``.  A flag whose
+    traversal reproduces the reference code gives the automorphism
+    v -> ref_labeling^-1(labeling(v)), which carries it onto the reference
+    flag; every automorphism arises from exactly one flag.  Computed once
+    per torus; each call returns fresh dicts.
     """
-    _, labelings = _canonical_scan(T)
-    lab0 = labelings[0]
-    inv0 = {new: old for old, new in lab0.items()}
-    return [{v: inv0[lab[v]] for v in lab} for lab in labelings]
+    if T._automorphisms is None:
+        faces, edge_faces = T.faces, T.edge_faces
+        apex = _apex_maps(faces)
+        ref, ref_labels = _traverse_flag(faces, edge_faces, apex, faces[0])
+        inv = {new: old for old, new in ref_labels.items()}
+        autos = []
+        for f in faces:
+            for flag in _flags(f):
+                match = _traverse_flag(faces, edge_faces, apex, flag, ref)
+                if match is not None:
+                    autos.append({v: inv[new] for v, new in match[1].items()})
+        T._automorphisms = tuple(autos)
+    return [dict(a) for a in T._automorphisms]
 
 
 def vertex_orbits(T: SimplicialTorus) -> list[tuple[int, ...]]:
@@ -424,12 +454,11 @@ def is_isomorphic(T1: SimplicialTorus, T2: SimplicialTorus):
     """A vertex bijection carrying faces of T1 onto faces of T2, or None."""
     if T1.n_vertices != T2.n_vertices or len(T1.faces) != len(T2.faces):
         return None
-    form1, labelings1 = _canonical_scan(T1)
-    form2, labelings2 = _canonical_scan(T2)
+    form1, lab1 = _canonical_scan(T1)
+    form2, lab2 = _canonical_scan(T2)
     if form1 != form2:
         return None
-    lab1 = labelings1[0]
-    inv2 = {new: old for old, new in labelings2[0].items()}
+    inv2 = {new: old for old, new in lab2.items()}
     return {v: inv2[lab1[v]] for v in lab1}
 
 

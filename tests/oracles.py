@@ -2,14 +2,15 @@
 
 These deliberately avoid the code paths they check: separation is decided
 by cutting and counting components (no homology), torus types come from
-exhaustive simple-cycle enumeration, and knot determinants are recomputed
-from the Alexander relation at t = -1 (no region coloring).
+exhaustive simple-cycle enumeration, knot determinants are recomputed
+from the Alexander relation at t = -1 (no region coloring), and automorphism
+groups come from full canonical-form traversals of every flag (no early abort).
 """
 
 from fractions import Fraction
 
 from polytorus.cycles import cut_along_cycle, cycle_signature, enumerate_simple_cycles
-from polytorus.surfaces import Cycle
+from polytorus.surfaces import Cycle, _apex_maps, _flags, _traverse_flag
 from polytorus.diagrams import _Projection
 
 
@@ -66,6 +67,33 @@ def _class_key(sig):
 
 def _proportional(a, b):
     return a[0] * b[1] - a[1] * b[0] == 0
+
+
+def oracle_automorphisms(T):
+    """Every flag whose full sorted form equals the minimum over all flags,
+    mapped through the first flag attaining it."""
+    apex = _apex_maps(T.faces)
+    scans = []
+    for f in T.faces:
+        for flag in _flags(f):
+            code, labels = _traverse_flag(T.faces, T.edge_faces, apex, flag)
+            scans.append((tuple(sorted(code)), labels))
+    best = min(form for form, _ in scans)
+    optimal = [labels for form, labels in scans if form == best]
+    inv0 = {new: old for old, new in optimal[0].items()}
+    return [{v: inv0[lab[v]] for v in lab} for lab in optimal]
+
+
+def oracle_vertex_orbits(T, autos):
+    """Vertex orbits of the group ``autos``, each sorted, ordered by least vertex."""
+    orbits = []
+    seen = set()
+    for v in range(1, T.n_vertices + 1):
+        if v not in seen:
+            orbit = tuple(sorted({a[v] for a in autos}))
+            seen.update(orbit)
+            orbits.append(orbit)
+    return orbits
 
 
 def alexander_determinant(points, direction):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from polytorus.cycles import homology_basis, cycle_signature, stick_number_and_type
-from polytorus.errors import EpsilonTooLarge, ParseError, SeparatingCycle
+from polytorus.errors import EpsilonTooLarge, ParseError, PolytorusError, SeparatingCycle
 from polytorus.generators import ring_cycle
 from polytorus.geometry import dot, norm2, sub
 from polytorus.knots import StickKnot, triangle_unknot
@@ -172,6 +172,32 @@ def test_import_off_rejects_garbage(tmp_path):
     path = tmp_path / "bad.off"
     path.write_text("NOT_OFF\n")
     with pytest.raises(ParseError):
+        import_off(path)
+
+
+@pytest.mark.parametrize("text, line_no", [
+    ("OFF\n", 1),                                           # header only
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n", 4),                      # vertex list cut short
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n", 5),               # face list cut short
+    ("OFF\n3 x 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", 2),     # non-integer count
+    ("OFF\n3 1 0\n0 0 0\n0 1 z\n0 1 0\n3 0 1 2\n", 4),     # non-numeric coordinate
+], ids=["header-only", "truncated-vertices", "truncated-faces", "bad-count", "bad-coordinate"])
+def test_import_off_malformed_reports_line(tmp_path, text, line_no):
+    path = tmp_path / "bad.off"
+    path.write_text(text)
+    with pytest.raises(ParseError) as exc:
+        import_off(path)
+    assert exc.value.line_no == line_no
+
+
+def test_import_off_rejects_unused_vertex(tmp_path, tri_tube):
+    path = tmp_path / "tube.off"
+    export_mesh(tri_tube, path, "off", precision=15)
+    lines = path.read_text().splitlines()
+    # prepend a vertex no face uses and shift the face indices past it
+    shifted = ["3 " + " ".join(str(int(j) + 1) for j in l.split()[1:]) for l in lines[11:]]
+    path.write_text("\n".join(["OFF", "10 18 0", "5 5 5"] + lines[2:11] + shifted) + "\n")
+    with pytest.raises(PolytorusError, match="faces use 9"):
         import_off(path)
 
 

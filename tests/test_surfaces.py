@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from oracles import oracle_automorphisms, oracle_vertex_orbits
+from polytorus.census import enumerate_tori
 from polytorus.errors import NonManifoldEdge, PolytorusError
 from polytorus.generators import minimal_torus_3k, moebius_torus, tube_complex
 from polytorus.surfaces import (
@@ -142,6 +144,44 @@ def test_automorphisms_and_orbits(moebius):
     for a in autos[:7]:
         assert all(tuple(sorted(a[v] for v in f)) in faces for f in moebius.faces)
     assert vertex_orbits(moebius) == [tuple(range(1, 8))]
+
+
+def test_automorphisms_match_oracle():
+    """Reference-flag matching against the full-scan oracle, on named tori,
+    every census class for n = 7 and 8, and seeded relabelings of each."""
+    rng = random.Random(1281)
+    tori = [moebius_torus(), minimal_torus_3k(5), tube_complex(4)]
+    tori += [r.torus() for n in (7, 8) for r in enumerate_tori(n)]
+    for T in tori:
+        invariants = None
+        for trial in range(3):
+            if trial:
+                perm = list(range(1, T.n_vertices + 1))
+                rng.shuffle(perm)
+                T = relabeled(T, perm)
+            autos = automorphism_group(T)
+            assert autos[0] == {v: v for v in range(1, T.n_vertices + 1)}
+            faces = set(T.faces)
+            for a in autos:
+                assert {tuple(sorted(a[v] for v in f)) for f in T.faces} == faces
+            got = {tuple(sorted(a.items())) for a in autos}
+            oracle = oracle_automorphisms(T)
+            assert len(got) == len(autos)
+            assert got == {tuple(sorted(a.items())) for a in oracle}
+            orbits = vertex_orbits(T)
+            assert orbits == oracle_vertex_orbits(T, oracle)
+            here = (len(autos), sorted(len(o) for o in orbits))
+            assert invariants in (None, here)
+            invariants = here
+
+
+def test_automorphism_group_returns_fresh_copies(minimal5):
+    first = automorphism_group(minimal5)
+    order = len(first)
+    first[0][1] = 99
+    first.clear()
+    again = automorphism_group(minimal5)
+    assert len(again) == order and again[0][1] == 1
 
 
 def test_canonical_labeling_realizes_form(minimal5):
