@@ -14,6 +14,7 @@ from .surfaces import (
     SimplicialTorus,
     SurfaceReport,
     canonical_form,
+    canonical_key,
     is_isomorphic,
     load_complex,
     parse_complex,

@@ -11,14 +11,18 @@ Two independent generation strategies back each other up:
   vertex in all admissible cyclic orders, with only edge-multiplicity
   pruning, and validates every completion with the full surface validator.
 
-Both deduplicate through the canonical form; at the supported sizes the
-number of isomorphism classes is tiny compared to the search tree, so
-storing the forms costs nothing.  Completions with Euler characteristic 0
-that fail the orientation test (Klein bottles) are discarded.
+Both deduplicate through ``surfaces.canonical_key``: the minimum
+visit-order code over the flags at vertices of minimal (degree, sorted
+neighbour degrees), each traversal stopping at its first face above the best
+code so far.  The sorted canonical form the records publish is computed once
+per new class, and the automorphism order is the number of flags tying the
+key.  Completions with Euler characteristic 0 that fail the orientation test
+(Klein bottles) are discarded.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -30,7 +34,7 @@ from .surfaces import (
     SimplicialTorus,
     _orient_faces,
     canonical_form,
-    automorphism_group,
+    canonical_key,
     is_isomorphic,
     validate_surface,
 )
@@ -79,8 +83,18 @@ class _Budget:
 
 
 def _env_budget():
+    """Seconds from TORUS_TIME_BUDGET_SECS, or None when it is unset or empty."""
     raw = os.environ.get(TIME_BUDGET_ENV)
-    return float(raw) if raw else None
+    if not raw:
+        return None
+    try:
+        seconds = float(raw)
+    except ValueError:
+        seconds = math.nan
+    if not (math.isfinite(seconds) and seconds > 0):
+        raise PolytorusError(
+            f"{TIME_BUDGET_ENV} must be a positive number of seconds, got {raw!r}")
+    return seconds
 
 
 # -- strategy A ------------------------------------------------------------------
@@ -423,7 +437,30 @@ def _single_cycle(adj):
 # -- public API -------------------------------------------------------------------
 
 
+_STRATEGIES = {"a": _generate_strategy_a, "b": _generate_strategy_b}
+
 _CENSUS_CACHE: dict = {}
+
+
+def _completions(n, strategy, budget):
+    """Every orientable completion the strategy finds, as a torus; isomorphic
+    copies included."""
+    for faces in _STRATEGIES[strategy](n, budget):
+        if strategy == "b":
+            try:
+                rep = validate_surface(faces)
+            except PolytorusError:
+                continue
+            if rep.euler != 0 or not rep.orientable or rep.n_vertices != n:
+                continue
+        else:
+            edge_faces = {}
+            for i, f in enumerate(faces):
+                for e in ((f[0], f[1]), (f[0], f[2]), (f[1], f[2])):
+                    edge_faces.setdefault(e, []).append(i)
+            if _orient_faces(faces, edge_faces) is None:
+                continue
+        yield SimplicialTorus(faces, _skip_validation=True)
 
 
 def enumerate_tori(n: int, strategy: str = "a", time_budget: float | None = None,
@@ -436,35 +473,21 @@ def enumerate_tori(n: int, strategy: str = "a", time_budget: float | None = None
     """
     if not N_MIN <= n <= N_MAX:
         raise OutOfRange(n, N_MIN, N_MAX)
+    if strategy not in _STRATEGIES:
+        raise PolytorusError(f"unknown census strategy {strategy!r}; "
+                             f"expected one of {', '.join(_STRATEGIES)}")
+    budget = _Budget(time_budget if time_budget is not None else _env_budget())
     if (n, strategy) in _CENSUS_CACHE:
         return list(_CENSUS_CACHE[(n, strategy)])
-    budget = _Budget(time_budget if time_budget is not None else _env_budget())
-    gen = {"a": _generate_strategy_a, "b": _generate_strategy_b}[strategy](n, budget)
     seen = {}
-    for faces in gen:
-        if strategy == "b":
-            try:
-                rep = validate_surface(faces)
-            except PolytorusError:
-                continue
-            if rep.euler != 0 or not rep.orientable or rep.n_vertices != n:
-                continue
-            T = SimplicialTorus(faces, _skip_validation=True)
-        else:
-            edge_faces = {}
-            for i, f in enumerate(faces):
-                for e in ((f[0], f[1]), (f[0], f[2]), (f[1], f[2])):
-                    edge_faces.setdefault(e, []).append(i)
-            if _orient_faces(faces, edge_faces) is None:
-                continue
-            T = SimplicialTorus(faces, _skip_validation=True)
-        form = canonical_form(T)
-        if form not in seen:
-            seen[form] = T
+    for T in _completions(n, strategy, budget):
+        key, aut_order = canonical_key(T)
+        if key not in seen:
+            seen[key] = (canonical_form(T), aut_order)
         if progress is not None:
             progress(len(seen))
     records = []
-    for form in sorted(seen):
+    for form, aut_order in sorted(seen.values()):
         T = SimplicialTorus(form, _skip_validation=True)
         res = stick_number_and_type(T)
         degs = {T.degree(v) for v in range(1, T.n_vertices + 1)}
@@ -474,7 +497,7 @@ def enumerate_tori(n: int, strategy: str = "a", time_budget: float | None = None
             m=res.m,
             s=res.s,
             equivelar=(len(degs) == 1),
-            automorphism_order=len(automorphism_group(T)),
+            automorphism_order=aut_order,
         ))
     _CENSUS_CACHE[(n, strategy)] = records
     return list(records)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import census as census_mod
@@ -65,9 +64,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    budget = float(os.environ[census_mod.TIME_BUDGET_ENV]) \
-        if census_mod.TIME_BUDGET_ENV in os.environ else None
-    records = census_mod.enumerate_tori(args.n, args.strategy, budget)
+    records = census_mod.enumerate_tori(args.n, args.strategy)
     lines = []
     by_type: dict[str, int] = {}
     for rec in records:
@@ -83,7 +80,7 @@ def _cmd_census(args) -> int:
     out += json.dumps(summary, sort_keys=True) + "\n"
     code = 0
     if args.verify_thm31 is not None:
-        rep = census_mod.census_verify_theorem31(args.verify_thm31, budget)
+        rep = census_mod.census_verify_theorem31(args.verify_thm31)
         out += json.dumps({
             "theorem31_k": rep.k,
             "below_counts": rep.below_counts,

@@ -8,10 +8,20 @@ orientability by propagating face orientations.
 Isomorphism machinery works through a canonical labeling: a traversal of the
 face-adjacency structure started from a *flag* (an ordered face) relabels the
 vertices deterministically, and the lexicographic minimum over all flags is a
-relabeling-invariant normal form.  The complexes handled here are tiny
-(a few dozen vertices), so the quadratic flag sweep is adequate.
+relabeling-invariant normal form.  The published form (``canonical_form``)
+is the minimum of the sorted relabeled face lists, which needs every flag's
+traversal run to the end.
 
-The automorphism group does not need that normal form.  The traversal from
+The canonical key, which deduplicates census completions and decides
+isomorphism, is cheaper.  It is the minimum of the *visit-order* codes, the
+relabeled faces in the order the traversal visits them, and only flags that
+start at a vertex minimizing (degree, sorted neighbour degrees) are tried;
+that invariant is preserved by isomorphism.  Each traversal compares its
+faces with the best code so far and stops at the first larger one.  The
+flags that tie the minimum are one orbit of the automorphism group, so their
+number is |Aut|.
+
+The automorphism group needs neither the form nor the key.  The traversal from
 one fixed reference flag gives a reference code, the relabeled faces in visit
 order.  The traversal from any other flag reproduces that code exactly when
 some automorphism carries the flag onto the reference flag, and it stops at
@@ -336,7 +346,7 @@ def _flags(face):
     return ((a, b, c), (b, c, a), (c, a, b), (a, c, b), (c, b, a), (b, a, c))
 
 
-def _traverse_flag(faces, edge_faces, apex, flag, ref=None):
+def _traverse_flag(faces, edge_faces, apex, flag, ref=None, exact=True):
     """Deterministic relabeling induced by one oriented starting face.
 
     ``flag`` is an oriented triple (a, b, c) of some face.  Faces are visited
@@ -348,6 +358,8 @@ def _traverse_flag(faces, edge_faces, apex, flag, ref=None):
 
     With a reference ``ref`` (the code of another traversal), returns None as
     soon as a visited face differs from the face at the same place in ``ref``.
+    With ``exact=False`` only a larger face aborts; at the first smaller face
+    the traversal stops comparing and runs to the end.
     """
     a, b, c = flag
     labels = {a: 1, b: 2, c: 3}
@@ -362,7 +374,9 @@ def _traverse_flag(faces, edge_faces, apex, flag, ref=None):
         x, y, z = queue.popleft()
         face = tuple(sorted((labels[x], labels[y], labels[z])))
         if ref is not None and face != ref[len(out)]:
-            return None
+            if exact or face > ref[len(out)]:
+                return None
+            ref = None
         out.append(face)
         for u, v, cur_w in ((x, y, z), (y, z, x), (z, x, y)):
             e = (min(u, v), max(u, v))
@@ -412,6 +426,48 @@ def canonical_labeling(T: SimplicialTorus) -> dict[int, int]:
     return labeling
 
 
+def _key_scan(T: SimplicialTorus):
+    """Minimum visit-order code over the flags at invariant-minimal vertices.
+
+    Only flags whose first vertex minimizes (degree, sorted neighbour
+    degrees) are traversed, each against the best code so far.  Returns the
+    key (that code as a tuple), the labeling of the first flag attaining it,
+    and the number of flags attaining it.
+    """
+    faces, edge_faces, nbrs = T.faces, T.edge_faces, T.neighbors
+    apex = _apex_maps(faces)
+    inv = {v: (len(ns), sorted(len(nbrs[u]) for u in ns)) for v, ns in nbrs.items()}
+    low = min(inv.values())
+    starts = {v for v, x in inv.items() if x == low}
+    best = best_labeling = None
+    ties = 0
+    for f in faces:
+        for flag in _flags(f):
+            if flag[0] not in starts:
+                continue
+            match = _traverse_flag(faces, edge_faces, apex, flag, best, exact=False)
+            if match is None:
+                continue
+            code, labels = match
+            if code == best:
+                ties += 1
+            else:
+                best, best_labeling, ties = code, labels, 1
+    return tuple(best), best_labeling, ties
+
+
+def canonical_key(T: SimplicialTorus) -> tuple[tuple[Face, ...], int]:
+    """Relabeling-invariant key of the isomorphism class, and |Aut(T)|.
+
+    Two tori have equal keys exactly when they are isomorphic.  The key
+    differs from the sorted ``canonical_form`` and costs far less.  The
+    flags that attain it form one orbit of the automorphism group, which
+    acts freely on flags, so their number is the group order.
+    """
+    key, _, ties = _key_scan(T)
+    return key, ties
+
+
 def automorphism_group(T: SimplicialTorus) -> list[dict[int, int]]:
     """All face-preserving vertex bijections, the identity first.
 
@@ -454,9 +510,9 @@ def is_isomorphic(T1: SimplicialTorus, T2: SimplicialTorus):
     """A vertex bijection carrying faces of T1 onto faces of T2, or None."""
     if T1.n_vertices != T2.n_vertices or len(T1.faces) != len(T2.faces):
         return None
-    form1, lab1 = _canonical_scan(T1)
-    form2, lab2 = _canonical_scan(T2)
-    if form1 != form2:
+    key1, lab1, _ = _key_scan(T1)
+    key2, lab2, _ = _key_scan(T2)
+    if key1 != key2:
         return None
     inv2 = {new: old for old, new in lab2.items()}
     return {v: inv2[lab1[v]] for v in lab1}

@@ -8,7 +8,7 @@ from polytorus.census import (
     enumerate_tori,
     no_torus_below_seven,
 )
-from polytorus.errors import OutOfRange
+from polytorus.errors import OutOfRange, PolytorusError
 from polytorus.surfaces import canonical_form, validate_surface
 
 
@@ -40,6 +40,24 @@ def test_census_range_checked():
         enumerate_tori(6)
     with pytest.raises(OutOfRange):
         enumerate_tori(12)
+
+
+def test_census_unknown_strategy():
+    with pytest.raises(PolytorusError, match="strategy 'c'; expected one of a, b"):
+        enumerate_tori(7, "c")
+
+
+def test_env_time_budget(monkeypatch):
+    import polytorus.census as census_mod
+    monkeypatch.delenv(census_mod.TIME_BUDGET_ENV, raising=False)
+    assert census_mod._env_budget() is None
+    for raw, seconds in (("", None), ("2.5", 2.5), ("1e3", 1000.0)):
+        monkeypatch.setenv(census_mod.TIME_BUDGET_ENV, raw)
+        assert census_mod._env_budget() == seconds
+    for raw in ("abc", "nan", "inf", "-inf", "0", "-1"):
+        monkeypatch.setenv(census_mod.TIME_BUDGET_ENV, raw)
+        with pytest.raises(PolytorusError, match=census_mod.TIME_BUDGET_ENV):
+            census_mod._env_budget()
 
 
 def test_no_torus_below_seven():

@@ -43,6 +43,15 @@ def test_census_deterministic(capsys):
     assert first == second
 
 
+def test_census_bad_time_budget(monkeypatch, capsys):
+    for raw in ("abc", "nan", "0"):
+        monkeypatch.setenv("TORUS_TIME_BUDGET_SECS", raw)
+        assert main(["census", "--n", "7"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: TORUS_TIME_BUDGET_SECS")
+
+
 def test_knot_det(tri_file, capsys):
     assert main(["knot", "det", "--knot", tri_file]) == 0
     assert json.loads(capsys.readouterr().out)["determinant"] == 1

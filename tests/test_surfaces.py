@@ -5,7 +5,7 @@ import random
 import pytest
 
 from oracles import oracle_automorphisms, oracle_vertex_orbits
-from polytorus.census import enumerate_tori
+from polytorus.census import _Budget, _completions, enumerate_tori
 from polytorus.errors import NonManifoldEdge, PolytorusError
 from polytorus.generators import minimal_torus_3k, moebius_torus, tube_complex
 from polytorus.surfaces import (
@@ -13,6 +13,7 @@ from polytorus.surfaces import (
     SimplicialTorus,
     automorphism_group,
     canonical_form,
+    canonical_key,
     canonical_labeling,
     format_complex,
     is_isomorphic,
@@ -173,6 +174,42 @@ def test_automorphisms_match_oracle():
             here = (len(autos), sorted(len(o) for o in orbits))
             assert invariants in (None, here)
             invariants = here
+
+
+def _assert_key_matches_form(tori):
+    """Keys equal exactly when sorted forms are; the tie count is |Aut|."""
+    key_form, form_key = {}, {}
+    for T in tori:
+        key, order = canonical_key(T)
+        form = canonical_form(T)
+        assert key_form.setdefault(key, form) == form
+        assert form_key.setdefault(form, key) == key
+        assert order == len(automorphism_group(T))
+    return len(key_form)
+
+
+def test_canonical_key_matches_form_on_completions():
+    """Every strategy-A and strategy-B completion at n = 7 and 8, taken
+    before deduplication, against the slow sorted canonical form."""
+    tori = [T for n in (7, 8) for strategy in ("a", "b")
+            for T in _completions(n, strategy, _Budget(None))]
+    assert len(tori) > 2 * 8
+    assert _assert_key_matches_form(tori) == 1 + 7
+
+
+def test_canonical_key_relabeling_invariant():
+    """Seeded relabelings of named tori and every census class for n <= 9."""
+    rng = random.Random(3137)
+    tori = [moebius_torus(), minimal_torus_3k(5)]
+    tori += [r.torus() for n in (7, 8, 9) for r in enumerate_tori(n)]
+    for T in tori:
+        expected = canonical_key(T)
+        for _ in range(2):
+            perm = list(range(1, T.n_vertices + 1))
+            rng.shuffle(perm)
+            assert canonical_key(relabeled(T, perm)) == expected
+    # the moebius torus is the n = 7 class
+    assert _assert_key_matches_form(tori) == len(tori) - 1
 
 
 def test_automorphism_group_returns_fresh_copies(minimal5):
