@@ -30,14 +30,7 @@ from dataclasses import dataclass
 from .cycles import stick_number_and_type
 from .errors import OutOfRange, PolytorusError
 from .generators import minimal_torus_3k
-from .surfaces import (
-    SimplicialTorus,
-    _orient_faces,
-    canonical_form,
-    canonical_key,
-    is_isomorphic,
-    validate_surface,
-)
+from .surfaces import SimplicialTorus, canonical_form, canonical_key, is_isomorphic
 
 N_MIN, N_MAX = 7, 11
 
@@ -448,19 +441,16 @@ def _completions(n, strategy, budget):
     for faces in _STRATEGIES[strategy](n, budget):
         if strategy == "b":
             try:
-                rep = validate_surface(faces)
+                T = SimplicialTorus(faces)
             except PolytorusError:
                 continue
-            if rep.euler != 0 or not rep.orientable or rep.n_vertices != n:
+            if T.n_vertices != n:
                 continue
         else:
-            edge_faces = {}
-            for i, f in enumerate(faces):
-                for e in ((f[0], f[1]), (f[0], f[2]), (f[1], f[2])):
-                    edge_faces.setdefault(e, []).append(i)
-            if _orient_faces(faces, edge_faces) is None:
+            T = SimplicialTorus(faces, _skip_validation=True)
+            if T.oriented_faces is None:
                 continue
-        yield SimplicialTorus(faces, _skip_validation=True)
+        yield T
 
 
 def enumerate_tori(n: int, strategy: str = "a", time_budget: float | None = None,

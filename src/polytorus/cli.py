@@ -23,7 +23,6 @@ from .cycles import analysis_report
 from .diagrams import knot_determinant
 from .errors import PolytorusError
 from .generators import minimal_torus_3k, moebius_torus, tube_complex
-from .geometry import parse_rational
 from .knots import load_stick_knot
 from .realization import (
     ExactRadius,
@@ -96,8 +95,7 @@ def _cmd_census(args) -> int:
 def _cmd_realize(args) -> int:
     if args.what == "tube":
         K = load_stick_knot(args.knot)
-        eps = ExactRadius.from_value(parse_rational(args.eps)) if args.eps \
-            else choose_epsilon(K)
+        eps = ExactRadius.from_value(args.eps) if args.eps else choose_epsilon(K)
         mesh = tube_construction(K, eps)
     elif args.what == "complement":
         K = load_stick_knot(args.knot)

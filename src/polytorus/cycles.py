@@ -38,7 +38,7 @@ from .errors import (
     PolytorusError,
     SeparatingMark,
 )
-from .surfaces import Cycle, SimplicialTorus, vertex_link, vertex_orbits
+from .surfaces import Cycle, SimplicialTorus, _edge_map, _face_components, vertex_orbits
 
 
 class HomologySignature(tuple):
@@ -124,7 +124,7 @@ def homology_basis(T: SimplicialTorus) -> HomologyBasis:
     if len(leftover) != 2:
         raise NotGenusOne(len(leftover))
 
-    left_face = _left_face_map(T)
+    rot = T.rotation
 
     # signed crossings of the dual cycle through each leftover edge
     sig = {}
@@ -147,7 +147,7 @@ def homology_basis(T: SimplicialTorus) -> HomologyBasis:
             crossings.append((p2[j][0], p2[j - 1][0], p2[j][1]))
         for f_from, f_to, e in crossings:
             u, v = e
-            s = 1 if left_face[(u, v)] == f_from else -1
+            s = 1 if rot[u, v][0] == f_from else -1
             sig[(u, v)][idx] += s
             sig[(v, u)][idx] -= s
 
@@ -176,18 +176,6 @@ def _dual_root_path(dual_parent, f):
         pf, pe = dual_parent[path[-1][0]]
         path.append((pf, pe))
     return path
-
-
-def _left_face_map(T: SimplicialTorus):
-    """Directed edge (u,v) -> index of the face whose oriented boundary
-    contains (u,v)."""
-    left = {}
-    for i, tri in enumerate(T.oriented_faces):
-        a, b, c = tri
-        left[(a, b)] = i
-        left[(b, c)] = i
-        left[(c, a)] = i
-    return left
 
 
 def _check_basis(T, basis):
@@ -234,6 +222,7 @@ class CutSurface:
     right_copy: dict
     n_components: int
     boundary_circles: int
+    edge_faces: dict = field(repr=False)
 
 
 def cut_along_cycle(T: SimplicialTorus, C: Cycle) -> CutSurface:
@@ -241,100 +230,46 @@ def cut_along_cycle(T: SimplicialTorus, C: Cycle) -> CutSurface:
 
     Left/right are taken with respect to the global face orientation: the
     face whose oriented boundary contains the directed cycle edge (u, v)
-    lies on the left.
+    lies on the left.  At each cycle vertex v the rotation of T is walked
+    once round, starting from the next cycle vertex: the faces met before
+    the previous cycle vertex lie on the left, the rest on the right.  The
+    cut surface's faces keep T's face indices; its edge map, built once,
+    gives the components, the boundary circles and (in ``distance_layers``)
+    the vertex adjacency.
     """
     T.require_cycle(C)
-    left_face = _left_face_map(T)
+    rot = T.rotation
     cyc = list(C.vertices)
     m = len(cyc)
-    on_cycle = set(cyc)
-    cyc_edges = set(C.edges())
-
-    # side of every face incident to a cycle vertex, per vertex corner
-    side_of = {}  # (face index, cycle vertex) -> 'L' or 'R'
-    for i, v in enumerate(cyc):
-        nxt = cyc[(i + 1) % m]
-        prv = cyc[(i - 1) % m]
-        link = list(vertex_link(T, v).vertices)
-        deg = len(link)
-        p_next = link.index(nxt)
-        # faces around v in link order: (v, link[j], link[j+1])
-        faces_at = []
-        for j in range(deg):
-            a, b = link[j], link[(j + 1) % deg]
-            fi = _face_index(T, v, a, b)
-            faces_at.append((j, fi))
-        lf = left_face[(v, nxt)]
-        # walk the rotation starting at the left face of (v -> nxt); sides
-        # flip when stepping across the prev or next cycle vertex position
-        start = next(j for j, fi in faces_at if fi == lf)
-        cur = "L"
-        for step in range(deg):
-            j = (start + step) % deg
-            fi = faces_at[j][1]
-            side_of[(fi, v)] = cur
-            crossed = link[(j + 1) % deg]
-            if crossed == prv or crossed == nxt:
-                cur = "R" if cur == "L" else "L"
-
     n = T.n_vertices
     left_copy = {v: v for v in cyc}
     right_copy = {v: n + 1 + i for i, v in enumerate(cyc)}
-    new_faces = []
-    for fi, f in enumerate(T.faces):
-        nf = []
-        for v in f:
-            if v in on_cycle:
-                nf.append(left_copy[v] if side_of[(fi, v)] == "L" else right_copy[v])
-            else:
-                nf.append(v)
-        new_faces.append(tuple(sorted(nf)))
 
-    comps = _face_components(new_faces)
-    boundary = _boundary_circles(new_faces)
-    return CutSurface(new_faces, left_copy, right_copy, comps, boundary)
+    copy_in = {}  # (face index, cycle vertex) -> the copy of the vertex in it
+    for i, v in enumerate(cyc):
+        nxt, prv = cyc[(i + 1) % m], cyc[i - 1]
+        copy, a = left_copy[v], nxt
+        while True:
+            fi, a = rot[v, a]
+            copy_in[fi, v] = copy
+            if a == nxt:
+                break
+            if a == prv:
+                copy = right_copy[v]
 
-
-def _face_index(T: SimplicialTorus, a, b, c):
-    e = (min(a, b), max(a, b))
-    f1, f2 = T.edge_faces[e]
-    return f1 if c in T.faces[f1] else f2
-
-
-def _face_components(faces):
-    edge_faces = {}
-    for i, f in enumerate(faces):
-        a, b, c = f
-        for e in ((a, b), (a, c), (b, c)):
-            edge_faces.setdefault(e, []).append(i)
-    seen = set()
-    comps = 0
-    for i in range(len(faces)):
-        if i in seen:
-            continue
-        comps += 1
-        queue = deque([i])
-        seen.add(i)
-        while queue:
-            j = queue.popleft()
-            a, b, c = faces[j]
-            for e in ((a, b), (a, c), (b, c)):
-                for k in edge_faces[e]:
-                    if k not in seen:
-                        seen.add(k)
-                        queue.append(k)
-    return comps
+    new_faces = [tuple(sorted(copy_in.get((fi, v), v) for v in f))
+                 for fi, f in enumerate(T.faces)]
+    edge_faces = _edge_map(new_faces)
+    return CutSurface(new_faces, left_copy, right_copy,
+                      _face_components(new_faces, edge_faces),
+                      _boundary_circles(edge_faces), edge_faces)
 
 
-def _boundary_circles(faces):
-    edge_count = {}
-    for f in faces:
-        a, b, c = f
-        for e in ((a, b), (a, c), (b, c)):
-            edge_count[e] = edge_count.get(e, 0) + 1
+def _boundary_circles(edge_faces):
+    """Number of circles formed by the edges that lie in a single face."""
     adj = {}
-    for (u, v), cnt in edge_count.items():
-        if cnt == 1:
+    for (u, v), fs in edge_faces.items():
+        if len(fs) == 1:
             adj.setdefault(u, []).append(v)
             adj.setdefault(v, []).append(u)
     seen = set()
@@ -611,11 +546,9 @@ def distance_layers(T: SimplicialTorus, M: Cycle, v: int,
     if len(M) > m:
         raise MarkNotShortest(len(M), m)
 
-    dist = _bfs_dist(T.neighbors, v, None)
+    dist = _bfs_dist(T.neighbors, v)
     cut = cut_along_cycle(T, M)
-    cut_adj = _adjacency(cut.faces)
-    dist_r = _bfs_dist(cut_adj, cut.right_copy[v], None)
-    dist_l = _bfs_dist(cut_adj, cut.left_copy[v], None)
+    dist_r = _bfs_dist(_adjacency(cut.edge_faces), cut.right_copy[v])
 
     on_cycle = set(M.vertices)
     half_ceil = (m + 1) // 2
@@ -664,13 +597,11 @@ def distance_layers(T: SimplicialTorus, M: Cycle, v: int,
     return rep
 
 
-def _bfs_dist(adj, start, cutoff):
+def _bfs_dist(adj, start):
     dist = {start: 0}
     queue = deque([start])
     while queue:
         u = queue.popleft()
-        if cutoff is not None and dist[u] >= cutoff:
-            continue
         for v in adj[u]:
             if v not in dist:
                 dist[v] = dist[u] + 1
@@ -678,14 +609,12 @@ def _bfs_dist(adj, start, cutoff):
     return dist
 
 
-def _adjacency(faces):
+def _adjacency(edge_faces):
     adj = {}
-    for f in faces:
-        a, b, c = f
-        for u, v in ((a, b), (a, c), (b, c)):
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
-    return {u: tuple(sorted(s)) for u, s in adj.items()}
+    for u, v in edge_faces:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    return adj
 
 
 def lower_bound(m: int, k: int) -> int:

@@ -52,6 +52,7 @@ from .geometry import (
     is_hull_vertex,
     is_zero,
     norm2,
+    parse_rational,
     plane_supports,
     rational_to_decimal,
     reduce_direction,
@@ -83,7 +84,16 @@ class ExactRadius:
 
     @classmethod
     def from_value(cls, value):
-        return cls(Fraction(value) ** 2)
+        """Radius from a positive rational, given as a number or as a
+        literal such as '1/10'; anything else raises PolytorusError."""
+        try:
+            r = parse_rational(value) if isinstance(value, str) else Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise PolytorusError(
+                f"tube radius must be a rational number, got {value!r}") from None
+        if r <= 0:
+            raise PolytorusError(f"tube radius must be positive, got {value!r}")
+        return cls(r ** 2)
 
     def halved(self) -> "ExactRadius":
         return ExactRadius(self.sq / 4)

@@ -27,12 +27,25 @@ order.  The traversal from any other flag reproduces that code exactly when
 some automorphism carries the flag onto the reference flag, and it stops at
 the first face that differs, usually after a few faces.  So only |Aut|
 traversals run to the end, and the group is computed once per torus.
+
+Combinatorial core
+------------------
+A ``SimplicialTorus`` keeps one edge map (sorted edge -> indices of its two
+faces, in face order) and one orientation, both adopted from the validator
+or, for unvalidated tori, built on first use.  From the orientation it
+derives, once, its rotation system: for each directed edge (u, v), the face
+whose oriented boundary runs u -> v -> w, and w.  That one map gives the
+left face of each directed edge, the face at each corner, the vertex
+opposite each face edge and the cyclic rotation (link) at each vertex; the
+links, the homology signatures, cutting along cycles and every flag
+traversal read it.  Face lists that are not tori (input being validated, cut
+surfaces) get their edge map from ``_edge_map``, built once per list.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     BadVertexLink,
@@ -61,7 +74,12 @@ def _face_edges(face: Face):
 
 @dataclass(frozen=True)
 class SurfaceReport:
-    """Simplex counts and topological type of a validated closed surface."""
+    """Simplex counts and topological type of a validated closed surface.
+
+    ``edge_faces`` and ``oriented_faces`` are the validator's edge map and
+    orientation (None when the surface is not orientable); a
+    ``SimplicialTorus`` adopts them instead of building its own.
+    """
 
     n_vertices: int
     n_edges: int
@@ -69,6 +87,8 @@ class SurfaceReport:
     euler: int
     orientable: bool
     genus: int
+    edge_faces: dict | None = field(default=None, repr=False, compare=False)
+    oriented_faces: list | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -132,23 +152,50 @@ def validate_surface(faces) -> SurfaceReport:
         seen.add(nf)
         norm.append(nf)
 
-    edge_faces: dict[Edge, list[int]] = {}
-    for i, f in enumerate(norm):
-        for e in _face_edges(f):
-            edge_faces.setdefault(e, []).append(i)
+    edge_faces = _edge_map(norm)
     for e, fs in edge_faces.items():
         if len(fs) != 2:
             raise NonManifoldEdge(e, len(fs))
 
     vertices = sorted({v for f in norm for v in f})
     _check_links(norm, vertices)
-    _check_face_connected(norm, edge_faces)
+    if _face_components(norm, edge_faces) != 1:
+        raise PolytorusError("face complex is not connected")
 
     V, E, F = len(vertices), len(edge_faces), len(norm)
     euler = V - E + F
-    orientable = _orient_faces(norm, edge_faces) is not None
+    oriented = _orient_faces(norm, edge_faces)
+    orientable = oriented is not None
     genus = (2 - euler) // 2 if orientable else 2 - euler
-    return SurfaceReport(V, E, F, euler, orientable, genus)
+    return SurfaceReport(V, E, F, euler, orientable, genus, edge_faces, oriented)
+
+
+def _edge_map(faces) -> dict[Edge, list[int]]:
+    """Sorted edge -> indices of the sorted faces containing it, in face order."""
+    edge_faces: dict[Edge, list[int]] = {}
+    for i, f in enumerate(faces):
+        for e in _face_edges(f):
+            edge_faces.setdefault(e, []).append(i)
+    return edge_faces
+
+
+def _face_components(faces, edge_faces) -> int:
+    """Number of components of the faces, adjacent when they share an edge."""
+    seen = [False] * len(faces)
+    comps = 0
+    for i in range(len(faces)):
+        if seen[i]:
+            continue
+        comps += 1
+        seen[i] = True
+        queue = deque([i])
+        while queue:
+            for e in _face_edges(faces[queue.popleft()]):
+                for j in edge_faces[e]:
+                    if not seen[j]:
+                        seen[j] = True
+                        queue.append(j)
+    return comps
 
 
 def _link_cycle(faces, v):
@@ -184,22 +231,6 @@ def _link_cycle(faces, v):
 def _check_links(faces, vertices):
     for v in vertices:
         _link_cycle(faces, v)
-
-
-def _check_face_connected(faces, edge_faces):
-    if not faces:
-        return
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        for e in _face_edges(faces[i]):
-            for j in edge_faces[e]:
-                if j not in seen:
-                    seen.add(j)
-                    queue.append(j)
-    if len(seen) != len(faces):
-        raise PolytorusError("face complex is not connected")
 
 
 def _orient_faces(faces, edge_faces):
@@ -253,26 +284,24 @@ class SimplicialTorus:
             if report.euler != 0 or not report.orientable:
                 raise PolytorusError(
                     f"not a torus: euler={report.euler}, orientable={report.orientable}")
-            self.report = report
         else:
             V = len({v for f in self.faces for v in f})
-            self.report = SurfaceReport(V, 3 * V, 2 * V, 0, True, 1)
-        self.n_vertices = self.report.n_vertices
-        self._edge_faces = None
+            report = SurfaceReport(V, 3 * V, 2 * V, 0, True, 1)
+        self.report = report
+        self.n_vertices = report.n_vertices
+        self._edge_faces = report.edge_faces
+        self._oriented = report.oriented_faces
         self._neighbors = None
-        self._oriented = None
+        self._rotation = None
         self._automorphisms = None
 
     # -- cached structure ---------------------------------------------------
 
     @property
-    def edge_faces(self) -> dict[Edge, tuple[int, int]]:
+    def edge_faces(self) -> dict[Edge, list[int]]:
+        """Sorted edge -> indices of its two faces, in face order."""
         if self._edge_faces is None:
-            ef: dict[Edge, list[int]] = {}
-            for i, f in enumerate(self.faces):
-                for e in _face_edges(f):
-                    ef.setdefault(e, []).append(i)
-            self._edge_faces = {e: tuple(fs) for e, fs in ef.items()}
+            self._edge_faces = _edge_map(self.faces)
         return self._edge_faces
 
     @property
@@ -291,21 +320,33 @@ class SimplicialTorus:
 
     @property
     def oriented_faces(self):
+        """Face triples oriented consistently, or None if not orientable."""
         if self._oriented is None:
-            self._oriented = _orient_faces(self.faces, {e: list(f) for e, f in self.edge_faces.items()})
+            self._oriented = _orient_faces(self.faces, self.edge_faces)
         return self._oriented
+
+    @property
+    def rotation(self) -> dict[Edge, tuple[int, int]]:
+        """Directed edge (u, v) -> (i, w) where oriented face i runs u -> v -> w.
+
+        Face i is the left face of (u, v) and the face at the corner of u
+        between v and w; w is the vertex opposite (u, v) in it and follows v
+        in the cyclic rotation at u.
+        """
+        if self._rotation is None:
+            rot = {}
+            for i, (a, b, c) in enumerate(self.oriented_faces):
+                rot[a, b] = (i, c)
+                rot[b, c] = (i, a)
+                rot[c, a] = (i, b)
+            self._rotation = rot
+        return self._rotation
 
     def degree(self, v: int) -> int:
         return len(self.neighbors[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edge_faces
-
-    def has_face(self, face) -> bool:
-        return _norm_face(face) in set(self.faces)
-
-    def contains_cycle(self, cycle: Cycle) -> bool:
-        return all(tuple(sorted(e)) in self.edge_faces for e in cycle.edges())
 
     def require_cycle(self, cycle: Cycle):
         for e in cycle.directed_edges():
@@ -331,10 +372,21 @@ def _compact_labels(faces):
 
 
 def vertex_link(T: SimplicialTorus, v: int) -> Cycle:
-    """Cyclically ordered neighbors of v; length equals deg(v)."""
+    """Cyclically ordered neighbors of v; length equals deg(v).
+
+    The link starts at the least neighbor s and runs towards the third
+    vertex of the first face on edge {v, s}, as ``_link_cycle`` reads it.
+    """
     if not 1 <= v <= T.n_vertices:
         raise PolytorusError(f"vertex {v} out of range 1..{T.n_vertices}")
-    return Cycle(tuple(_link_cycle(T.faces, v)))
+    rot = T.rotation
+    s = T.neighbors[v][0]
+    link = [s]
+    while (w := rot[v, link[-1]][1]) != s:
+        link.append(w)
+    if rot[v, s][0] != T.edge_faces[min(v, s), max(v, s)][0]:
+        link[1:] = link[:0:-1]
+    return Cycle(tuple(link))
 
 
 # -- canonical form and isomorphism -------------------------------------------
@@ -346,7 +398,7 @@ def _flags(face):
     return ((a, b, c), (b, c, a), (c, a, b), (a, c, b), (c, b, a), (b, a, c))
 
 
-def _traverse_flag(faces, edge_faces, apex, flag, ref=None, exact=True):
+def _traverse_flag(T: SimplicialTorus, flag, ref=None, exact=True):
     """Deterministic relabeling induced by one oriented starting face.
 
     ``flag`` is an oriented triple (a, b, c) of some face.  Faces are visited
@@ -361,12 +413,14 @@ def _traverse_flag(faces, edge_faces, apex, flag, ref=None, exact=True):
     With ``exact=False`` only a larger face aborts; at the first smaller face
     the traversal stops comparing and runs to the end.
     """
+    rot = T.rotation
     a, b, c = flag
     labels = {a: 1, b: 2, c: 3}
     nxt = 4
-    start = edge_faces[(min(a, b), max(a, b))]
-    fi = start[0] if apex[start[0]][(min(a, b), max(a, b))] == c else start[1]
-    visited = [False] * len(faces)
+    fi, w = rot[a, b]
+    if w != c:
+        fi = rot[b, a][0]
+    visited = [False] * len(T.faces)
     visited[fi] = True
     queue = deque([(a, b, c)])
     out = []
@@ -379,12 +433,11 @@ def _traverse_flag(faces, edge_faces, apex, flag, ref=None, exact=True):
             ref = None
         out.append(face)
         for u, v, cur_w in ((x, y, z), (y, z, x), (z, x, y)):
-            e = (min(u, v), max(u, v))
-            f1, f2 = edge_faces[e]
-            # neighbor across e = the face whose apex over e is not the
-            # current third vertex
-            w1 = apex[f1][e]
-            j, w = (f2, apex[f2][e]) if w1 == cur_w else (f1, w1)
+            # the neighbor across (u, v) is whichever of the faces of (u, v)
+            # and (v, u) lacks the current third vertex
+            j, w = rot[u, v]
+            if w == cur_w:
+                j, w = rot[v, u]
             if not visited[j]:
                 visited[j] = True
                 if w not in labels:
@@ -394,20 +447,12 @@ def _traverse_flag(faces, edge_faces, apex, flag, ref=None, exact=True):
     return out, labels
 
 
-def _apex_maps(faces):
-    """Per face, the vertex opposite each of its edges."""
-    return [{(a, b): c, (a, c): b, (b, c): a} for a, b, c in faces]
-
-
 def _canonical_scan(T: SimplicialTorus):
     """Minimum canonical form over all flags, with the first labeling attaining it."""
-    faces = T.faces
-    edge_faces = T.edge_faces
-    apex = _apex_maps(faces)
     best = best_labeling = None
-    for f in faces:
+    for f in T.faces:
         for flag in _flags(f):
-            code, labels = _traverse_flag(faces, edge_faces, apex, flag)
+            code, labels = _traverse_flag(T, flag)
             form = tuple(sorted(code))
             if best is None or form < best:
                 best, best_labeling = form, labels
@@ -434,18 +479,17 @@ def _key_scan(T: SimplicialTorus):
     key (that code as a tuple), the labeling of the first flag attaining it,
     and the number of flags attaining it.
     """
-    faces, edge_faces, nbrs = T.faces, T.edge_faces, T.neighbors
-    apex = _apex_maps(faces)
+    nbrs = T.neighbors
     inv = {v: (len(ns), sorted(len(nbrs[u]) for u in ns)) for v, ns in nbrs.items()}
     low = min(inv.values())
     starts = {v for v, x in inv.items() if x == low}
     best = best_labeling = None
     ties = 0
-    for f in faces:
+    for f in T.faces:
         for flag in _flags(f):
             if flag[0] not in starts:
                 continue
-            match = _traverse_flag(faces, edge_faces, apex, flag, best, exact=False)
+            match = _traverse_flag(T, flag, best, exact=False)
             if match is None:
                 continue
             code, labels = match
@@ -478,14 +522,12 @@ def automorphism_group(T: SimplicialTorus) -> list[dict[int, int]]:
     per torus; each call returns fresh dicts.
     """
     if T._automorphisms is None:
-        faces, edge_faces = T.faces, T.edge_faces
-        apex = _apex_maps(faces)
-        ref, ref_labels = _traverse_flag(faces, edge_faces, apex, faces[0])
+        ref, ref_labels = _traverse_flag(T, T.faces[0])
         inv = {new: old for old, new in ref_labels.items()}
         autos = []
-        for f in faces:
+        for f in T.faces:
             for flag in _flags(f):
-                match = _traverse_flag(faces, edge_faces, apex, flag, ref)
+                match = _traverse_flag(T, flag, ref)
                 if match is not None:
                     autos.append({v: inv[new] for v, new in match[1].items()})
         T._automorphisms = tuple(autos)
@@ -540,9 +582,11 @@ def parse_complex(text: str) -> SimplicialTorus:
             continue
         parts = line.split()
         if n is None:
-            if len(parts) != 1 or not parts[0].isdigit():
-                raise PolytorusError(f"line {line_no}: expected vertex count, got {raw!r}")
-            n = int(parts[0])
+            try:
+                (n,) = map(int, parts)
+            except ValueError:
+                raise PolytorusError(
+                    f"line {line_no}: expected vertex count, got {raw!r}") from None
             continue
         if len(parts) != 3:
             raise PolytorusError(f"line {line_no}: expected 3 vertex labels, got {raw!r}")

@@ -3,20 +3,77 @@
 These deliberately avoid the code paths they check: separation is decided
 by cutting and counting components (no homology), torus types come from
 exhaustive simple-cycle enumeration, knot determinants are recomputed
-from the Alexander relation at t = -1 (no region coloring), and automorphism
-groups come from full canonical-form traversals of every flag (no early abort).
+from the Alexander relation at t = -1 (no region coloring), automorphism
+groups come from full canonical-form traversals of every flag (no early
+abort), and cutting along a cycle is redone from face scans (no rotation
+system).
 """
 
 from fractions import Fraction
 
 from polytorus.cycles import cut_along_cycle, cycle_signature, enumerate_simple_cycles
-from polytorus.surfaces import Cycle, _apex_maps, _flags, _traverse_flag
+from polytorus.surfaces import Cycle, _flags, _link_cycle, _traverse_flag
 from polytorus.diagrams import _Projection
 
 
 def cut_separates(T, cycle_vertices) -> bool:
     cut = cut_along_cycle(T, Cycle(cycle_vertices))
     return cut.n_components > 1
+
+
+def oracle_cut(T, cycle_vertices):
+    """(faces, n_components, boundary_circles) of cutting T along a cycle.
+
+    Built from face scans only: each cycle vertex's link comes from
+    ``_link_cycle``, the faces around it and the left face of the directed
+    cycle edge from searches of the face lists, and both counts from
+    union-find.  Cycle vertex number i gets the right copy n + 1 + i.
+    """
+    cyc = list(cycle_vertices)
+    m, n = len(cyc), T.n_vertices
+    index = {f: i for i, f in enumerate(T.faces)}
+    copy_in = {}
+    for i, v in enumerate(cyc):
+        nxt, prv = cyc[(i + 1) % m], cyc[i - 1]
+        link = _link_cycle(T.faces, v)
+        deg = len(link)
+        around = [index[tuple(sorted((v, link[j], link[(j + 1) % deg])))]
+                  for j in range(deg)]
+        left = next(fi for fi, (a, b, c) in enumerate(T.oriented_faces)
+                    if (v, nxt) in ((a, b), (b, c), (c, a)))
+        start = around.index(left)
+        copy = v
+        for step in range(deg):
+            j = (start + step) % deg
+            copy_in[around[j], v] = copy
+            if link[(j + 1) % deg] in (prv, nxt):
+                copy = n + 1 + i if copy == v else v
+    faces = [tuple(sorted(copy_in.get((fi, v), v) for v in f))
+             for fi, f in enumerate(T.faces)]
+
+    def find(parent, x):
+        while parent.setdefault(x, x) != x:
+            x = parent[x]
+        return x
+
+    def union(parent, x, y):
+        parent[find(parent, x)] = find(parent, y)
+
+    edges = {}
+    for fi, (a, b, c) in enumerate(faces):
+        for e in ((a, b), (a, c), (b, c)):
+            edges.setdefault(e, []).append(fi)
+    face_sets, vertex_sets = {}, {}
+    for fi in range(len(faces)):
+        find(face_sets, fi)
+    for (u, v), fs in edges.items():
+        for fi in fs[1:]:
+            union(face_sets, fs[0], fi)
+        if len(fs) == 1:
+            union(vertex_sets, u, v)
+    components = len({find(face_sets, fi) for fi in range(len(faces))})
+    circles = len({find(vertex_sets, x) for x in list(vertex_sets)})
+    return faces, components, circles
 
 
 def oracle_type(T, basis):
@@ -72,11 +129,10 @@ def _proportional(a, b):
 def oracle_automorphisms(T):
     """Every flag whose full sorted form equals the minimum over all flags,
     mapped through the first flag attaining it."""
-    apex = _apex_maps(T.faces)
     scans = []
     for f in T.faces:
         for flag in _flags(f):
-            code, labels = _traverse_flag(T.faces, T.edge_faces, apex, flag)
+            code, labels = _traverse_flag(T, flag)
             scans.append((tuple(sorted(code)), labels))
     best = min(form for form, _ in scans)
     optimal = [labels for form, labels in scans if form == best]

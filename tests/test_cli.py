@@ -68,6 +68,24 @@ def test_realize_tube(tri_file, tmp_path, capsys):
     assert out.read_text().splitlines()[1] == "9 18 0"
 
 
+@pytest.mark.parametrize("eps", ["abc", "nan", "1/0", "0", "-1"])
+def test_realize_tube_bad_eps(tri_file, eps, capsys):
+    assert main(["realize", "tube", "--knot", tri_file, "--eps", eps]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: tube radius must be")
+
+
+def test_analyze_bad_header(tmp_path, capsys):
+    # '²' passes str.isdigit() but is no integer
+    p = tmp_path / "bad.txt"
+    p.write_text("\u00b2\n1 2 3\n", encoding="utf-8")
+    assert main(["analyze", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 1: expected vertex count")
+
+
 def test_realize_cyclic(capsys):
     assert main(["realize", "cyclic", "--k", "3"]) == 0
     cert = json.loads(capsys.readouterr().out)

@@ -4,13 +4,15 @@ import random
 
 import pytest
 
-from oracles import oracle_automorphisms, oracle_vertex_orbits
+from oracles import oracle_automorphisms, oracle_cut, oracle_vertex_orbits
 from polytorus.census import _Budget, _completions, enumerate_tori
+from polytorus.cycles import _fundamental_cycles, cut_along_cycle, homology_basis
 from polytorus.errors import NonManifoldEdge, PolytorusError
 from polytorus.generators import minimal_torus_3k, moebius_torus, tube_complex
 from polytorus.surfaces import (
     Cycle,
     SimplicialTorus,
+    _link_cycle,
     automorphism_group,
     canonical_form,
     canonical_key,
@@ -119,16 +121,46 @@ def test_vertex_links(moebius):
         assert len(vertex_link(moebius, v)) == 6
     tetra = validate_surface(TETRA)
     assert tetra.n_vertices == 4
-    link = vertex_link(SimplicialTorusNoCheck(TETRA), 1)
+    # an unvalidated torus builds its rotation from its own faces, so the
+    # link works on a sphere too
+    link = vertex_link(SimplicialTorus(TETRA, _skip_validation=True), 1)
     assert sorted(link.vertices) == [2, 3, 4]
 
 
-class SimplicialTorusNoCheck:
-    """Minimal stand-in so vertex_link can run on a sphere."""
-
-    def __init__(self, faces):
-        self.faces = [tuple(sorted(f)) for f in faces]
-        self.n_vertices = max(v for f in faces for v in f)
+def test_rotation_core_matches_face_scans():
+    """The cached rotation system against face scans, on named tori, every
+    census class for n <= 9 and a seeded relabeling of each: links, left
+    and corner faces, the edge map, and cuts along every face boundary and
+    both fundamental cycles."""
+    rng = random.Random(4099)
+    tori = [moebius_torus(), minimal_torus_3k(5), tube_complex(4)]
+    tori += [r.torus() for n in (7, 8, 9) for r in enumerate_tori(n)]
+    for T0 in tori:
+        perm = list(range(1, T0.n_vertices + 1))
+        rng.shuffle(perm)
+        for T in (T0, relabeled(T0, perm)):
+            rot = T.rotation
+            assert len(rot) == 2 * len(T.edges)
+            for (u, v), (i, w) in rot.items():
+                a, b, c = T.oriented_faces[i]
+                assert (u, v, w) in ((a, b, c), (b, c, a), (c, a, b))
+                assert set(T.faces[i]) == {u, v, w}
+            for v in range(1, T.n_vertices + 1):
+                scanned = _link_cycle(T.faces, v)
+                assert vertex_link(T, v).vertices == tuple(scanned)
+                walk = [scanned[0]]
+                while (w := rot[v, walk[-1]][1]) != walk[0]:
+                    walk.append(w)
+                assert Cycle(walk).canonical() == Cycle(scanned).canonical()
+            assert T.edge_faces == {
+                e: [i for i, f in enumerate(T.faces) if set(e) <= set(f)]
+                for e in T.edges}
+            cycles = [Cycle(f) for f in T.faces]
+            cycles += _fundamental_cycles(T, homology_basis(T))
+            for C in cycles:
+                cut = cut_along_cycle(T, C)
+                got = (cut.faces, cut.n_components, cut.boundary_circles)
+                assert got == oracle_cut(T, C.vertices)
 
 
 def test_handshake(tube4):
