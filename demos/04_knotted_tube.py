@@ -11,7 +11,7 @@ import time
 
 from polytorus import (
     Cycle,
-    choose_epsilon,
+    ExactRadius,
     classify_cycle_in_tube,
     core_curve,
     cycle_signature,
@@ -21,7 +21,6 @@ from polytorus import (
     ring_cycle,
     trefoil_6stick,
     tube_construction,
-    verify_embedding,
 )
 
 K = trefoil_6stick()
@@ -29,13 +28,12 @@ print("trefoil sticks:", K.k, "general position:", K.is_general_position())
 print("determinant (certifies trefoil):", knot_determinant(K))
 
 t0 = time.time()
-eps = choose_epsilon(K)
+mesh = tube_construction(K)
+eps = ExactRadius(mesh.provenance["epsilon_sq"])
 print(f"\ncertified tube radius: eps^2 = {eps.sq} (~{float(eps):.4f}), "
       f"{time.time()-t0:.0f}s")
-
-mesh = tube_construction(K, eps)
 print("tube:", mesh.complex.report)
-print("embedded:", verify_embedding(mesh).ok)
+print("embedded:", mesh.embedding.ok)
 
 core = core_curve(mesh)
 print("core recovered exactly:", core == K)

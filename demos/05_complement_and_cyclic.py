@@ -17,14 +17,13 @@ from polytorus import (
     export_mesh,
     gale_evenness,
     triangle_unknot,
-    verify_embedding,
 )
 
 t0 = time.time()
 mesh = complement_construction(triangle_unknot())
 rep = mesh.complex.report
 print(f"unknot complement torus: {rep.n_vertices} vertices (= 3k+4), "
-      f"euler {rep.euler}, embedded: {verify_embedding(mesh).ok} "
+      f"euler {rep.euler}, embedded: {mesh.embedding.ok} "
       f"({time.time()-t0:.0f}s)")
 
 print("\nGale evenness on C_4(7): facet {1,2,4,5} contains triangle {1,2,4}:",
@@ -34,7 +33,7 @@ for k in (3, 4, 5, 6):
     t0 = time.time()
     mesh = cyclic_polytope_realization(k)
     print(f"cyclic realization k={k}: {mesh.complex.n_vertices} vertices, "
-          f"embedded: {verify_embedding(mesh).ok}, "
+          f"embedded: {mesh.embedding.ok}, "
           f"core determinant {mesh.provenance['core_determinant']} "
           f"({time.time()-t0:.1f}s)")
 

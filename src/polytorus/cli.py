@@ -26,12 +26,11 @@ from .generators import minimal_torus_3k, moebius_torus, tube_complex
 from .knots import load_stick_knot
 from .realization import (
     ExactRadius,
-    choose_epsilon,
     complement_construction,
+    core_curve,
     cyclic_polytope_realization,
     export_mesh,
     tube_construction,
-    verify_embedding,
 )
 from .surfaces import format_complex, load_complex
 
@@ -95,23 +94,20 @@ def _cmd_census(args) -> int:
 def _cmd_realize(args) -> int:
     if args.what == "tube":
         K = load_stick_knot(args.knot)
-        eps = ExactRadius.from_value(args.eps) if args.eps else choose_epsilon(K)
-        mesh = tube_construction(K, eps)
+        mesh = tube_construction(K, ExactRadius.from_value(args.eps) if args.eps else None)
     elif args.what == "complement":
         K = load_stick_knot(args.knot)
         mesh = complement_construction(K)
     else:
         mesh = cyclic_polytope_realization(args.k)
-    report = verify_embedding(mesh)
     cert = {
         "schema": 1,
         "kind": mesh.provenance.get("kind"),
         "vertices": mesh.complex.n_vertices,
         "faces": len(mesh.complex.faces),
-        "embedded": report.ok,
+        "embedded": mesh.embedding.ok,
     }
     if "knot" in mesh.provenance:
-        from .realization import core_curve
         cert["determinant"] = knot_determinant(core_curve(mesh))
     if "core_determinant" in mesh.provenance:
         cert["determinant"] = mesh.provenance["core_determinant"]
@@ -119,7 +115,7 @@ def _cmd_realize(args) -> int:
         export_mesh(mesh, args.output, args.format, args.precision)
         cert["output"] = args.output
     sys.stdout.write(json.dumps(cert, sort_keys=True) + "\n")
-    return 0 if report.ok else 1
+    return 0 if mesh.embedding.ok else 1
 
 
 def _cmd_knot(args) -> int:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from math import gcd
 
 from .errors import (
     InvalidType,
@@ -62,14 +61,8 @@ class HomologySignature(tuple):
         """True when the two vectors are linearly dependent over Z."""
         return self[0] * other[1] - self[1] * other[0] == 0
 
-    def primitive(self) -> bool:
-        return gcd(self[0], self[1]) == 1
-
     def __neg__(self):
         return HomologySignature(-self[0], -self[1])
-
-    def __add__(self, other):
-        return HomologySignature(self[0] + other[0], self[1] + other[1])
 
 
 @dataclass

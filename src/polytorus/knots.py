@@ -87,9 +87,6 @@ class StickKnot:
         f = Fraction(factor)
         return StickKnot([tuple(c * f for c in v) for v in self.vertices])
 
-    def translated(self, offset: Vec) -> "StickKnot":
-        return StickKnot([tuple(c + o for c, o in zip(v, offset)) for v in self.vertices])
-
     def __len__(self):
         return self.k
 

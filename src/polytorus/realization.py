@@ -20,6 +20,9 @@ stay exact:
 The tube radius is handled as an exact *squared* value, which keeps the
 bound from the clearance computation and every later comparison exact, and
 makes the pre-verification bound exactly scale-covariant.
+
+Each construction builds its mesh once and proves it embedded once; the
+report of that proof travels with the mesh as ``Mesh.embedding``.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from .cycles import homology_basis, cycle_signature, stick_number_and_type
 from .diagrams import linking_number, polygon_determinant
@@ -114,19 +117,15 @@ class ExactRadius:
         return f"ExactRadius(sq={self.sq})"
 
 
-def _as_radius(eps) -> ExactRadius:
-    if isinstance(eps, ExactRadius):
-        return eps
-    return ExactRadius.from_value(eps)
-
-
 @dataclass
 class Mesh:
-    """Geometric realization: exact coordinates over a validated torus."""
+    """Geometric realization: exact coordinates over a validated torus;
+    ``embedding`` is the proof that certified it, if a construction built it."""
 
     coords: dict
     complex: SimplicialTorus
     provenance: dict = field(default_factory=dict)
+    embedding: EmbeddingReport | None = None
 
     def face_points(self, face):
         return tuple(self.coords[v] for v in face)
@@ -187,8 +186,11 @@ def _project_to_plane(u: Vec, n: Vec) -> Vec:
     return sub(u, scale(n, dot(u, n) / norm2(n)))
 
 
-def _initial_direction(n: Vec) -> Vec:
-    for axis in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+def _initial_direction(n: Vec, first: int = 0) -> Vec:
+    """cross(n, e) for the first coordinate axis e, counting cyclically from
+    axis ``first`` (0 = x), that is not parallel to n."""
+    axes = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    for axis in axes[first:] + axes[:first]:
         u = cross(n, vec(*axis))
         if not is_zero(u):
             return u
@@ -212,21 +214,22 @@ def _rotate_in_plane(u: Vec, w: Vec, angle: float) -> Vec:
     return out
 
 
-def _transported_frames(K: StickKnot, normals, orientation: int):
+def _transported_frames(K: StickKnot, normals, orientation: int, axis: int):
     """Per-ring frames (u, w) with the closing twist spread over all rings.
 
     ``orientation`` flips w, which flips the handedness of the corner
     labelling around the rings; the construction retries with the opposite
-    handedness when the prism certificates reject the first one.
+    handedness when the prism certificates reject the first one, then with
+    the next coordinate ``axis`` to start from (see ``_initial_direction``).
     """
     k = K.k
     us = []
-    u = _initial_direction(normals[0])
+    u = _initial_direction(normals[0], axis)
     for i in range(k):
         if i > 0:
             u = reduce_direction(_project_to_plane(u, normals[i]))
             if is_zero(u):
-                u = _initial_direction(normals[i])
+                u = _initial_direction(normals[i], axis)
         us.append(u)
     closing = _project_to_plane(us[-1], normals[0])
     if is_zero(closing):
@@ -355,20 +358,37 @@ def _prism_faces(coords, k):
     return faces, None
 
 
-def tube_construction(K: StickKnot, eps) -> Mesh:
-    """Knotted polyhedral torus with 3k vertices around K.
+def tube_construction(K: StickKnot, eps: ExactRadius | None = None) -> Mesh:
+    """Knotted polyhedral torus with 3k vertices around K, proved embedded.
 
     Rings of three vertices on exact circles in the (near-bisector) ring
     planes, joined by the hull mantles of consecutive ring pairs; the caps
-    are the removed ring triangles.  Raises EpsilonTooLarge when the radius
-    does not certify.
+    are the removed ring triangles.  With a radius, the tube certifies at
+    that radius or EpsilonTooLarge is raised.  Without one, the radius
+    starts at the bound of ``choose_epsilon`` and is halved up to
+    MAX_EPS_HALVINGS times; the first certified tube is returned, its
+    radius in ``provenance["epsilon_sq"]`` and its proof in ``embedding``.
     """
-    eps = _as_radius(eps)
+    if eps is not None:
+        return _tube_at(K, eps)
+    eps = choose_epsilon(K)
+    for _ in range(MAX_EPS_HALVINGS):
+        try:
+            return _tube_at(K, eps)
+        except EpsilonTooLarge:
+            eps = eps.halved()
+    raise EpsilonTooLarge("no radius certified after repeated halving")
+
+
+def _tube_at(K: StickKnot, eps: ExactRadius) -> Mesh:
+    """The tube at one radius, from the first frame (x-axis start in both
+    handednesses, then y, then z) whose prisms certify and whose mesh is
+    embedded."""
     k = K.k
     normals = _ring_planes(K)
     last_reason = None
-    for orientation in (1, -1):
-        frames = _transported_frames(K, normals, orientation)
+    for axis, orientation in product(range(3), (1, -1)):
+        frames = _transported_frames(K, normals, orientation, axis)
         coords = {}
         radii = []
         for i in range(k):
@@ -394,30 +414,20 @@ def tube_construction(K: StickKnot, eps) -> Mesh:
             "meridian": ring_cycle(k),
             "grid_diagonals": complex_.faces == tube_complex(k).faces,
         })
-        report = verify_embedding(mesh)
-        if report.ok:
+        mesh.embedding = verify_embedding(mesh)
+        if mesh.embedding.ok:
             return mesh
-        last_reason = f"self-intersection: {report.witness}"
+        last_reason = f"self-intersection: {mesh.embedding.witness}"
     raise EpsilonTooLarge(last_reason)
 
 
-def choose_epsilon(K: StickKnot, verify: bool = True) -> ExactRadius:
-    """Radius bound (1/4 of the polygon clearance), then halved until the
-    tube construction verifies.  The pre-verification bound is exactly
-    covariant under rational scaling of K."""
+def choose_epsilon(K: StickKnot) -> ExactRadius:
+    """Closed-form radius bound: 1/4 of the polygon clearance, exactly
+    covariant under rational scaling of K.  ``tube_construction`` halves it
+    until a tube certifies."""
     if not K.is_general_position():
         raise DegenerateKnot("knot vertices not in general position")
-    clearance_sq = K.min_clearance_sq()
-    eps = ExactRadius(clearance_sq / 16)
-    if not verify:
-        return eps
-    for _ in range(MAX_EPS_HALVINGS):
-        try:
-            tube_construction(K, eps)
-            return eps
-        except EpsilonTooLarge:
-            eps = eps.halved()
-    raise EpsilonTooLarge("no radius certified after repeated halving")
+    return ExactRadius(K.min_clearance_sq() / 16)
 
 
 # -- tube analysis ----------------------------------------------------------------
@@ -479,19 +489,21 @@ def classify_cycle_in_tube(mesh: Mesh, C: Cycle, certificate: bool = True):
 def complement_construction(K: StickKnot) -> Mesh:
     """Torus of complement knot type with 3k+4 vertices: the tube with one
     subdivided hull triangle, glued to an enclosing octahedron boundary."""
-    eps = choose_epsilon(K)
+    tube = tube_construction(K)
+    eps = ExactRadius(tube.provenance["epsilon_sq"])
     last = None
     for _ in range(MAX_EPS_HALVINGS):
         try:
-            tube = tube_construction(K, eps)
-            return _build_complement(K, tube, eps)
+            if tube is None:
+                tube = tube_construction(K, eps)
+            return _build_complement(K, tube)
         except (EnclosureFailure, EpsilonTooLarge) as exc:
             last = exc
-            eps = eps.halved()
+            tube, eps = None, eps.halved()
     raise EnclosureFailure(f"complement failed after radius halvings ({last})")
 
 
-def _build_complement(K: StickKnot, tube: Mesh, eps: ExactRadius) -> Mesh:
+def _build_complement(K: StickKnot, tube: Mesh) -> Mesh:
     k = K.k
     n_tube = 3 * k
     all_pts = [tube.coords[i] for i in range(1, n_tube + 1)]
@@ -574,13 +586,13 @@ def _build_complement(K: StickKnot, tube: Mesh, eps: ExactRadius) -> Mesh:
     mesh = Mesh(coords, torus3, {
         "kind": "complement",
         "knot": K,
-        "epsilon_sq": eps.sq,
+        "epsilon_sq": tube.provenance["epsilon_sq"],
         "meridian": ring_cycle(k),
         "glued_edge": (v1, v2),
     })
-    report = verify_embedding(mesh)
-    if not report.ok:
-        raise EpsilonTooLarge(f"complement self-intersects: {report.witness}")
+    mesh.embedding = verify_embedding(mesh)
+    if not mesh.embedding.ok:
+        raise EpsilonTooLarge(f"complement self-intersects: {mesh.embedding.witness}")
     return mesh
 
 
@@ -850,9 +862,9 @@ def cyclic_polytope_realization(k: int) -> Mesh:
     res = stick_number_and_type(T)
     mesh.provenance["core_determinant"] = polygon_determinant(mesh.cycle_points(res.witness_s))
     mesh.provenance["meridian_determinant"] = polygon_determinant(mesh.cycle_points(res.witness_m))
-    report = verify_embedding(mesh)
-    if not report.ok:
-        raise PolytorusError(f"Schlegel projection self-intersects: {report.witness}")
+    mesh.embedding = verify_embedding(mesh)
+    if not mesh.embedding.ok:
+        raise PolytorusError(f"Schlegel projection self-intersects: {mesh.embedding.witness}")
     return mesh
 
 

@@ -31,7 +31,6 @@ from polytorus.generators import (
 )
 from polytorus.knots import trefoil_6stick, triangle_unknot
 from polytorus.realization import (
-    choose_epsilon,
     classify_cycle_in_tube,
     complement_construction,
     core_curve,
@@ -132,13 +131,13 @@ def test_criterion_5_tube_end_to_end():
     shorter than 6 is a meridian."""
     t0 = time.time()
     tri = triangle_unknot()
-    mesh = tube_construction(tri, choose_epsilon(tri))
+    mesh = tube_construction(tri)
     assert mesh.complex.n_vertices == 9
     assert verify_embedding(mesh).ok
     assert knot_determinant(core_curve(mesh)) == 1
 
     K = trefoil_6stick()
-    tmesh = tube_construction(K, choose_epsilon(K))
+    tmesh = tube_construction(K)
     assert tmesh.complex.n_vertices == 18
     emb_t0 = time.time()
     assert verify_embedding(tmesh).ok

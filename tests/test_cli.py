@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from polytorus import cli, realization
 from polytorus.cli import main
 from polytorus.knots import format_stick_knot, triangle_unknot
 
@@ -66,6 +67,35 @@ def test_realize_tube(tri_file, tmp_path, capsys):
     assert cert["determinant"] == 1
     assert cert["vertices"] == 9
     assert out.read_text().splitlines()[1] == "9 18 0"
+
+
+@pytest.fixture()
+def proofs(monkeypatch):
+    """Every mesh ``verify_embedding`` is called on, as (coords, faces)."""
+    seen = []
+    original = realization.verify_embedding
+
+    def counted(mesh):
+        seen.append((tuple(sorted(mesh.coords.items())), tuple(mesh.complex.faces)))
+        return original(mesh)
+    for mod in (realization, cli):
+        monkeypatch.setattr(mod, "verify_embedding", counted, raising=False)
+    return seen
+
+
+def test_realize_proves_once(tri_file, proofs, capsys):
+    for argv in (["realize", "tube", "--knot", tri_file], ["realize", "cyclic", "--k", "4"]):
+        proofs.clear()
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["embedded"] is True
+        assert len(proofs) == 1, argv
+
+
+def test_realize_complement_proves_each_mesh_once(tri_file, proofs, capsys):
+    assert main(["realize", "complement", "--knot", tri_file]) == 0
+    assert json.loads(capsys.readouterr().out)["embedded"] is True
+    assert proofs
+    assert len(set(proofs)) == len(proofs)
 
 
 @pytest.mark.parametrize("eps", ["abc", "nan", "1/0", "0", "-1"])

@@ -3,6 +3,7 @@ mesh I/O.  The expensive trefoil constructions live in the acceptance suite;
 everything here sticks to the triangle unknot and small k."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -29,27 +30,22 @@ from polytorus.surfaces import Cycle, canonical_form
 
 
 @pytest.fixture(scope="module")
-def tri_eps():
-    return choose_epsilon(triangle_unknot())
-
-
-@pytest.fixture(scope="module")
-def tri_tube(tri_eps):
-    return tube_construction(triangle_unknot(), tri_eps)
+def tri_tube():
+    return tube_construction(triangle_unknot())
 
 
 def test_epsilon_closed_form_bound():
     # right triangle (0,0,0),(1,0,0),(0,1,0): nearest vertex-edge distance
     # is from a leg vertex to the hypotenuse, squared 1/2; quartering the
     # distance squares the factor to 1/16
-    bound = choose_epsilon(triangle_unknot(), verify=False)
+    bound = choose_epsilon(triangle_unknot())
     assert bound.sq == Fraction(1, 2) / 16
 
 
 def test_epsilon_scale_covariant():
-    base = choose_epsilon(triangle_unknot(), verify=False)
+    base = choose_epsilon(triangle_unknot())
     for lam in (2, Fraction(3, 7), Fraction(5)):
-        scaled = choose_epsilon(triangle_unknot().scaled(lam), verify=False)
+        scaled = choose_epsilon(triangle_unknot().scaled(lam))
         assert scaled.sq == base.sq * lam ** 2
 
 
@@ -60,10 +56,14 @@ def test_exact_radius_arithmetic():
     assert r.scaled(2).sq == 9
 
 
-def test_tube_triangle(tri_tube, tri_eps):
+def test_tube_triangle(tri_tube):
     rep = tri_tube.complex.report
     assert (rep.n_vertices, rep.n_faces) == (9, 18)
+    # the construction's own proof agrees with a fresh one
+    assert tri_tube.embedding.ok
     assert verify_embedding(tri_tube).ok
+    eps_sq = tri_tube.provenance["epsilon_sq"]
+    assert eps_sq <= choose_epsilon(triangle_unknot()).sq
     K = triangle_unknot()
     normals = tri_tube.provenance["ring_normals"]
     radii = tri_tube.provenance["ring_radius_sq"]
@@ -75,7 +75,7 @@ def test_tube_triangle(tri_tube, tri_eps):
             # exactly in the recorded ring plane, exactly on the ring circle
             assert dot(n, sub(p, v)) == 0
             assert norm2(sub(p, v)) == radii[r]
-        assert radii[r] <= tri_eps.sq
+        assert radii[r] <= eps_sq
 
 
 def test_tube_core_recovered_exactly(tri_tube):
@@ -132,6 +132,7 @@ def test_gale_evenness_examples():
 def test_cyclic_realization_small():
     mesh = cyclic_polytope_realization(3)
     assert mesh.complex.n_vertices == 7
+    assert mesh.embedding.ok
     assert verify_embedding(mesh).ok
     assert mesh.provenance["core_determinant"] == 1
 
@@ -151,6 +152,7 @@ def test_off_roundtrip(tmp_path, tri_tube):
     assert text[0] == "OFF"
     assert text[1] == "9 18 0"
     mesh2 = import_off(path)
+    assert mesh2.embedding is None
     assert canonical_form(mesh2.complex) == canonical_form(tri_tube.complex)
     for v in range(1, 10):
         for a, b in zip(mesh2.coords[v], tri_tube.coords[v]):
@@ -208,6 +210,7 @@ def test_complement_triangle():
     assert rep.n_vertices == 13
     assert rep.n_faces == 2 * 13
     assert rep.euler == 0 and rep.orientable
+    assert mesh.embedding.ok
     assert verify_embedding(mesh).ok
     # the glued edge lies on the convex hull of the tube points
     v1, v2 = mesh.provenance["glued_edge"]
@@ -222,7 +225,7 @@ def test_tube_nonplanar_quad_unknot():
     from polytorus.diagrams import knot_determinant
     K = StickKnot([(0, 0, 0), (3, 0, 1), (3, 3, 0), (0, 3, 1)])
     assert K.is_general_position()
-    mesh = tube_construction(K, choose_epsilon(K))
+    mesh = tube_construction(K)
     assert mesh.complex.n_vertices == 12
     assert verify_embedding(mesh).ok
     assert core_curve(mesh) == K
@@ -233,7 +236,7 @@ def test_tube_invariant_under_scaling():
     """Determinant and embedding survive a rational scaling of the knot."""
     from polytorus.diagrams import knot_determinant
     K = triangle_unknot().scaled(Fraction(7, 3))
-    mesh = tube_construction(K, choose_epsilon(K))
+    mesh = tube_construction(K)
     assert verify_embedding(mesh).ok
     assert knot_determinant(core_curve(mesh)) == 1
 
@@ -247,3 +250,26 @@ def test_cyclic_facets_match_gale_predicate():
         from_predicate = {s for s in combinations(range(1, n + 1), 4)
                           if gale_evenness(s, n)}
         assert from_pairs == from_predicate
+
+
+# proper signed axis permutations v -> (signs[i] * v[perm[i]]) whose image
+# of the z-axis is the x-axis; (2, 0, 1) is even, (2, 1, 0) odd
+Z_ONTO_X = [(perm, signs) for perm in ((2, 0, 1), (2, 1, 0))
+            for signs in product((1, -1), repeat=3)
+            if (1 if perm == (2, 0, 1) else -1) * signs[0] * signs[1] * signs[2] == 1]
+
+
+@pytest.mark.parametrize("perm, signs", Z_ONTO_X, ids=[
+    "".join(map(str, p)) + "".join("+" if x > 0 else "-" for x in s) for p, s in Z_ONTO_X])
+def test_tube_rotated_z_onto_x(perm, signs):
+    """These rotations put the triangle in the plane x = 0, where frames
+    started from the x-axis give prisms without hull diagonals at every
+    radius; the construction falls back to the next axis."""
+    from polytorus.diagrams import knot_determinant
+    K = StickKnot([tuple(signs[i] * v[perm[i]] for i in range(3))
+                   for v in triangle_unknot().vertices])
+    mesh = tube_construction(K)
+    assert mesh.embedding.ok
+    assert verify_embedding(mesh).ok
+    assert core_curve(mesh) == K
+    assert knot_determinant(core_curve(mesh)) == 1
