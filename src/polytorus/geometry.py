@@ -6,12 +6,31 @@ their squares, "unit" vectors are replaced by rational approximations whose
 defining inequalities (transversality, containment) are then checked
 exactly, and circle membership is expressed as an equation between squared
 norms.
+
+The embedding test runs on integers.  ``integer_points`` multiplies a point
+set by the least common multiple of its coordinate denominators.  Scaling
+by a positive factor s multiplies every 3x3 orientation determinant by s^3
+and every plane-side value by s^3 as well, so every sign, and every verdict
+built only from signs, stays the same.  The signs then come from Python
+ints, with no division and no gcd.  ``first_conflict`` computes each face's
+plane and the side of every vertex against it once per mesh, and decides
+each face pair from that table where it can:
+
+* one triangle strictly on one side of the other's plane: disjoint;
+* a shared edge, not coplanar: they meet exactly in that edge;
+* a shared vertex, and the other two corners of either triangle strictly
+  on one side of the other's plane: they meet exactly in that vertex.
+
+The pairs left are decided by orientation signs alone.  Two non-coplanar
+triangles meet iff an edge of one meets the other.  When they share a
+vertex, they meet beyond it iff the edge opposite it in one of them meets
+the other.  Coplanar pairs go to ``_coplanar_conflict``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 Vec = tuple[Fraction, Fraction, Fraction]
 
@@ -104,17 +123,10 @@ def approx_unit(a: Vec, bits: int = 48) -> Vec:
 
 def reduce_direction(a: Vec) -> Vec:
     """Shortest integer vector with the same direction (positive scaling)."""
-    from math import gcd
-
     if is_zero(a):
         return a
-    lcm = 1
-    for c in a:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in a]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+    ints = integer_points([a])[0]
+    g = gcd(*ints)
     return tuple(Fraction(v // g) for v in ints)
 
 
@@ -342,6 +354,128 @@ def dot2_sign(v, a, b) -> int:
     return (d > 0) - (d < 0)
 
 
+# -- the integer embedding kernel --------------------------------------------------
+
+# the rules that discharge a face pair, in the order first_conflict tries them
+PAIR_RULES = ("coplanar", "one_side", "shared_edge", "shared_vertex", "orientation")
+
+
+def integer_points(points) -> list[tuple[int, int, int]]:
+    """The points times the least common multiple of all their coordinate
+    denominators: integer triples with every orientation sign unchanged."""
+    pts = list(points)
+    m = lcm(*(c.denominator for p in pts for c in p))
+    return [tuple(c.numerator * (m // c.denominator) for c in p) for p in pts]
+
+
+def first_conflict(points, faces):
+    """The first face pair (i, j), i < j, in row order whose triangles meet
+    outside their shared simplex, or None; and the number of pairs each
+    rule of PAIR_RULES decided up to it.
+
+    ``points`` are integer triples and ``faces`` triples of indices into
+    them, distinct points and non-degenerate faces.
+    """
+    discharged = dict.fromkeys(PAIR_RULES, 0)
+    normals = []
+    side = []
+    for a, b, c in faces:
+        pa = points[a]
+        n = cross(sub(points[b], pa), sub(points[c], pa))
+        nx, ny, nz = n
+        off = dot(n, pa)
+        row = []
+        for x, y, z in points:
+            row.append(_sign(nx * x + ny * y + nz * z - off))
+        normals.append(n)
+        side.append(row)
+    tris = [tuple(points[v] for v in f) for f in faces]
+    vsets = [set(f) for f in faces]
+    for i, fi in enumerate(faces):
+        si = side[i]
+        for j in range(i + 1, len(faces)):
+            fj = faces[j]
+            sj = side[j]
+            on_i = (si[fj[0]], si[fj[1]], si[fj[2]])  # corners of j against plane i
+            on_j = (sj[fi[0]], sj[fi[1]], sj[fi[2]])
+            common = sorted(vsets[i] & vsets[j])
+            if on_i == (0, 0, 0):
+                rule = "coplanar"
+                shared = tuple(points[v] for v in common)
+                conflict = _coplanar_conflict(tris[i], tris[j], shared, normals[i]) is not None
+            elif _one_side(on_i) or _one_side(on_j):
+                rule, conflict = "one_side", False
+            elif len(common) == 2:
+                rule, conflict = "shared_edge", False
+            elif len(common) == 1:
+                # the edge opposite the shared vertex, with its side signs
+                opp_i = [k for k in range(3) if fi[k] != common[0]]
+                opp_j = [k for k in range(3) if fj[k] != common[0]]
+                si_opp = [on_i[k] for k in opp_j]
+                sj_opp = [on_j[k] for k in opp_i]
+                if _one_side(sj_opp) or _one_side(si_opp):
+                    rule, conflict = "shared_vertex", False
+                else:
+                    rule = "orientation"
+                    conflict = (
+                        _segment_meets(tris[i][opp_i[0]], tris[i][opp_i[1]], *sj_opp, tris[j])
+                        or _segment_meets(tris[j][opp_j[0]], tris[j][opp_j[1]], *si_opp, tris[i]))
+            else:
+                rule = "orientation"
+                conflict = _edge_meets(tris[i], on_j, tris[j]) or _edge_meets(tris[j], on_i, tris[i])
+            discharged[rule] += 1
+            if conflict:
+                return (i, j), discharged
+    return None, discharged
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _one_side(signs) -> bool:
+    """Every sign is +1, or every sign is -1."""
+    first = signs[0]
+    return first != 0 and all(s == first for s in signs)
+
+
+def _edge_meets(tri, sides, other) -> bool:
+    """Some edge of ``tri`` not contained in the plane of ``other`` meets
+    ``other``; ``sides`` are the corners' side signs against that plane.
+
+    For non-coplanar triangles this is exactly "the triangles meet": each
+    end of the contact interval on the planes' common line lies on an edge
+    of one triangle that crosses the other's plane in that point.
+    """
+    return any(_segment_meets(tri[k], tri[k - 1], sides[k], sides[k - 1], other)
+               for k in range(3))
+
+
+def _segment_meets(p, q, sp, sq, tri) -> bool:
+    """The closed segment pq meets the closed triangle ``tri``, given the
+    side signs sp, sq of p and q against its plane.
+
+    A segment lying in the plane (sp = sq = 0) counts as not meeting; its
+    callers never need it.  Otherwise pq meets the plane, if at all, in one
+    point X, and the three signs orient3d(p, q, a, b) over the triangle's
+    edges ab are the sign of (q - p) . n times the 2D orientations of X
+    against the edges, so X lies in the triangle iff no two of them
+    differ strictly.  With u = q - p and A = a - p and so on, the three are
+    the signs of (u x A) . B, (u x B) . C and -(u x A) . C.
+    """
+    if sp * sq > 0 or sp == sq == 0:
+        return False
+    u = sub(q, p)
+    A, B, C = (sub(x, p) for x in tri)
+    uA = cross(u, A)
+    o1 = _sign(dot(uA, B))
+    o2 = _sign(dot(cross(u, B), C))
+    if o1 * o2 < 0:
+        return False
+    o3 = -_sign(dot(uA, C))
+    return (o1 >= 0 and o2 >= 0 and o3 >= 0) or (o1 <= 0 and o2 <= 0 and o3 <= 0)
+
+
 # -- small convex-hull certificates ----------------------------------------------
 
 
@@ -411,30 +545,6 @@ def plane_supports(points, tri) -> bool:
         lo = min(lo, sg)
         hi = max(hi, sg)
     return lo >= 0 or hi <= 0
-
-
-# -- convex position ------------------------------------------------------------
-
-
-def supporting_plane_of_edge(points, i, j):
-    """A plane through points[i], points[j] with every point weakly on one
-    side, or None.  Certifies that the edge lies on the convex hull."""
-    a, b = points[i], points[j]
-    for k in range(len(points)):
-        if k in (i, j):
-            continue
-        c = points[k]
-        n = cross(sub(b, a), sub(c, a))
-        if is_zero(n):
-            continue
-        lo = hi = 0
-        for p in points:
-            s = dot(n, sub(p, a))
-            lo = min(lo, (s > 0) - (s < 0))
-            hi = max(hi, (s > 0) - (s < 0))
-        if lo >= 0 or hi <= 0:
-            return (n, dot(n, a))
-    return None
 
 
 def parse_rational(token: str) -> Fraction:

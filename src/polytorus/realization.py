@@ -52,6 +52,8 @@ from .geometry import (
     collinear,
     cross,
     dot,
+    first_conflict,
+    integer_points,
     is_hull_vertex,
     is_zero,
     norm2,
@@ -145,24 +147,42 @@ class Mesh:
 
 @dataclass
 class EmbeddingReport:
+    """Verdict of one embedding proof, with the first conflicting face pair
+    as witness; ``discharged`` counts the pairs each rule of
+    ``geometry.PAIR_RULES`` decided, up to the verdict."""
+
     ok: bool
     witness: tuple | None = None
+    discharged: dict | None = field(default=None, compare=False, repr=False)
 
 
 def verify_embedding(mesh: Mesh) -> EmbeddingReport:
-    """Exact pairwise face test: faces may meet only in shared simplices."""
+    """Exact pairwise face test: faces may meet only in shared simplices.
+
+    The coordinates are scaled once to integers by the least common
+    multiple of their denominators, a positive factor that keeps every sign
+    the test reads.  ``geometry.first_conflict`` then decides the face
+    pairs in (i, j) order from one plane per face and one vertex-side
+    table.  Pairs with one triangle strictly on one side of the other's
+    plane, non-coplanar pairs sharing an edge, and pairs sharing a vertex
+    whose other two corners in one triangle lie strictly on one side of
+    the other's plane are settled by the table; coplanar pairs by the 2D
+    test; the rest by orientation signs.  Only a conflicting pair goes to
+    the rational ``triangles_conflict``, for the witness text.
+    """
     mesh.check_coords()
     faces = mesh.complex.faces
-    pts = [mesh.face_points(f) for f in faces]
-    vsets = [set(f) for f in faces]
-    for i in range(len(faces)):
-        for j in range(i + 1, len(faces)):
-            common = vsets[i] & vsets[j]
-            shared = tuple(mesh.coords[v] for v in sorted(common))
-            msg = triangles_conflict(pts[i], pts[j], shared)
-            if msg is not None:
-                return EmbeddingReport(False, (faces[i], faces[j], msg))
-    return EmbeddingReport(True)
+    labels = sorted(mesh.coords)
+    index = {v: i for i, v in enumerate(labels)}
+    points = integer_points(mesh.coords[v] for v in labels)
+    pair, discharged = first_conflict(points, [tuple(index[v] for v in f) for f in faces])
+    if pair is None:
+        return EmbeddingReport(True, discharged=discharged)
+    fi, fj = faces[pair[0]], faces[pair[1]]
+    shared = tuple(mesh.coords[v] for v in sorted(set(fi) & set(fj)))
+    msg = triangles_conflict(mesh.face_points(fi), mesh.face_points(fj), shared)
+    assert msg is not None
+    return EmbeddingReport(False, (fi, fj, msg), discharged)
 
 
 # -- tube construction ----------------------------------------------------------
@@ -327,13 +347,15 @@ def _prism_faces(coords, k):
     grid diagonal (toward the lower-indexed ring vertex) is preferred, and
     taken whenever its two triangles lie in supporting planes; otherwise
     the opposite diagonal is certified the same way.  Returns (faces, None)
-    or (None, reason).
+    or (None, reason).  The six points are scaled to integers first, which
+    keeps every sign both certificates read.
     """
     faces = []
     for r in range(k):
         s = (r + 1) % k
         labels = [3 * r + 1, 3 * r + 2, 3 * r + 3, 3 * s + 1, 3 * s + 2, 3 * s + 3]
-        pts = [coords[x] for x in labels]
+        pts = integer_points(coords[x] for x in labels)
+        at = dict(zip(labels, pts))
         for i in range(6):
             if not is_hull_vertex(pts, i):
                 return None, f"ring point {labels[i]} inside prism hull {r}"
@@ -348,7 +370,7 @@ def _prism_faces(coords, k):
             placed = False
             for diag in (((a[i], a[j], b[i]), (a[j], b[j], b[i])),
                          ((a[i], a[j], b[j]), (a[i], b[j], b[i]))):
-                tris = [tuple(coords[x] for x in t) for t in diag]
+                tris = [tuple(at[x] for x in t) for t in diag]
                 if all(plane_supports(pts, t) for t in tris):
                     faces.extend(tuple(sorted(t)) for t in diag)
                     placed = True

@@ -465,12 +465,6 @@ def canonical_form(T: SimplicialTorus) -> tuple[Face, ...]:
     return form
 
 
-def canonical_labeling(T: SimplicialTorus) -> dict[int, int]:
-    """One labeling old->new realizing canonical_form(T)."""
-    _, labeling = _canonical_scan(T)
-    return labeling
-
-
 def _key_scan(T: SimplicialTorus):
     """Minimum visit-order code over the flags at invariant-minimal vertices.
 

@@ -5,15 +5,63 @@ by cutting and counting components (no homology), torus types come from
 exhaustive simple-cycle enumeration, knot determinants are recomputed
 from the Alexander relation at t = -1 (no region coloring), automorphism
 groups come from full canonical-form traversals of every flag (no early
-abort), and cutting along a cycle is redone from face scans (no rotation
-system).
+abort), cutting along a cycle is redone from face scans (no rotation
+system), and embeddings are proved by the rational all-pairs face test (no
+integer kernel).  ``canonical_labeling`` and ``supporting_plane_of_edge``
+are test-only certificates.
 """
 
 from fractions import Fraction
 
 from polytorus.cycles import cut_along_cycle, cycle_signature, enumerate_simple_cycles
-from polytorus.surfaces import Cycle, _flags, _link_cycle, _traverse_flag
+from polytorus.geometry import cross, dot, is_zero, sub, triangles_conflict
+from polytorus.realization import EmbeddingReport
+from polytorus.surfaces import Cycle, _canonical_scan, _flags, _link_cycle, _traverse_flag
 from polytorus.diagrams import _Projection
+
+
+def oracle_verify_embedding(mesh):
+    """The rational pairwise face test: every face pair through
+    ``triangles_conflict``, the first conflict in (i, j) order as witness."""
+    mesh.check_coords()
+    faces = mesh.complex.faces
+    pts = [mesh.face_points(f) for f in faces]
+    vsets = [set(f) for f in faces]
+    for i in range(len(faces)):
+        for j in range(i + 1, len(faces)):
+            common = vsets[i] & vsets[j]
+            shared = tuple(mesh.coords[v] for v in sorted(common))
+            msg = triangles_conflict(pts[i], pts[j], shared)
+            if msg is not None:
+                return EmbeddingReport(False, (faces[i], faces[j], msg))
+    return EmbeddingReport(True)
+
+
+def supporting_plane_of_edge(points, i, j):
+    """A plane through points[i], points[j] with every point weakly on one
+    side, or None.  Certifies that the edge lies on the convex hull."""
+    a, b = points[i], points[j]
+    for k in range(len(points)):
+        if k in (i, j):
+            continue
+        c = points[k]
+        n = cross(sub(b, a), sub(c, a))
+        if is_zero(n):
+            continue
+        lo = hi = 0
+        for p in points:
+            s = dot(n, sub(p, a))
+            lo = min(lo, (s > 0) - (s < 0))
+            hi = max(hi, (s > 0) - (s < 0))
+        if lo >= 0 or hi <= 0:
+            return (n, dot(n, a))
+    return None
+
+
+def canonical_labeling(T):
+    """One labeling old->new realizing canonical_form(T)."""
+    _, labeling = _canonical_scan(T)
+    return labeling
 
 
 def cut_separates(T, cycle_vertices) -> bool:

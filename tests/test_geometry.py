@@ -2,7 +2,13 @@
 
 from fractions import Fraction
 
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+
 from polytorus.geometry import (
+    PAIR_RULES,
+    collinear,
+    first_conflict,
+    integer_points,
     is_hull_vertex,
     orient3d,
     plane_supports,
@@ -147,3 +153,49 @@ def test_conflict_verdict_invariant_under_rational_motions():
         assert moved == base
         checked += 1
     assert checked >= 40
+
+
+def test_integer_points_scale_by_common_denominator():
+    pts = [vec(F(1, 2), F(-1, 3), 2), vec(F(5, 6), 0, F(-7, 4))]
+    # lcm(2, 3, 4, 6) = 12
+    assert integer_points(pts) == [(6, -4, 24), (10, 0, -21)]
+    assert all(type(c) is int for p in integer_points(pts) for c in p)
+
+
+POINT = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2))
+# every point in the plane z = 0: coplanar pairs
+FLAT_POINT = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.just(0))
+
+
+@st.composite
+def triangle_pairs(draw):
+    """Two non-degenerate triangles on a 5x5x5 grid sharing 0, 1 or 2
+    corners, as (points, the second face's indices into them); the first
+    face is (0, 1, 2).  The small grid makes corners on the other plane,
+    touching edges and coplanar pairs common."""
+    point = draw(st.sampled_from((POINT, POINT, POINT, FLAT_POINT)))
+    t1 = draw(st.lists(point, min_size=3, max_size=3, unique=True))
+    assume(not collinear(*(vec(*p) for p in t1)))
+    n_shared = draw(st.sampled_from((0, 0, 1, 1, 2)))
+    keep = draw(st.permutations(range(3)))[:n_shared]
+    new = draw(st.lists(point.filter(lambda p: p not in t1), min_size=3 - n_shared,
+                        max_size=3 - n_shared, unique=True))
+    points = t1 + new
+    face = tuple(sorted(list(keep) + [3 + m for m in range(len(new))]))
+    assume(not collinear(*(vec(*points[v]) for v in face)))
+    return points, face
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(triangle_pairs())
+def test_kernel_matches_triangles_conflict(pair):
+    """The integer kernel's verdict on one face pair is the rational test's."""
+    points, face = pair
+    t1 = tuple(vec(*points[v]) for v in (0, 1, 2))
+    t2 = tuple(vec(*points[v]) for v in face)
+    shared = tuple(vec(*points[v]) for v in sorted(set(face) & {0, 1, 2}))
+    expected = triangles_conflict(t1, t2, shared) is not None
+    pair, discharged = first_conflict(points, [(0, 1, 2), face])
+    assert (pair is not None) == expected
+    assert sum(discharged.values()) == 1 and set(discharged) == set(PAIR_RULES)

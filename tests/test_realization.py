@@ -7,11 +7,13 @@ from itertools import product
 
 import pytest
 
+from oracles import oracle_verify_embedding, supporting_plane_of_edge
 from polytorus.cycles import homology_basis, cycle_signature, stick_number_and_type
 from polytorus.errors import EpsilonTooLarge, ParseError, PolytorusError, SeparatingCycle
 from polytorus.generators import ring_cycle
-from polytorus.geometry import dot, norm2, sub
+from polytorus.geometry import PAIR_RULES, add, dot, norm2, scale, sub
 from polytorus.knots import StickKnot, triangle_unknot
+import polytorus.realization as realization
 from polytorus.realization import (
     ExactRadius,
     Mesh,
@@ -26,7 +28,7 @@ from polytorus.realization import (
     tube_construction,
     verify_embedding,
 )
-from polytorus.surfaces import Cycle, canonical_form
+from polytorus.surfaces import Cycle, SimplicialTorus, canonical_form
 
 
 @pytest.fixture(scope="module")
@@ -87,14 +89,102 @@ def test_oversized_radius_rejected():
         tube_construction(triangle_unknot(), ExactRadius.from_value(10))
 
 
-def test_embedding_detects_collision(tri_tube):
-    coords = dict(tri_tube.coords)
-    # drag one vertex across the tube
+def _dragged(tube):
+    """The tube with one vertex dragged across it onto the knot."""
+    coords = dict(tube.coords)
     coords[1] = triangle_unknot().vertices[1]
-    bad = Mesh(coords, tri_tube.complex, {})
-    report = verify_embedding(bad)
+    return Mesh(coords, tube.complex, {})
+
+
+def _pushed_through(tube, face):
+    """The tube with ``face`` subdivided by a new vertex at the centroid
+    reflected through the midpoint of the first stick, across the tube."""
+    K = triangle_unknot()
+    a, b, c = face
+    g = scale(add(add(tube.coords[a], tube.coords[b]), tube.coords[c]), Fraction(1, 3))
+    y = sub(add(K.vertices[0], K.vertices[1]), g)
+    n = tube.complex.n_vertices + 1
+    coords = dict(tube.coords)
+    coords[n] = y
+    faces = [f for f in tube.complex.faces if f != face]
+    faces += [(a, b, n), (a, c, n), (b, c, n)]
+    return Mesh(coords, SimplicialTorus(faces), {})
+
+
+def _moved(mesh, lam, off, perm, signs):
+    """``mesh`` under x -> lam * (signed permutation of x) + off."""
+    coords = {v: tuple(lam * signs[i] * p[perm[i]] + off[i] for i in range(3))
+              for v, p in mesh.coords.items()}
+    return Mesh(coords, mesh.complex, {})
+
+
+def test_embedding_detects_collision(tri_tube):
+    report = verify_embedding(_dragged(tri_tube))
     assert not report.ok
     assert report.witness is not None
+
+
+def test_verify_matches_oracle_on_constructed_meshes(monkeypatch):
+    """Every mesh the constructions prove, failed candidates included, gets
+    the rational all-pairs oracle's verdict and witness."""
+    from polytorus.realization import complement_construction
+    proved = []
+
+    def recording(mesh):
+        report = verify_embedding(mesh)
+        proved.append((mesh, report))
+        return report
+
+    monkeypatch.setattr(realization, "verify_embedding", recording)
+    tube_construction(triangle_unknot())
+    tube_construction(StickKnot([(0, 0, 0), (3, 0, 1), (3, 3, 0), (0, 3, 1)]))
+    tube_construction(triangle_unknot().scaled(Fraction(7, 3)))
+    complement_construction(triangle_unknot())
+    for k in (3, 4, 5):
+        cyclic_polytope_realization(k)
+    assert len(proved) == 9  # the complement proves its tube, candidate and glued mesh
+    for mesh, report in proved:
+        assert report == oracle_verify_embedding(mesh)
+
+
+def test_verify_matches_oracle_on_colliding_meshes(tri_tube):
+    """The dragged vertex, and subdivision candidates whose new vertex is
+    pushed across the tube: the same verdicts and witnesses as the oracle,
+    failures among them."""
+    meshes = [_dragged(tri_tube)] + [_pushed_through(tri_tube, f)
+                                     for f in tri_tube.complex.faces[:6]]
+    reports = [verify_embedding(m) for m in meshes]
+    assert sum(not r.ok for r in reports) >= 3
+    for mesh, report in zip(meshes, reports):
+        assert report == oracle_verify_embedding(mesh)
+
+
+@pytest.mark.parametrize("lam, off, perm, signs", [
+    (Fraction(2), (0, 0, 0), (0, 1, 2), (1, 1, 1)),
+    (Fraction(3, 7), (Fraction(1, 3), -2, Fraction(5, 4)), (1, 2, 0), (1, -1, -1)),
+    (Fraction(11, 5), (7, Fraction(-2, 9), 0), (2, 1, 0), (-1, 1, 1)),  # a reflection
+], ids=["scale", "rotation", "reflection"])
+def test_verdict_invariant_under_rational_motions(tri_tube, lam, off, perm, signs):
+    """A similarity moves no face pair from one rule to another, and keeps
+    every verdict and witness pair."""
+    for mesh in (tri_tube, _dragged(tri_tube), _pushed_through(tri_tube, tri_tube.complex.faces[1])):
+        base = verify_embedding(mesh)
+        moved = verify_embedding(_moved(mesh, lam, off, perm, signs))
+        assert moved.ok == base.ok
+        assert moved.discharged == base.discharged
+        if not base.ok:
+            assert moved.witness[:2] == base.witness[:2]
+            assert moved == oracle_verify_embedding(_moved(mesh, lam, off, perm, signs))
+
+
+def test_discharged_counts_cover_every_pair(tri_tube):
+    for mesh in (tri_tube, cyclic_polytope_realization(4)):
+        report = verify_embedding(mesh)
+        n = len(mesh.complex.faces)
+        assert report.ok and set(report.discharged) == set(PAIR_RULES)
+        assert sum(report.discharged.values()) == n * (n - 1) // 2
+        # the construction's own report carries the same certificate
+        assert mesh.embedding.discharged == report.discharged
 
 
 def test_classify_ring_meridian(tri_tube):
@@ -214,7 +304,6 @@ def test_complement_triangle():
     assert verify_embedding(mesh).ok
     # the glued edge lies on the convex hull of the tube points
     v1, v2 = mesh.provenance["glued_edge"]
-    from polytorus.geometry import supporting_plane_of_edge
     tube_pts = [mesh.coords[i] for i in range(1, 10)]
     assert supporting_plane_of_edge(tube_pts, v1 - 1, v2 - 1) is not None
 

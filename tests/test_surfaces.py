@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from oracles import oracle_automorphisms, oracle_cut, oracle_vertex_orbits
+from oracles import canonical_labeling, oracle_automorphisms, oracle_cut, oracle_vertex_orbits
 from polytorus.census import _Budget, _completions, enumerate_tori
 from polytorus.cycles import _fundamental_cycles, cut_along_cycle, homology_basis
 from polytorus.errors import NonManifoldEdge, PolytorusError
@@ -16,7 +16,6 @@ from polytorus.surfaces import (
     automorphism_group,
     canonical_form,
     canonical_key,
-    canonical_labeling,
     format_complex,
     is_isomorphic,
     parse_complex,
