@@ -189,9 +189,9 @@ def triangle_pairs(draw):
 @settings(max_examples=600, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
 @given(triangle_pairs())
-def test_kernel_matches_triangles_conflict(pair):
+def test_kernel_matches_triangles_conflict(case):
     """The integer kernel's verdict on one face pair is the rational test's."""
-    points, face = pair
+    points, face = case
     t1 = tuple(vec(*points[v]) for v in (0, 1, 2))
     t2 = tuple(vec(*points[v]) for v in face)
     shared = tuple(vec(*points[v]) for v in sorted(set(face) & {0, 1, 2}))
