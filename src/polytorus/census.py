@@ -5,19 +5,21 @@ Two independent generation strategies back each other up:
 * strategy A (default): depth-first completion of the lexicographically
   smallest open edge, seeded by the link of a minimum-degree vertex labelled
   (2, 3, ..., d+1), with incremental pseudomanifold bookkeeping (edge
-  multiplicities and per-vertex link paths) and first-use label ordering;
+  multiplicities and per-vertex link paths), first-use label ordering and a
+  coherent orientation, which prunes Klein bottles before they are built;
 
 * strategy B (cross-check): closes the link of the smallest unfinished
   vertex in all admissible cyclic orders, with only edge-multiplicity
-  pruning, and validates every completion with the full surface validator.
+  pruning, and validates every completion with the full surface validator,
+  which rejects the Klein bottles.
 
-Both deduplicate through ``surfaces.canonical_key``: the minimum
+Both deduplicate through the canonical key of ``surfaces``: the minimum
 visit-order code over the flags at vertices of minimal (degree, sorted
 neighbour degrees), each traversal stopping at its first face above the best
-code so far.  The sorted canonical form the records publish is computed once
-per new class, and the automorphism order is the number of flags tying the
-key.  Completions with Euler characteristic 0 that fail the orientation test
-(Klein bottles) are discarded.
+code so far.  The flags tying the key give the automorphism group.  The
+sorted canonical form the records publish is computed once per new class,
+and the group, carried onto the form's labels, is handed to the class torus
+whose type is computed.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from .cycles import stick_number_and_type
 from .errors import OutOfRange, PolytorusError
 from .generators import minimal_torus_3k
-from .surfaces import SimplicialTorus, canonical_form, canonical_key, is_isomorphic
+from .surfaces import SimplicialTorus, _key_scan, canonical_form, is_isomorphic
 
 N_MIN, N_MAX = 7, 11
 
@@ -101,6 +103,13 @@ class _LinkState:
     vertices.  A face addition is legal when its three link-edge insertions
     keep every link a disjoint union of paths, closing into a single cycle
     at most once per vertex.
+
+    ``open_edges`` maps each open edge to the direction its one face runs
+    along it, and ``faces`` holds oriented triples.  Each face after the
+    first is glued along an open edge and runs against the face there, so
+    the connected complex stays coherently oriented.  A face running along
+    another open edge the same way as the face on it is illegal: it would
+    close a Moebius band, which no orientable closed surface contains.
     """
 
     def __init__(self, n, min_deg):
@@ -111,10 +120,15 @@ class _LinkState:
         self.ncomp = [0] * (n + 1)
         self.closed = [False] * (n + 1)
         self.deg = [0] * (n + 1)
-        self.open_edges = set()
-        self.faces = []
+        self.open_edges = {}    # sorted open edge -> (a, b): its face runs a -> b
+        self.faces = []         # oriented triples
         self.faceset = set()
         self.maxlab = 0
+
+    def _oriented(self, u, v, w):
+        """Face {u,v,w} as it must run: against the face on the open edge
+        (u, v), u < v, or as given when that edge is not open (first face)."""
+        return (v, u, w) if self.open_edges.get((u, v)) == (u, v) else (u, v, w)
 
     def legal(self, u, v, w):
         """Check face {u,v,w} without mutating.  (u,v) is an open edge."""
@@ -128,6 +142,11 @@ class _LinkState:
         e_vw = (v, w) if v < w else (w, v)
         if ec.get(e_uw, 0) == 2 or ec.get(e_vw, 0) == 2:
             return False
+        a, b, c = self._oriented(u, v, w)
+        oe = self.open_edges
+        if oe.get((b, c) if b < c else (c, b)) == (b, c) \
+                or oe.get((c, a) if c < a else (a, c)) == (c, a):
+            return False  # runs along an open edge the way its face does
         for a, b, c in ((u, v, w), (v, u, w), (w, u, v)):
             # link edge (b, c) at vertex a
             cb = ec.get((a, b) if a < b else (b, a), 0)
@@ -139,16 +158,17 @@ class _LinkState:
 
     def add(self, u, v, w):
         """Apply face {u,v,w}; returns an undo record."""
-        f = tuple(sorted((u, v, w)))
-        rec = [f, []]
-        self.faces.append(f)
+        tri = self._oriented(u, v, w)
+        f = tuple(sorted(tri))
+        rec = [f, tri, []]
+        self.faces.append(tri)
         self.faceset.add(f)
         if w > self.maxlab:
             rec.append(self.maxlab)
             self.maxlab = w
         else:
             rec.append(None)
-        changes = rec[1]
+        changes = rec[2]
         for a, b, c in ((u, v, w), (v, u, w), (w, u, v)):
             eb = (a, b) if a < b else (b, a)
             ecn = (a, c) if a < c else (c, a)
@@ -181,36 +201,37 @@ class _LinkState:
                 oea[b] = c
                 oea[c] = b
                 self.ncomp[a] += 1
-        for e in ((min(u, v), max(u, v)),
-                  (min(u, w), max(u, w)),
-                  (min(v, w), max(v, w))):
+        a, b, c = tri
+        for x, y in ((a, b), (b, c), (c, a)):
+            e = (x, y) if x < y else (y, x)
             cnt = self.ec.get(e, 0) + 1
             self.ec[e] = cnt
             if cnt == 1:
-                self.open_edges.add(e)
-                self.deg[e[0]] += 1
-                self.deg[e[1]] += 1
+                self.open_edges[e] = (x, y)
+                self.deg[x] += 1
+                self.deg[y] += 1
             else:
-                self.open_edges.discard(e)
+                del self.open_edges[e]
         return rec
 
     def undo(self, rec):
-        f, changes, old_maxlab = rec
+        f, tri, changes, old_maxlab = rec
         self.faces.pop()
         self.faceset.discard(f)
         if old_maxlab is not None:
             self.maxlab = old_maxlab
-        u, v, w = f
-        for e in ((u, v), (u, w), (v, w)):
+        a, b, c = tri
+        for x, y in ((a, b), (b, c), (c, a)):
+            e = (x, y) if x < y else (y, x)
             cnt = self.ec[e] - 1
             if cnt == 0:
                 del self.ec[e]
-                self.open_edges.discard(e)
-                self.deg[e[0]] -= 1
-                self.deg[e[1]] -= 1
+                del self.open_edges[e]
+                self.deg[x] -= 1
+                self.deg[y] -= 1
             else:
                 self.ec[e] = cnt
-                self.open_edges.add(e)
+                self.open_edges[e] = (y, x)  # the face left on e runs against tri
         for ch in reversed(changes):
             kind, a = ch[0], ch[1]
             oea = self.oe[a]
@@ -241,8 +262,8 @@ def _restore(d, key, old):
 
 
 def _generate_strategy_a(n, budget):
-    """Yield face lists of all n-vertex torus triangulations (with labeled
-    duplicates across symmetric discovery orders)."""
+    """Yield oriented face lists of all n-vertex torus triangulations (with
+    labeled duplicates across symmetric discovery orders)."""
     target_f = 2 * n
     for d in range(3, 7):
         st = _LinkState(n, d)
@@ -447,9 +468,10 @@ def _completions(n, strategy, budget):
             if T.n_vertices != n:
                 continue
         else:
-            T = SimplicialTorus(faces, _skip_validation=True)
-            if T.oriented_faces is None:
-                continue
+            # the seed face (1, 2, 3) runs 1 -> 2 -> 3 and is the least face,
+            # which is how _orient_faces orients it, so no flip is needed
+            T = SimplicialTorus(faces, _skip_validation=True,
+                                _oriented=sorted(faces, key=sorted))
         yield T
 
 
@@ -471,14 +493,21 @@ def enumerate_tori(n: int, strategy: str = "a", time_budget: float | None = None
         return list(_CENSUS_CACHE[(n, strategy)])
     seen = {}
     for T in _completions(n, strategy, budget):
-        key, aut_order = canonical_key(T)
+        key, ties = _key_scan(T)
         if key not in seen:
-            seen[key] = (canonical_form(T), aut_order)
+            form, labels = canonical_form(T, labeling=True)
+            # the flags tying the key give Aut(T) (see automorphism_group);
+            # conjugated onto the form's labels, it is the class torus's group
+            inv = {new: old for old, new in ties[0].items()}
+            autos = tuple({labels[v]: labels[inv[new]] for v, new in tie.items()}
+                          for tie in ties)
+            seen[key] = (form, autos)
         if progress is not None:
             progress(len(seen))
     records = []
-    for form, aut_order in sorted(seen.values()):
+    for form, autos in sorted(seen.values(), key=lambda rec: rec[0]):
         T = SimplicialTorus(form, _skip_validation=True)
+        T._automorphisms = autos
         res = stick_number_and_type(T)
         degs = {T.degree(v) for v in range(1, T.n_vertices + 1)}
         records.append(CensusRecord(
@@ -487,7 +516,7 @@ def enumerate_tori(n: int, strategy: str = "a", time_budget: float | None = None
             m=res.m,
             s=res.s,
             equivelar=(len(degs) == 1),
-            automorphism_order=aut_order,
+            automorphism_order=len(autos),
         ))
     _CENSUS_CACHE[(n, strategy)] = records
     return list(records)

@@ -3,7 +3,8 @@
 Subcommands:
   generate moebius | minimal3k --k K | tube-complex --k K   -> complex file
   analyze COMPLEX                                            -> JSON report
-  census --n N [--strategy a|b] [--verify-thm31 K]           -> census + summary
+  census --n N [--strategy a|b] [--verify-thm31 K] [--progress]
+                                                             -> census + summary
   realize tube --knot F [--eps E] | complement --knot F | cyclic --k K
                                                              -> OFF/OBJ + certificate
   knot det --knot F                                          -> determinant
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from . import census as census_mod
 from .cycles import analysis_report
@@ -61,8 +63,28 @@ def _cmd_analyze(args) -> int:
     return 0 if report["bound_satisfied"] and not report["layer_report"]["violated"] else 1
 
 
+PROGRESS_INTERVAL_S = 0.25
+
+
+def _census_progress(n):
+    """enumerate_tori callback: the running class count on stderr, at most
+    one line per PROGRESS_INTERVAL_S."""
+    last = None
+
+    def report(classes):
+        nonlocal last
+        now = time.monotonic()
+        if last is None or now - last >= PROGRESS_INTERVAL_S:
+            last = now
+            sys.stderr.write(f"census --n {n}: {classes} classes so far\n")
+    return report
+
+
 def _cmd_census(args) -> int:
-    records = census_mod.enumerate_tori(args.n, args.strategy)
+    progress = _census_progress(args.n) if args.progress else None
+    records = census_mod.enumerate_tori(args.n, args.strategy, progress=progress)
+    if progress is not None:
+        sys.stderr.write(f"census --n {args.n}: {len(records)} classes, done\n")
     lines = []
     by_type: dict[str, int] = {}
     for rec in records:
@@ -158,6 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--strategy", choices=["a", "b"], default="a")
     c.add_argument("--verify-thm31", type=int, default=None, metavar="K")
+    c.add_argument("--progress", action="store_true",
+                   help="write the running class count to stderr")
     c.add_argument("-o", "--output", default="-")
     c.set_defaults(func=_cmd_census)
 

@@ -772,8 +772,7 @@ def cyclic_facets(n: int):
 
 
 def _moment_point(t: int):
-    ft = Fraction(t)
-    return (ft, ft ** 2, ft ** 3, ft ** 4)
+    return (t, t * t, t ** 3, t ** 4)
 
 
 def _cross4(a, b, c):
@@ -781,14 +780,17 @@ def _cross4(a, b, c):
     out = []
     for i in range(4):
         cols = [j for j in range(4) if j != i]
-        m = [[a[cols[0]], a[cols[1]], a[cols[2]]],
-             [b[cols[0]], b[cols[1]], b[cols[2]]],
-             [c[cols[0]], c[cols[1]], c[cols[2]]]]
-        det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-               - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-               + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+        det = _det3([[a[j] for j in cols], [b[j] for j in cols], [c[j] for j in cols]])
         out.append(det if i % 2 == 0 else -det)
     return tuple(out)
+
+
+def _facet_plane(positions):
+    """Integer normal N and offset c of the hyperplane N.x = c through the
+    moment points at four positions."""
+    p = [_moment_point(t) for t in positions]
+    N = _cross4(*(tuple(x - y for x, y in zip(q, p[0])) for q in p[1:]))
+    return N, _dot4(N, p[0])
 
 
 def _dot4(a, b):
@@ -810,14 +812,13 @@ def cyclic_polytope_realization(k: int) -> Mesh:
                    for x in range(1, n + 1) if x not in S):
             raise FaceNotInPolytope(face)
 
+    # moment points and facet planes are integers; Fraction enters only
+    # where something is divided
     pts4 = {v: _moment_point(pos[v]) for v in pos}
     facet_pos = (1, 2, 3, 4)
     assert gale_evenness(facet_pos, n)
     fp = [_moment_point(t) for t in facet_pos]
-    N = _cross4(tuple(x - y for x, y in zip(fp[1], fp[0])),
-                tuple(x - y for x, y in zip(fp[2], fp[0])),
-                tuple(x - y for x, y in zip(fp[3], fp[0])))
-    c = _dot4(N, fp[0])
+    N, c = _facet_plane(facet_pos)
     inside = [v for v in pts4 if pos[v] not in facet_pos]
     s0 = _dot4(N, pts4[inside[0]]) - c
     if s0 > 0:
@@ -826,25 +827,24 @@ def cyclic_polytope_realization(k: int) -> Mesh:
     if any(_dot4(N, pts4[v]) - c >= 0 for v in inside):
         raise PolytorusError("facet hyperplane did not support the polytope")
 
-    other_facets = [f for f in cyclic_facets(n) if tuple(f) != facet_pos]
-    centroid4 = tuple(sum(_moment_point(t)[i] for t in range(1, n + 1)) / n
+    centroid4 = tuple(Fraction(sum(_moment_point(t)[i] for t in range(1, n + 1)), n)
                       for i in range(4))
+    # each other facet's plane, with the centroid's side of it
+    planes = []
+    for g in cyclic_facets(n):
+        if tuple(g) != facet_pos:
+            Ng, cg = _facet_plane(g)
+            planes.append((Ng, cg, _dot4(Ng, centroid4) - cg))
+    facet_center = [Fraction(sum(p[i] for p in fp), 4) for i in range(4)]
     delta = Fraction(1)
     viewpoint = None
     for _ in range(80):
-        x = tuple(f + delta * nn for f, nn in
-                  zip([sum(p[i] for p in fp) / 4 for i in range(4)], N))
+        x = tuple(f + delta * nn for f, nn in zip(facet_center, N))
         if _dot4(N, x) <= c:
             delta *= 2
             continue
         ok = True
-        for g in other_facets:
-            gp = [_moment_point(t) for t in g]
-            Ng = _cross4(tuple(p - q for p, q in zip(gp[1], gp[0])),
-                         tuple(p - q for p, q in zip(gp[2], gp[0])),
-                         tuple(p - q for p, q in zip(gp[3], gp[0])))
-            cg = _dot4(Ng, gp[0])
-            sc = _dot4(Ng, centroid4) - cg
+        for Ng, cg, sc in planes:
             sx = _dot4(Ng, x) - cg
             if sc == 0 or (sc > 0) != (sx > 0):
                 ok = False

@@ -273,9 +273,11 @@ class SimplicialTorus:
 
     Vertices are the dense labels 1..n; sparse input labels are compacted on
     construction and the mapping is kept in ``relabeling`` (old -> new).
+    An unvalidated torus on dense labels may be handed its orientation,
+    ``_oriented``, aligned to the sorted faces.
     """
 
-    def __init__(self, faces, _skip_validation=False):
+    def __init__(self, faces, _skip_validation=False, _oriented=None):
         compact, mapping = _compact_labels(faces)
         self.relabeling = mapping
         self.faces: tuple[Face, ...] = tuple(sorted(_norm_face(f) for f in compact))
@@ -286,7 +288,7 @@ class SimplicialTorus:
                     f"not a torus: euler={report.euler}, orientable={report.orientable}")
         else:
             V = len({v for f in self.faces for v in f})
-            report = SurfaceReport(V, 3 * V, 2 * V, 0, True, 1)
+            report = SurfaceReport(V, 3 * V, 2 * V, 0, True, 1, oriented_faces=_oriented)
         self.report = report
         self.n_vertices = report.n_vertices
         self._edge_faces = report.edge_faces
@@ -459,10 +461,11 @@ def _canonical_scan(T: SimplicialTorus):
     return best, best_labeling
 
 
-def canonical_form(T: SimplicialTorus) -> tuple[Face, ...]:
-    """Relabeling-invariant representative of the isomorphism class."""
-    form, _ = _canonical_scan(T)
-    return form
+def canonical_form(T: SimplicialTorus, labeling: bool = False):
+    """Relabeling-invariant representative of the isomorphism class; with
+    ``labeling``, also the relabeling old -> new that carries T onto it."""
+    form, labels = _canonical_scan(T)
+    return (form, labels) if labeling else form
 
 
 def _key_scan(T: SimplicialTorus):
@@ -470,15 +473,15 @@ def _key_scan(T: SimplicialTorus):
 
     Only flags whose first vertex minimizes (degree, sorted neighbour
     degrees) are traversed, each against the best code so far.  Returns the
-    key (that code as a tuple), the labeling of the first flag attaining it,
-    and the number of flags attaining it.
+    key (that code as a tuple) and the labelings of the flags attaining it,
+    in flag order.
     """
     nbrs = T.neighbors
     inv = {v: (len(ns), sorted(len(nbrs[u]) for u in ns)) for v, ns in nbrs.items()}
     low = min(inv.values())
     starts = {v for v, x in inv.items() if x == low}
-    best = best_labeling = None
-    ties = 0
+    best = None
+    ties = []
     for f in T.faces:
         for flag in _flags(f):
             if flag[0] not in starts:
@@ -488,10 +491,10 @@ def _key_scan(T: SimplicialTorus):
                 continue
             code, labels = match
             if code == best:
-                ties += 1
+                ties.append(labels)
             else:
-                best, best_labeling, ties = code, labels, 1
-    return tuple(best), best_labeling, ties
+                best, ties = code, [labels]
+    return tuple(best), ties
 
 
 def canonical_key(T: SimplicialTorus) -> tuple[tuple[Face, ...], int]:
@@ -502,8 +505,8 @@ def canonical_key(T: SimplicialTorus) -> tuple[tuple[Face, ...], int]:
     flags that attain it form one orbit of the automorphism group, which
     acts freely on flags, so their number is the group order.
     """
-    key, _, ties = _key_scan(T)
-    return key, ties
+    key, ties = _key_scan(T)
+    return key, len(ties)
 
 
 def automorphism_group(T: SimplicialTorus) -> list[dict[int, int]]:
@@ -529,8 +532,11 @@ def automorphism_group(T: SimplicialTorus) -> list[dict[int, int]]:
 
 
 def vertex_orbits(T: SimplicialTorus) -> list[tuple[int, ...]]:
-    """Orbits of the automorphism group on vertices (sorted representatives)."""
-    autos = automorphism_group(T)
+    """Orbits of the automorphism group on vertices (sorted representatives).
+
+    A group already handed to the torus (the census's key scan) is used as is.
+    """
+    autos = T._automorphisms if T._automorphisms is not None else automorphism_group(T)
     seen = set()
     orbits = []
     for v in range(1, T.n_vertices + 1):
@@ -546,12 +552,12 @@ def is_isomorphic(T1: SimplicialTorus, T2: SimplicialTorus):
     """A vertex bijection carrying faces of T1 onto faces of T2, or None."""
     if T1.n_vertices != T2.n_vertices or len(T1.faces) != len(T2.faces):
         return None
-    key1, lab1, _ = _key_scan(T1)
-    key2, lab2, _ = _key_scan(T2)
+    key1, ties1 = _key_scan(T1)
+    key2, ties2 = _key_scan(T2)
     if key1 != key2:
         return None
-    inv2 = {new: old for old, new in lab2.items()}
-    return {v: inv2[lab1[v]] for v in lab1}
+    inv2 = {new: old for old, new in ties2[0].items()}
+    return {v: inv2[new] for v, new in ties1[0].items()}
 
 
 # -- text format ----------------------------------------------------------------

@@ -1,7 +1,12 @@
 """Census plumbing at fast sizes; the full n=9/10 runs live in acceptance."""
 
-import pytest
+import hashlib
+import os
 
+import pytest
+from oracles import oracle_automorphisms
+
+import polytorus.census as census_mod
 from polytorus.census import (
     TimeBudgetExceeded,
     census_verify_theorem31,
@@ -9,7 +14,7 @@ from polytorus.census import (
     no_torus_below_seven,
 )
 from polytorus.errors import OutOfRange, PolytorusError
-from polytorus.surfaces import canonical_form, validate_surface
+from polytorus.surfaces import _orient_faces, canonical_form, validate_surface
 
 
 def test_census_n7_unique(moebius):
@@ -83,3 +88,70 @@ def test_time_budget():
             enumerate_tori(10, "a", time_budget=0.05)
     finally:
         census_mod._CENSUS_CACHE.update(saved)
+
+
+# Strategy A's orientable completions before deduplication, as recorded from
+# the DFS that built every completion and filtered out the Klein bottles
+# afterwards: count and sha256 of the sorted face lists, one per line.
+ORIENTABLE_COMPLETIONS = {
+    7: (2, "b62cf263c2cbc802914f6b490f137b27d06125494d89a089e85369197540a17a"),
+    8: (31, "3d37f5ccefcc02b102b59f3b67d2ac341d7d90d3bcd9c2fc94c243fc8e533535"),
+    9: (947, "c30bf0ac9239e1a6ea3ac7d554fae6abb87ddd005423fa87d738c99c1f74b482"),
+}
+
+
+def _directed(tri):
+    a, b, c = tri
+    return {(a, b), (b, c), (c, a)}
+
+
+@pytest.mark.parametrize("n", sorted(ORIENTABLE_COMPLETIONS))
+def test_pruned_dfs_yields_exactly_the_orientable_completions(n):
+    """The orientation-pruned DFS against the unpruned one (recorded digest)
+    and the full validator; its orientation is _orient_faces's."""
+    tori = list(census_mod._completions(n, "a", census_mod._Budget(None)))
+    forms = sorted(T.faces for T in tori)
+    text = "\n".join(" ".join(f"{a},{b},{c}" for a, b, c in f) for f in forms)
+    assert (len(forms), hashlib.sha256(text.encode()).hexdigest()) == ORIENTABLE_COMPLETIONS[n]
+    for T in tori:
+        report = validate_surface(T.faces)
+        assert (report.euler, report.orientable, report.n_vertices) == (0, True, n)
+        handed = T.report.oriented_faces
+        oracle = _orient_faces(T.faces, T.edge_faces)
+        assert [_directed(t) for t in handed] == [_directed(t) for t in oracle]
+
+
+def test_census_hands_over_the_key_scan_group(monkeypatch):
+    """Every class torus for n <= 9 reaches the type computation with the
+    group from its key scan, equal to the full-scan oracle's."""
+    seen = []
+    original = census_mod.stick_number_and_type
+
+    def recording(T):
+        seen.append((T, T._automorphisms))
+        return original(T)
+
+    monkeypatch.setattr(census_mod, "stick_number_and_type", recording)
+    monkeypatch.setattr(census_mod, "_CENSUS_CACHE", {})
+    for n, count in ((7, 1), (8, 7), (9, 112)):
+        del seen[:]
+        records = enumerate_tori(n)
+        assert len(seen) == len(records) == count
+        for rec, (T, handed) in zip(records, seen):
+            assert T.faces == rec.canonical_faces
+            assert handed[0] == {v: v for v in range(1, n + 1)}
+            got = {tuple(sorted(a.items())) for a in handed}
+            assert len(got) == len(handed) == rec.automorphism_order
+            assert got == {tuple(sorted(a.items())) for a in oracle_automorphisms(T)}
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(os.environ.get("POLYTORUS_SLOW") != "1",
+                    reason="the n=11 census takes minutes; set POLYTORUS_SLOW=1")
+def test_census_published_counts_through_n11(monkeypatch):
+    """Strategy A against the published counts for n = 7..11 (Lutz,
+    arXiv:math/0506316), under TORUS_TIME_BUDGET_SECS (default one hour)."""
+    if not os.environ.get(census_mod.TIME_BUDGET_ENV):
+        monkeypatch.setenv(census_mod.TIME_BUDGET_ENV, "3600")
+    for n, count in zip(range(7, 12), (1, 7, 112, 2109, 37867)):
+        assert len(enumerate_tori(n)) == count

@@ -1,10 +1,11 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
-from polytorus import cli, realization
+from polytorus import census, cli, realization
 from polytorus.cli import main
 from polytorus.knots import format_stick_knot, triangle_unknot
 
@@ -42,6 +43,25 @@ def test_census_deterministic(capsys):
     main(["census", "--n", "8"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_census_progress_on_stderr_only(monkeypatch, capsys):
+    monkeypatch.setattr(census, "_CENSUS_CACHE", {})
+    assert main(["census", "--n", "8"]) == 0
+    plain = capsys.readouterr()
+    monkeypatch.setattr(census, "_CENSUS_CACHE", {})
+    t0 = time.monotonic()
+    assert main(["census", "--n", "8", "--progress"]) == 0
+    elapsed = time.monotonic() - t0
+    captured = capsys.readouterr()
+    assert plain.err == ""
+    assert captured.out == plain.out
+    lines = captured.err.splitlines()
+    assert lines[-1] == "census --n 8: 7 classes, done"
+    counts = [int(line.split(": ")[1].split()[0]) for line in lines]
+    assert counts[0] == 1 and counts == sorted(counts)
+    # 31 completions call back; throttling writes a line per interval
+    assert len(lines) <= 2 + elapsed / cli.PROGRESS_INTERVAL_S
 
 
 def test_census_bad_time_budget(monkeypatch, capsys):
