@@ -470,8 +470,8 @@ def _completions(n, strategy, budget):
         else:
             # the seed face (1, 2, 3) runs 1 -> 2 -> 3 and is the least face,
             # which is how _orient_faces orients it, so no flip is needed
-            T = SimplicialTorus(faces, _skip_validation=True,
-                                _oriented=sorted(faces, key=sorted))
+            T = SimplicialTorus(faces, _skip_validation=True)
+            T._oriented = sorted(faces, key=sorted)
         yield T
 
 

@@ -273,11 +273,9 @@ class SimplicialTorus:
 
     Vertices are the dense labels 1..n; sparse input labels are compacted on
     construction and the mapping is kept in ``relabeling`` (old -> new).
-    An unvalidated torus on dense labels may be handed its orientation,
-    ``_oriented``, aligned to the sorted faces.
     """
 
-    def __init__(self, faces, _skip_validation=False, _oriented=None):
+    def __init__(self, faces, _skip_validation=False):
         compact, mapping = _compact_labels(faces)
         self.relabeling = mapping
         self.faces: tuple[Face, ...] = tuple(sorted(_norm_face(f) for f in compact))
@@ -288,7 +286,7 @@ class SimplicialTorus:
                     f"not a torus: euler={report.euler}, orientable={report.orientable}")
         else:
             V = len({v for f in self.faces for v in f})
-            report = SurfaceReport(V, 3 * V, 2 * V, 0, True, 1, oriented_faces=_oriented)
+            report = SurfaceReport(V, 3 * V, 2 * V, 0, True, 1)
         self.report = report
         self.n_vertices = report.n_vertices
         self._edge_faces = report.edge_faces
@@ -532,11 +530,8 @@ def automorphism_group(T: SimplicialTorus) -> list[dict[int, int]]:
 
 
 def vertex_orbits(T: SimplicialTorus) -> list[tuple[int, ...]]:
-    """Orbits of the automorphism group on vertices (sorted representatives).
-
-    A group already handed to the torus (the census's key scan) is used as is.
-    """
-    autos = T._automorphisms if T._automorphisms is not None else automorphism_group(T)
+    """Orbits of the automorphism group on vertices (sorted representatives)."""
+    autos = automorphism_group(T)
     seen = set()
     orbits = []
     for v in range(1, T.n_vertices + 1):

@@ -116,7 +116,8 @@ def test_pruned_dfs_yields_exactly_the_orientable_completions(n):
     for T in tori:
         report = validate_surface(T.faces)
         assert (report.euler, report.orientable, report.n_vertices) == (0, True, n)
-        handed = T.report.oriented_faces
+        assert T._oriented is not None
+        handed = T.oriented_faces
         oracle = _orient_faces(T.faces, T.edge_faces)
         assert [_directed(t) for t in handed] == [_directed(t) for t in oracle]
 
