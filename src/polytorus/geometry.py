@@ -7,13 +7,13 @@ defining inequalities (transversality, containment) are then checked
 exactly, and circle membership is expressed as an equation between squared
 norms.
 
-The embedding test runs on integers.  ``integer_points`` multiplies a point
-set by the least common multiple of its coordinate denominators.  Scaling
-by a positive factor s multiplies every 3x3 orientation determinant by s^3
-and every plane-side value by s^3 as well, so every sign, and every verdict
-built only from signs, stays the same.  The signs then come from Python
-ints, with no division and no gcd.  ``first_conflict`` computes each face's
-plane and the side of every vertex against it once per mesh, and decides
+The embedding test runs on integers.  ``homogeneous_point`` writes each
+point as (X, Y, Z, W) over its own denominator W > 0, and
+det4(P, Q, R, S) = -Wp Wq Wr Ws orient3d(p, q, r, s); the four W are
+positive, so the negated determinant has the rational sign, from ints
+with no division and no gcd.  ``first_conflict`` computes each directed
+edge's Plücker line once per mesh, each face's plane as a cofactor
+4-vector, and the side of every vertex against every plane, and decides
 each face pair from that table where it can:
 
 * one triangle strictly on one side of the other's plane: disjoint;
@@ -21,10 +21,12 @@ each face pair from that table where it can:
 * a shared vertex, and the other two corners of either triangle strictly
   on one side of the other's plane: they meet exactly in that vertex.
 
-The pairs left are decided by orientation signs alone.  Two non-coplanar
-triangles meet iff an edge of one meets the other.  When they share a
-vertex, they meet beyond it iff the edge opposite it in one of them meets
-the other.  Coplanar pairs go to ``_coplanar_conflict``.
+The pairs left are decided by orientation signs alone, each the permuted
+inner product of two edge lines.  Two non-coplanar triangles meet iff an
+edge of one meets the other.  When they share a vertex, they meet beyond
+it iff the edge opposite it in one of them meets the other.  A coplanar
+pair goes to ``_coplanar_conflict`` on its points times the least common
+multiple of their W, a positive factor that keeps every sign it reads.
 """
 
 from __future__ import annotations
@@ -362,10 +364,18 @@ PAIR_RULES = ("coplanar", "one_side", "shared_edge", "shared_vertex", "orientati
 
 def integer_points(points) -> list[tuple[int, int, int]]:
     """The points times the least common multiple of all their coordinate
-    denominators: integer triples with every orientation sign unchanged."""
+    denominators, integer triples with every orientation sign unchanged;
+    for the prism certificates and ``reduce_direction``."""
     pts = list(points)
     m = lcm(*(c.denominator for p in pts for c in p))
     return [tuple(c.numerator * (m // c.denominator) for c in p) for p in pts]
+
+
+def homogeneous_point(p: Vec) -> tuple[int, int, int, int]:
+    """Integers (X, Y, Z, W) with p = (X/W, Y/W, Z/W), where W > 0 is the
+    least common multiple of p's own coordinate denominators."""
+    w = lcm(*(c.denominator for c in p))
+    return tuple(c.numerator * (w // c.denominator) for c in p) + (w,)
 
 
 def first_conflict(points, faces):
@@ -373,23 +383,19 @@ def first_conflict(points, faces):
     outside their shared simplex, or None; and the number of pairs each
     rule of PAIR_RULES decided up to it.
 
-    ``points`` are integer triples and ``faces`` triples of indices into
-    them, distinct points and non-degenerate faces.
+    ``points`` are ``homogeneous_point``s and ``faces`` triples of indices
+    into them, distinct points and non-degenerate faces.
     """
     discharged = dict.fromkeys(PAIR_RULES, 0)
-    normals = []
-    side = []
-    for a, b, c in faces:
-        pa = points[a]
-        n = cross(sub(points[b], pa), sub(points[c], pa))
-        nx, ny, nz = n
-        off = dot(n, pa)
-        row = []
-        for x, y, z in points:
-            row.append(_sign(nx * x + ny * y + nz * z - off))
-        normals.append(n)
-        side.append(row)
-    tris = [tuple(points[v] for v in f) for f in faces]
+    lines, edges, planes, side = {}, [], [], []
+    for f in faces:
+        for uv in ((f[0], f[1]), (f[1], f[2]), (f[2], f[0])):
+            if uv not in lines:
+                lines[uv] = _line(points[uv[0]], points[uv[1]])
+        edges.append((lines[f[0], f[1]], lines[f[1], f[2]], lines[f[2], f[0]]))
+        e0, e1, e2, e3 = plane = _plane(edges[-1][0], points[f[2]])
+        planes.append(plane)
+        side.append([_sign(e0 * x + e1 * y + e2 * z + e3 * w) for x, y, z, w in points])
     vsets = [set(f) for f in faces]
     for i, fi in enumerate(faces):
         si = side[i]
@@ -401,28 +407,33 @@ def first_conflict(points, faces):
             common = sorted(vsets[i] & vsets[j])
             if on_i == (0, 0, 0):
                 rule = "coplanar"
-                shared = tuple(points[v] for v in common)
-                conflict = _coplanar_conflict(tris[i], tris[j], shared, normals[i]) is not None
+                # just this pair's points, scaled to integers by their W
+                vs = vsets[i] | vsets[j]
+                m = lcm(*(points[v][3] for v in vs))
+                at = {v: tuple(c * (m // points[v][3]) for c in points[v][:3]) for v in vs}
+                conflict = _coplanar_conflict(
+                    tuple(at[v] for v in fi), tuple(at[v] for v in fj),
+                    tuple(at[v] for v in common), planes[i][:3]) is not None
             elif _one_side(on_i) or _one_side(on_j):
                 rule, conflict = "one_side", False
             elif len(common) == 2:
                 rule, conflict = "shared_edge", False
             elif len(common) == 1:
-                # the edge opposite the shared vertex, with its side signs
-                opp_i = [k for k in range(3) if fi[k] != common[0]]
-                opp_j = [k for k in range(3) if fj[k] != common[0]]
-                si_opp = [on_i[k] for k in opp_j]
-                sj_opp = [on_j[k] for k in opp_i]
+                # the edge opposite the shared corner k runs from corner
+                # k + 1 to k + 2; these are its side signs
+                ki, kj = fi.index(common[0]), fj.index(common[0])
+                si_opp = (on_i[(kj + 1) % 3], on_i[(kj + 2) % 3])
+                sj_opp = (on_j[(ki + 1) % 3], on_j[(ki + 2) % 3])
                 if _one_side(sj_opp) or _one_side(si_opp):
                     rule, conflict = "shared_vertex", False
                 else:
                     rule = "orientation"
-                    conflict = (
-                        _segment_meets(tris[i][opp_i[0]], tris[i][opp_i[1]], *sj_opp, tris[j])
-                        or _segment_meets(tris[j][opp_j[0]], tris[j][opp_j[1]], *si_opp, tris[i]))
+                    conflict = (_segment_meets(edges[i][(ki + 1) % 3], *sj_opp, edges[j])
+                                or _segment_meets(edges[j][(kj + 1) % 3], *si_opp, edges[i]))
             else:
                 rule = "orientation"
-                conflict = _edge_meets(tris[i], on_j, tris[j]) or _edge_meets(tris[j], on_i, tris[i])
+                conflict = (_edge_meets(edges[i], on_j, edges[j])
+                            or _edge_meets(edges[j], on_i, edges[i]))
             discharged[rule] += 1
             if conflict:
                 return (i, j), discharged
@@ -439,40 +450,66 @@ def _one_side(signs) -> bool:
     return first != 0 and all(s == first for s in signs)
 
 
-def _edge_meets(tri, sides, other) -> bool:
-    """Some edge of ``tri`` not contained in the plane of ``other`` meets
-    ``other``; ``sides`` are the corners' side signs against that plane.
+def _line(p, q):
+    """Plücker coordinates of the line from homogeneous point p to q: the
+    minors p_i q_j - p_j q_i for ij = 01, 02, 03, 12, 13, 23."""
+    p0, p1, p2, p3 = p
+    q0, q1, q2, q3 = q
+    return (p0 * q1 - p1 * q0, p0 * q2 - p2 * q0, p0 * q3 - p3 * q0,
+            p1 * q2 - p2 * q1, p1 * q3 - p3 * q1, p2 * q3 - p3 * q2)
+
+
+def _plane(ab, c):
+    """The plane through the line ``ab`` and the point c, as the 4-vector
+    of cofactors E with E . X = -det4(A, B, C, X)."""
+    l01, l02, l03, l12, l13, l23 = ab
+    c0, c1, c2, c3 = c
+    return (l12 * c3 - l13 * c2 + l23 * c1, l03 * c2 - l02 * c3 - l23 * c0,
+            l01 * c3 - l03 * c1 + l13 * c0, l02 * c1 - l01 * c2 - l12 * c0)
+
+
+def _orient(pq, ab) -> int:
+    """Sign of orient3d(p, q, a, b) from the lines pq and ab, whose permuted
+    inner product is det4(P, Q, A, B); the sum below is its negative."""
+    l01, l02, l03, l12, l13, l23 = pq
+    m01, m02, m03, m12, m13, m23 = ab
+    return _sign(l02 * m13 - l01 * m23 - l03 * m12 - l12 * m03 + l13 * m02 - l23 * m01)
+
+
+def _edge_meets(edges, sides, other) -> bool:
+    """Some edge of a triangle not contained in the plane of ``other``
+    meets ``other``; ``edges`` are the triangle's lines ab, bc, ca and
+    ``sides`` its corners' side signs against that plane.
 
     For non-coplanar triangles this is exactly "the triangles meet": each
     end of the contact interval on the planes' common line lies on an edge
     of one triangle that crosses the other's plane in that point.
     """
-    return any(_segment_meets(tri[k], tri[k - 1], sides[k], sides[k - 1], other)
+    return any(_segment_meets(edges[k], sides[k], sides[(k + 1) % 3], other)
                for k in range(3))
 
 
-def _segment_meets(p, q, sp, sq, tri) -> bool:
-    """The closed segment pq meets the closed triangle ``tri``, given the
-    side signs sp, sq of p and q against its plane.
+def _segment_meets(pq, sp, sq, tri) -> bool:
+    """The closed segment pq meets the closed triangle abc, given the side
+    signs sp, sq of p and q against its plane, the line ``pq`` and the
+    triangle's lines ``tri`` = (ab, bc, ca).
 
     A segment lying in the plane (sp = sq = 0) counts as not meeting; its
     callers never need it.  Otherwise pq meets the plane, if at all, in one
-    point X, and the three signs orient3d(p, q, a, b) over the triangle's
-    edges ab are the sign of (q - p) . n times the 2D orientations of X
-    against the edges, so X lies in the triangle iff no two of them
-    differ strictly.  With u = q - p and A = a - p and so on, the three are
-    the signs of (u x A) . B, (u x B) . C and -(u x A) . C.
+    point X, and the three signs orient3d(p, q, a, b), orient3d(p, q, b, c)
+    and orient3d(p, q, c, a) are the sign of (q - p) . n times the 2D
+    orientations of X against the edges, so X lies in the triangle iff no
+    two of them differ strictly.  Reversing pq negates all three, which
+    leaves the answer as it is.
     """
     if sp * sq > 0 or sp == sq == 0:
         return False
-    u = sub(q, p)
-    A, B, C = (sub(x, p) for x in tri)
-    uA = cross(u, A)
-    o1 = _sign(dot(uA, B))
-    o2 = _sign(dot(cross(u, B), C))
+    ab, bc, ca = tri
+    o1 = _orient(pq, ab)
+    o2 = _orient(pq, bc)
     if o1 * o2 < 0:
         return False
-    o3 = -_sign(dot(uA, C))
+    o3 = _orient(pq, ca)
     return (o1 >= 0 and o2 >= 0 and o3 >= 0) or (o1 <= 0 and o2 <= 0 and o3 <= 0)
 
 

@@ -53,6 +53,7 @@ from .geometry import (
     cross,
     dot,
     first_conflict,
+    homogeneous_point,
     integer_points,
     is_hull_vertex,
     is_zero,
@@ -159,22 +160,22 @@ class EmbeddingReport:
 def verify_embedding(mesh: Mesh) -> EmbeddingReport:
     """Exact pairwise face test: faces may meet only in shared simplices.
 
-    The coordinates are scaled once to integers by the least common
-    multiple of their denominators, a positive factor that keeps every sign
-    the test reads.  ``geometry.first_conflict`` then decides the face
-    pairs in (i, j) order from one plane per face and one vertex-side
-    table.  Pairs with one triangle strictly on one side of the other's
-    plane, non-coplanar pairs sharing an edge, and pairs sharing a vertex
-    whose other two corners in one triangle lie strictly on one side of
-    the other's plane are settled by the table; coplanar pairs by the 2D
-    test; the rest by orientation signs.  Only a conflicting pair goes to
-    the rational ``triangles_conflict``, for the witness text.
+    Each point is written once as homogeneous ints (X, Y, Z, W) over its
+    own denominator W > 0, which keeps every sign the test reads.
+    ``geometry.first_conflict`` then decides the face pairs in (i, j)
+    order from one plane per face and one vertex-side table.  Pairs with
+    one triangle strictly on one side of the other's plane, non-coplanar
+    pairs sharing an edge, and pairs sharing a vertex whose other two
+    corners in one triangle lie strictly on one side of the other's plane
+    are settled by the table; coplanar pairs by the 2D test; the rest by
+    orientation signs from one Plücker line per edge.  Only a conflicting
+    pair goes to the rational ``triangles_conflict``, for the witness text.
     """
     mesh.check_coords()
     faces = mesh.complex.faces
     labels = sorted(mesh.coords)
     index = {v: i for i, v in enumerate(labels)}
-    points = integer_points(mesh.coords[v] for v in labels)
+    points = [homogeneous_point(mesh.coords[v]) for v in labels]
     pair, discharged = first_conflict(points, [tuple(index[v] for v in f) for f in faces])
     if pair is None:
         return EmbeddingReport(True, discharged=discharged)
@@ -806,10 +807,10 @@ def cyclic_polytope_realization(k: int) -> Mesh:
     pos = {v: i + 1 for i, v in enumerate(seq)}
 
     # every torus face must lie in a facet of the cyclic polytope
+    facets = cyclic_facets(n)
+    in_facet = {t for g in facets for t in combinations(g, 3)}
     for face in T.faces:
-        S = sorted(pos[v] for v in face)
-        if not any(gale_evenness(sorted(set(S + [x])), n)
-                   for x in range(1, n + 1) if x not in S):
+        if tuple(sorted(pos[v] for v in face)) not in in_facet:
             raise FaceNotInPolytope(face)
 
     # moment points and facet planes are integers; Fraction enters only
@@ -831,8 +832,8 @@ def cyclic_polytope_realization(k: int) -> Mesh:
                       for i in range(4))
     # each other facet's plane, with the centroid's side of it
     planes = []
-    for g in cyclic_facets(n):
-        if tuple(g) != facet_pos:
+    for g in facets:
+        if g != facet_pos:
             Ng, cg = _facet_plane(g)
             planes.append((Ng, cg, _dot4(Ng, centroid4) - cg))
     facet_center = [Fraction(sum(p[i] for p in fp), 4) for i in range(4)]

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import hashlib
 import json
 import time
 
@@ -7,7 +8,7 @@ import pytest
 
 from polytorus import census, cli, realization
 from polytorus.cli import main
-from polytorus.knots import format_stick_knot, triangle_unknot
+from polytorus.knots import format_stick_knot, trefoil_6stick, triangle_unknot
 
 
 @pytest.fixture()
@@ -116,6 +117,45 @@ def test_realize_complement_proves_each_mesh_once(tri_file, proofs, capsys):
     assert json.loads(capsys.readouterr().out)["embedded"] is True
     assert proofs
     assert len(set(proofs)) == len(proofs)
+
+
+# sha256 of the OFF files these commands write, recorded from the kernel
+# that scaled the whole mesh by one common denominator
+GOLDEN_OFF = {
+    "tube trefoil": "56e28d19fa330113991f308579e3813487d0e6e0707228e441af4a1c42d446c0",
+    "complement unknot": "b5fff3ae914cf3774f12fd21204205abd4ef82b13cd7f1fd37f45c042ae1f841",
+    "cyclic 8": "3896fbf344cb42957c0186ff423588236a61a82c9b93959930492d173ef72421",
+}
+
+
+def test_realize_outputs_match_recorded_digests(tmp_path, monkeypatch, capsys):
+    """The exported meshes stay byte-identical, and the trefoil tube's proof
+    discharges the same pairs by the same rules.  One flipped kernel verdict
+    would pick another frame or radius and change a file."""
+    knots = {"trefoil": trefoil_6stick(), "unknot": triangle_unknot()}
+    reports = []
+    original = realization.verify_embedding
+
+    def recorded(mesh):
+        reports.append(original(mesh))
+        return reports[-1]
+    monkeypatch.setattr(realization, "verify_embedding", recorded)
+    for case, digest in GOLDEN_OFF.items():
+        what, arg = case.split()
+        out = tmp_path / f"{what}.off"
+        if what == "cyclic":
+            argv = ["realize", what, "--k", arg, "-o", str(out)]
+        else:
+            knot = tmp_path / f"{arg}.txt"
+            knot.write_text(format_stick_knot(knots[arg]))
+            argv = ["realize", what, "--knot", str(knot), "-o", str(out)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, case
+        if case == "tube trefoil":
+            assert reports[-1].discharged == {
+                "coplanar": 0, "one_side": 287, "shared_edge": 54,
+                "shared_vertex": 164, "orientation": 125}
 
 
 @pytest.mark.parametrize("eps", ["abc", "nan", "1/0", "0", "-1"])

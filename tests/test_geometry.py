@@ -8,6 +8,7 @@ from polytorus.geometry import (
     PAIR_RULES,
     collinear,
     first_conflict,
+    homogeneous_point,
     integer_points,
     is_hull_vertex,
     orient3d,
@@ -196,6 +197,33 @@ def test_kernel_matches_triangles_conflict(case):
     t2 = tuple(vec(*points[v]) for v in face)
     shared = tuple(vec(*points[v]) for v in sorted(set(face) & {0, 1, 2}))
     expected = triangles_conflict(t1, t2, shared) is not None
-    pair, discharged = first_conflict(points, [(0, 1, 2), face])
+    pair, discharged = first_conflict([homogeneous_point(vec(*p)) for p in points],
+                                      [(0, 1, 2), face])
     assert (pair is not None) == expected
     assert sum(discharged.values()) == 1 and set(discharged) == set(PAIR_RULES)
+
+
+@st.composite
+def rational_triangle_pairs(draw):
+    """A ``triangle_pairs`` case with each grid point divided by its own
+    denominator, so that the points' W differ from point to point."""
+    points, face = draw(triangle_pairs())
+    dens = draw(st.lists(st.sampled_from((1, 2, 3, 5, 7)), min_size=len(points),
+                         max_size=len(points)))
+    pts = [vec(*(F(c, d) for c in p)) for p, d in zip(points, dens)]
+    assume(len(set(pts)) == len(pts))
+    assume(not collinear(*pts[:3]) and not collinear(*(pts[v] for v in face)))
+    return pts, face
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(rational_triangle_pairs())
+def test_kernel_matches_triangles_conflict_on_rational_points(case):
+    """The kernel's verdict on homogeneous points with unequal W is the
+    rational test's."""
+    pts, face = case
+    shared = tuple(pts[v] for v in sorted(set(face) & {0, 1, 2}))
+    expected = triangles_conflict(pts[:3], tuple(pts[v] for v in face), shared) is not None
+    pair, _ = first_conflict([homogeneous_point(p) for p in pts], [(0, 1, 2), face])
+    assert (pair is not None) == expected

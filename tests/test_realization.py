@@ -9,7 +9,13 @@ import pytest
 
 from oracles import oracle_verify_embedding, supporting_plane_of_edge
 from polytorus.cycles import homology_basis, cycle_signature, stick_number_and_type
-from polytorus.errors import EpsilonTooLarge, ParseError, PolytorusError, SeparatingCycle
+from polytorus.errors import (
+    EpsilonTooLarge,
+    FaceNotInPolytope,
+    ParseError,
+    PolytorusError,
+    SeparatingCycle,
+)
 from polytorus.generators import ring_cycle
 from polytorus.geometry import PAIR_RULES, add, dot, norm2, scale, sub
 from polytorus.knots import StickKnot, triangle_unknot
@@ -235,6 +241,15 @@ def test_cyclic_realization_face_membership():
         assert mesh.complex.n_vertices == 3 * k - 2
 
 
+def test_cyclic_realization_face_outside_facets(monkeypatch):
+    # swapping the last two positions of the k=4 sequence puts the torus
+    # face (1, 8, 9) in no facet of C_4(10)
+    monkeypatch.setattr(realization, "hamiltonian_sequence",
+                        lambda k: (1, 4, 7, 10, 3, 6, 9, 2, 8, 5))
+    with pytest.raises(FaceNotInPolytope, match=r"\(1, 8, 9\)"):
+        cyclic_polytope_realization(4)
+
+
 def test_off_roundtrip(tmp_path, tri_tube):
     path = tmp_path / "tube.off"
     export_mesh(tri_tube, path, "off", precision=15)
@@ -332,9 +347,10 @@ def test_tube_invariant_under_scaling():
 
 def test_cyclic_facets_match_gale_predicate():
     """The pair-construction facet list must equal the evenness predicate
-    over all 4-subsets (the Schlegel viewpoint check needs completeness)."""
+    over all 4-subsets: the face-membership check and the Schlegel
+    viewpoint check both need it complete."""
     from itertools import combinations
-    for n in (7, 10, 13):
+    for n in range(5, 17):
         from_pairs = set(cyclic_facets(n))
         from_predicate = {s for s in combinations(range(1, n + 1), 4)
                           if gale_evenness(s, n)}
