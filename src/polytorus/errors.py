@@ -96,6 +96,12 @@ class DegenerateKnot(PolytorusError):
         super().__init__(reason)
 
 
+class DegenerateFace(PolytorusError):
+    def __init__(self, face):
+        self.face = tuple(face)
+        super().__init__(f"degenerate face {self.face}")
+
+
 class EpsilonTooLarge(PolytorusError):
     def __init__(self, detail):
         super().__init__(detail)

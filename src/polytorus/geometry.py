@@ -34,6 +34,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
+from .errors import DegenerateFace
+
 Vec = tuple[Fraction, Fraction, Fraction]
 
 ZERO3 = (Fraction(0), Fraction(0), Fraction(0))
@@ -383,8 +385,10 @@ def first_conflict(points, faces):
     outside their shared simplex, or None; and the number of pairs each
     rule of PAIR_RULES decided up to it.
 
-    ``points`` are ``homogeneous_point``s and ``faces`` triples of indices
-    into them, distinct points and non-degenerate faces.
+    ``points`` are distinct ``homogeneous_point``s and ``faces`` triples of
+    indices into them.  A face whose corners are collinear has the zero
+    plane vector; the first such face in face order raises DegenerateFace,
+    with its index triple, before any pair is decided.
     """
     discharged = dict.fromkeys(PAIR_RULES, 0)
     lines, edges, planes, side = {}, [], [], []
@@ -394,6 +398,8 @@ def first_conflict(points, faces):
                 lines[uv] = _line(points[uv[0]], points[uv[1]])
         edges.append((lines[f[0], f[1]], lines[f[1], f[2]], lines[f[2], f[0]]))
         e0, e1, e2, e3 = plane = _plane(edges[-1][0], points[f[2]])
+        if not any(plane):
+            raise DegenerateFace(f)
         planes.append(plane)
         side.append([_sign(e0 * x + e1 * y + e2 * z + e3 * w) for x, y, z, w in points])
     vsets = [set(f) for f in faces]

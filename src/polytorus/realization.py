@@ -35,6 +35,7 @@ from itertools import combinations, product
 from .cycles import homology_basis, cycle_signature, stick_number_and_type
 from .diagrams import linking_number, polygon_determinant
 from .errors import (
+    DegenerateFace,
     DegenerateKnot,
     EnclosureFailure,
     EpsilonTooLarge,
@@ -137,13 +138,10 @@ class Mesh:
         return [self.coords[v] for v in cycle.vertices]
 
     def check_coords(self):
+        """Distinct vertices; degenerate faces are the embedding kernel's."""
         pts = list(self.coords.values())
         if len(set(pts)) != len(pts):
             raise PolytorusError("coincident mesh vertices")
-        for f in self.complex.faces:
-            a, b, c = self.face_points(f)
-            if collinear(a, b, c):
-                raise PolytorusError(f"degenerate face {f}")
 
 
 @dataclass
@@ -170,13 +168,18 @@ def verify_embedding(mesh: Mesh) -> EmbeddingReport:
     are settled by the table; coplanar pairs by the 2D test; the rest by
     orientation signs from one Plücker line per edge.  Only a conflicting
     pair goes to the rational ``triangles_conflict``, for the witness text.
+    Coincident vertices raise first, then DegenerateFace for the first face
+    whose corners are collinear (a zero plane), before any pair is decided.
     """
     mesh.check_coords()
     faces = mesh.complex.faces
     labels = sorted(mesh.coords)
     index = {v: i for i, v in enumerate(labels)}
     points = [homogeneous_point(mesh.coords[v]) for v in labels]
-    pair, discharged = first_conflict(points, [tuple(index[v] for v in f) for f in faces])
+    try:
+        pair, discharged = first_conflict(points, [tuple(index[v] for v in f) for f in faces])
+    except DegenerateFace as exc:
+        raise DegenerateFace(tuple(labels[i] for i in exc.face)) from None
     if pair is None:
         return EmbeddingReport(True, discharged=discharged)
     fi, fj = faces[pair[0]], faces[pair[1]]

@@ -14,7 +14,8 @@ are test-only certificates.
 from fractions import Fraction
 
 from polytorus.cycles import cut_along_cycle, cycle_signature, enumerate_simple_cycles
-from polytorus.geometry import cross, dot, is_zero, sub, triangles_conflict
+from polytorus.errors import DegenerateFace
+from polytorus.geometry import collinear, cross, dot, is_zero, sub, triangles_conflict
 from polytorus.realization import EmbeddingReport
 from polytorus.surfaces import Cycle, _canonical_scan, _flags, _link_cycle, _traverse_flag
 from polytorus.diagrams import _Projection
@@ -22,9 +23,13 @@ from polytorus.diagrams import _Projection
 
 def oracle_verify_embedding(mesh):
     """The rational pairwise face test: every face pair through
-    ``triangles_conflict``, the first conflict in (i, j) order as witness."""
+    ``triangles_conflict``, the first conflict in (i, j) order as witness;
+    collinear faces are found by rational cross products."""
     mesh.check_coords()
     faces = mesh.complex.faces
+    for f in faces:
+        if collinear(*mesh.face_points(f)):
+            raise DegenerateFace(f)
     pts = [mesh.face_points(f) for f in faces]
     vsets = [set(f) for f in faces]
     for i in range(len(faces)):

@@ -10,6 +10,7 @@ import pytest
 from oracles import oracle_verify_embedding, supporting_plane_of_edge
 from polytorus.cycles import homology_basis, cycle_signature, stick_number_and_type
 from polytorus.errors import (
+    DegenerateFace,
     EpsilonTooLarge,
     FaceNotInPolytope,
     ParseError,
@@ -17,7 +18,7 @@ from polytorus.errors import (
     SeparatingCycle,
 )
 from polytorus.generators import ring_cycle
-from polytorus.geometry import PAIR_RULES, add, dot, norm2, scale, sub
+from polytorus.geometry import PAIR_RULES, add, collinear, dot, norm2, scale, sub
 from polytorus.knots import StickKnot, triangle_unknot
 import polytorus.realization as realization
 from polytorus.realization import (
@@ -128,6 +129,35 @@ def test_embedding_detects_collision(tri_tube):
     report = verify_embedding(_dragged(tri_tube))
     assert not report.ok
     assert report.witness is not None
+
+
+def test_verify_rejects_coincident_vertices(tri_tube):
+    coords = dict(tri_tube.coords)
+    coords[1] = coords[2]
+    mesh = Mesh(coords, tri_tube.complex, {})
+    for verify in (verify_embedding, oracle_verify_embedding):
+        with pytest.raises(PolytorusError, match="^coincident mesh vertices$"):
+            verify(mesh)
+
+
+@pytest.mark.parametrize("collapse", [(0,), (-1,), (-1, 4)], ids=["first", "last", "two"])
+def test_verify_names_the_first_degenerate_face(tri_tube, collapse):
+    """Faces made collinear by moving a corner onto the midpoint of the
+    other two: the first of them in face order is named, before any face
+    pair is decided, as the rational oracle names it."""
+    faces = tri_tube.complex.faces
+    coords = dict(tri_tube.coords)
+    for k in collapse:
+        a, b, c = faces[k]
+        coords[a] = scale(add(coords[b], coords[c]), Fraction(1, 2))
+    mesh = Mesh(coords, tri_tube.complex, {})
+    first = faces[min(k % len(faces) for k in collapse)]
+    assert first == next(f for f in faces if collinear(*mesh.face_points(f)))
+    for verify in (verify_embedding, oracle_verify_embedding):
+        with pytest.raises(DegenerateFace) as exc:
+            verify(mesh)
+        assert exc.value.face == first
+        assert str(exc.value) == f"degenerate face {first}"
 
 
 def test_verify_matches_oracle_on_constructed_meshes(monkeypatch):

@@ -1,14 +1,18 @@
 """Combinatorial core: validation, canonical forms, isomorphism, links."""
 
 import random
+from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import polytorus.surfaces as surfaces
 from oracles import canonical_labeling, oracle_automorphisms, oracle_cut, oracle_vertex_orbits
 from polytorus.census import _Budget, _completions, enumerate_tori
 from polytorus.cycles import _fundamental_cycles, cut_along_cycle, homology_basis
 from polytorus.errors import NonManifoldEdge, PolytorusError
 from polytorus.generators import minimal_torus_3k, moebius_torus, tube_complex
+from polytorus.realization import cyclic_polytope_realization
 from polytorus.surfaces import (
     Cycle,
     SimplicialTorus,
@@ -205,6 +209,65 @@ def test_automorphisms_match_oracle():
             here = (len(autos), sorted(len(o) for o in orbits))
             assert invariants in (None, here)
             invariants = here
+
+
+def test_pruned_group_on_large_tori(monkeypatch):
+    """Both k = 40 tori, relabeled, and the torus of the k = 8 cyclic
+    polytope against the full-scan oracle; on the k = 40 tori at most a
+    tenth of the 6F flags are traversed."""
+    rng = random.Random(4001)
+    large = []
+    for T in (minimal_torus_3k(40), tube_complex(40)):
+        perm = list(range(1, T.n_vertices + 1))
+        rng.shuffle(perm)
+        large.append(relabeled(T, perm))
+    traversals = []
+    original = surfaces._traverse_flag
+
+    def counting(*args, **kwargs):
+        traversals.append(args[1])
+        return original(*args, **kwargs)
+
+    for T in large + [cyclic_polytope_realization(8).complex]:
+        del traversals[:]
+        with monkeypatch.context() as m:
+            m.setattr(surfaces, "_traverse_flag", counting)
+            autos = automorphism_group(T)
+        if T in large:
+            assert len(traversals) <= 6 * len(T.faces) // 10
+        assert autos[0] == {v: v for v in range(1, T.n_vertices + 1)}
+        faces = set(T.faces)
+        for a in autos:
+            assert {tuple(sorted(a[v] for v in f)) for f in T.faces} == faces
+        got = {tuple(sorted(a.items())) for a in autos}
+        oracle = oracle_automorphisms(T)
+        assert len(got) == len(autos)
+        assert got == {tuple(sorted(a.items())) for a in oracle}
+        assert vertex_orbits(T) == oracle_vertex_orbits(T, oracle)
+
+
+@cache
+def _relabeling_bases():
+    """Named tori and every census class for n <= 8, each with its
+    (canonical key, canonical form, |Aut|, sorted vertex-orbit sizes)."""
+    tori = [moebius_torus(), minimal_torus_3k(5)]
+    tori += [r.torus() for n in (7, 8) for r in enumerate_tori(n)]
+    return [(T, _relabeling_invariants(T)) for T in tori]
+
+
+def _relabeling_invariants(T):
+    return (canonical_key(T), canonical_form(T), len(automorphism_group(T)),
+            sorted(len(o) for o in vertex_orbits(T)))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_invariants_under_random_relabeling(data):
+    """Key, form, |Aut| and the vertex-orbit sizes ignore the labels."""
+    bases = _relabeling_bases()
+    T, expected = bases[data.draw(st.integers(0, len(bases) - 1))]
+    perm = data.draw(st.permutations(range(1, T.n_vertices + 1)))
+    assert _relabeling_invariants(relabeled(T, perm)) == expected
 
 
 def _assert_key_matches_form(tori):
