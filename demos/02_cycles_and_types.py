@@ -33,7 +33,8 @@ m, witness = shortest_nonseparating(M, basis)
 print(f"\nshortest non-separating cycle: length {m}, witness {witness.vertices}")
 cut = cut_along_cycle(M, witness)
 print(f"cutting along it gives a cylinder: {cut.n_components} component, "
-      f"{cut.boundary_circles} boundary circles")
+      f"bounded by the left copy {tuple(cut.left_copy.values())} "
+      f"and the right copy {tuple(cut.right_copy.values())}")
 
 for k in (4, 6, 8):
     T = minimal_torus_3k(k)

@@ -207,6 +207,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "realize" and args.what in ("tube", "complement") and not args.knot:
         parser.error("realize tube/complement requires --knot")
+    if getattr(args, "precision", 0) < 0:
+        parser.error("--precision must be >= 0")
     try:
         return args.func(args)
     except PolytorusError as exc:

@@ -23,6 +23,12 @@ preserved by at least one part of any split).  Walks not proportional to a
 class c must share a vertex with any cycle realizing c (non-proportional
 classes on the torus have nonzero intersection number), which keeps the
 search rooted at the marking cycle only.
+
+Cutting
+-------
+Cutting along C splits each cycle vertex into left and right copies, and a
+walk over the faces with C as a wall decides separation; both read the
+rotation system, and no cut surface's edge map is built.
 """
 
 from __future__ import annotations
@@ -33,11 +39,12 @@ from dataclasses import dataclass, field
 from .errors import (
     InvalidType,
     MarkNotShortest,
+    NotACycle,
     NotGenusOne,
     PolytorusError,
     SeparatingMark,
 )
-from .surfaces import Cycle, SimplicialTorus, _edge_map, _face_components, vertex_orbits
+from .surfaces import Cycle, SimplicialTorus, vertex_orbits
 
 
 class HomologySignature(tuple):
@@ -72,8 +79,8 @@ class HomologyBasis:
     torus: SimplicialTorus
     edge_sig: dict  # (u, v) directed -> (p, q), antisymmetric
     tree_edges: frozenset
-    cotree_edges: frozenset
     leftover_edges: tuple
+    fundamental_cycles: tuple  # per leftover edge (u, v): tree path u..v
 
     def signature(self, u: int, v: int) -> HomologySignature:
         p, q = self.edge_sig[(u, v)]
@@ -103,14 +110,14 @@ def homology_basis(T: SimplicialTorus) -> HomologyBasis:
         f1, f2 = T.edge_faces[e]
         dual_adj.setdefault(f1, []).append((f2, e))
         dual_adj.setdefault(f2, []).append((f1, e))
-    dual_parent = {0: (None, None)}
+    dual_parent = {0: None}
     queue = deque([0])
     cotree = set()
     while queue:
         f = queue.popleft()
         for g, e in sorted(dual_adj.get(f, [])):
             if g not in dual_parent:
-                dual_parent[g] = (f, e)
+                dual_parent[g] = f
                 cotree.add(e)
                 queue.append(g)
     leftover = [e for e in nontree if e not in cotree]
@@ -119,27 +126,15 @@ def homology_basis(T: SimplicialTorus) -> HomologyBasis:
 
     rot = T.rotation
 
-    # signed crossings of the dual cycle through each leftover edge
-    sig = {}
-    for u, v in T.edges:
-        sig[(u, v)] = [0, 0]
-        sig[(v, u)] = [0, 0]
+    # signed crossings of the dual cycle through each leftover edge: f2 -> f1
+    # across it, then back along the dual tree path f1 -> f2
+    sig = {e: [0, 0] for u, v in T.edges for e in ((u, v), (v, u))}
     for idx, x in enumerate(leftover):
         f1, f2 = T.edge_faces[x]
-        crossings = [(f2, f1, x)]  # dual step f2 -> f1 through x
-        # dual tree path f1 -> f2: climb both to the root, splice at the
-        # first common face
-        p1 = _dual_root_path(dual_parent, f1)
-        p2 = _dual_root_path(dual_parent, f2)
-        common = {node for node, _ in p1} & {node for node, _ in p2}
-        i1 = next(i for i, (node, _) in enumerate(p1) if node in common)
-        i2 = next(i for i, (node, _) in enumerate(p2) if node in common)
-        for j in range(i1):
-            crossings.append((p1[j][0], p1[j + 1][0], p1[j + 1][1]))
-        for j in range(i2, 0, -1):
-            crossings.append((p2[j][0], p2[j - 1][0], p2[j][1]))
-        for f_from, f_to, e in crossings:
-            u, v = e
+        path = _tree_path(dual_parent, f1, f2)
+        crossings = [(f2, x)] + [(f, tuple(sorted(set(T.faces[f]) & set(T.faces[g]))))
+                                 for f, g in zip(path, path[1:])]
+        for f_from, (u, v) in crossings:
             s = 1 if rot[u, v][0] == f_from else -1
             sig[(u, v)][idx] += s
             sig[(v, u)][idx] -= s
@@ -155,20 +150,24 @@ def homology_basis(T: SimplicialTorus) -> HomologyBasis:
         torus=T,
         edge_sig=edge_sig,
         tree_edges=frozenset(tree),
-        cotree_edges=frozenset(cotree),
         leftover_edges=tuple(leftover),
+        fundamental_cycles=tuple(Cycle(tuple(_tree_path(parent, u, v))) for u, v in leftover),
     )
     _check_basis(T, basis)
     return basis
 
 
-def _dual_root_path(dual_parent, f):
-    """Faces and crossing edges from f up to the dual-tree root."""
-    path = [(f, None)]
-    while dual_parent[path[-1][0]][0] is not None:
-        pf, pe = dual_parent[path[-1][0]]
-        path.append((pf, pe))
-    return path
+def _tree_path(parent, u, v):
+    """Nodes of the tree path from u to v; ``parent`` maps each node to its
+    parent and the root to None."""
+    up = [u]
+    while parent[up[-1]] is not None:
+        up.append(parent[up[-1]])
+    index = {x: i for i, x in enumerate(up)}
+    down = [v]
+    while down[-1] not in index:
+        down.append(parent[down[-1]])
+    return up[:index[down[-1]]] + down[::-1]
 
 
 def _check_basis(T, basis):
@@ -187,13 +186,15 @@ def _check_basis(T, basis):
 
 
 def cycle_signature(T: SimplicialTorus, basis: HomologyBasis, C: Cycle) -> HomologySignature:
-    """Sum of directed edge signatures along C."""
-    T.require_cycle(C)
+    """Sum of directed edge signatures along C; NotACycle at the first
+    consecutive pair that is not an edge of T."""
     p = q = 0
-    for u, v in C.directed_edges():
-        sp, sq = basis.edge_sig[(u, v)]
-        p += sp
-        q += sq
+    for e in C.directed_edges():
+        s = basis.edge_sig.get(e)
+        if s is None:
+            raise NotACycle(f"consecutive pair {e} is not an edge")
+        p += s[0]
+        q += s[1]
     return HomologySignature(p, q)
 
 
@@ -208,14 +209,14 @@ def is_separating(T: SimplicialTorus, C: Cycle, basis: HomologyBasis | None = No
 
 @dataclass
 class CutSurface:
-    """Result of cutting a torus along a simple cycle."""
+    """Result of cutting a torus along a simple cycle C.  It always has two
+    boundary circles: C is two-sided on an orientable surface, so its left
+    and right copies are the two circles."""
 
     faces: list
     left_copy: dict
     right_copy: dict
     n_components: int
-    boundary_circles: int
-    edge_faces: dict = field(repr=False)
 
 
 def cut_along_cycle(T: SimplicialTorus, C: Cycle) -> CutSurface:
@@ -226,9 +227,8 @@ def cut_along_cycle(T: SimplicialTorus, C: Cycle) -> CutSurface:
     lies on the left.  At each cycle vertex v the rotation of T is walked
     once round, starting from the next cycle vertex: the faces met before
     the previous cycle vertex lie on the left, the rest on the right.  The
-    cut surface's faces keep T's face indices; its edge map, built once,
-    gives the components, the boundary circles and (in ``distance_layers``)
-    the vertex adjacency.
+    cut surface's faces keep T's face indices; its components come from
+    ``_separates``.
     """
     T.require_cycle(C)
     rot = T.rotation
@@ -252,73 +252,36 @@ def cut_along_cycle(T: SimplicialTorus, C: Cycle) -> CutSurface:
 
     new_faces = [tuple(sorted(copy_in.get((fi, v), v) for v in f))
                  for fi, f in enumerate(T.faces)]
-    edge_faces = _edge_map(new_faces)
-    return CutSurface(new_faces, left_copy, right_copy,
-                      _face_components(new_faces, edge_faces),
-                      _boundary_circles(edge_faces), edge_faces)
+    return CutSurface(new_faces, left_copy, right_copy, 2 if _separates(T, C) else 1)
 
 
-def _boundary_circles(edge_faces):
-    """Number of circles formed by the edges that lie in a single face."""
-    adj = {}
-    for (u, v), fs in edge_faces.items():
-        if len(fs) == 1:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-    seen = set()
-    circles = 0
-    for start in adj:
-        if start in seen:
-            continue
-        circles += 1
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-    return circles
+def _separates(T: SimplicialTorus, C: Cycle) -> bool:
+    """Whether the simple cycle C separates T: a walk over the faces from
+    the left face of C's first edge, never crossing C, misses its right face
+    (each of the at most two components of the cut holds a boundary circle).
+    Faces left of C run along C's edges in C's direction, so those directed
+    edges alone keep the walk on the left side."""
+    rot = T.rotation
+    oriented = T.oriented_faces
+    wall = set(C.directed_edges())
+    u, v = C.vertices[0], C.vertices[1]
+    start, goal = rot[u, v][0], rot[v, u][0]
+    seen = {start}
+    stack = [start]
+    while stack:
+        a, b, c = oriented[stack.pop()]
+        for x, y in ((a, b), (b, c), (c, a)):
+            if (x, y) not in wall:
+                g = rot[y, x][0]
+                if g == goal:
+                    return False
+                if g not in seen:
+                    seen.add(g)
+                    stack.append(g)
+    return True
 
 
 # -- shortest essential cycles ---------------------------------------------------
-
-
-def _fundamental_cycles(T: SimplicialTorus, basis: HomologyBasis):
-    """Simple cycles through the two leftover edges (tree path + edge)."""
-    parent = {1: None}
-    queue = deque([1])
-    while queue:
-        u = queue.popleft()
-        for v in T.neighbors[u]:
-            if v not in parent and (min(u, v), max(u, v)) in basis.tree_edges:
-                parent[v] = u
-                queue.append(v)
-
-    def tree_path(u, v):
-        au, av = [u], [v]
-        su, sv = {u}, {v}
-        while True:
-            if au[-1] in sv:
-                i = av.index(au[-1])
-                return au + av[i - 1:: -1] if i > 0 else au
-            if av[-1] in su:
-                i = au.index(av[-1])
-                return au[: i] + av[:: -1]
-            if parent[au[-1]] is not None:
-                au.append(parent[au[-1]])
-                su.add(au[-1])
-            if parent[av[-1]] is not None:
-                av.append(parent[av[-1]])
-                sv.add(av[-1])
-
-    out = []
-    for x in basis.leftover_edges:
-        u, v = x
-        path = tree_path(u, v)
-        out.append(Cycle(tuple(path)))
-    return out
 
 
 def _closed_walk_search(T, basis, roots, allowed, best_len, best_witness):
@@ -363,8 +326,7 @@ def shortest_nonseparating(T: SimplicialTorus, basis: HomologyBasis | None = Non
     """(m, witness): minimum length over all non-separating simple cycles."""
     if basis is None:
         basis = homology_basis(T)
-    fund = _fundamental_cycles(T, basis)
-    best = min(fund, key=len)
+    best = min(basis.fundamental_cycles, key=len)
     best_len, witness = len(best), tuple(best.vertices)
     roots = [orbit[0] for orbit in vertex_orbits(T)]
     best_len, witness = _closed_walk_search(
@@ -382,7 +344,6 @@ def marked_type(T: SimplicialTorus, M: Cycle, basis: HomologyBasis | None = None
     """
     if basis is None:
         basis = homology_basis(T)
-    T.require_cycle(M)
     c = cycle_signature(T, basis, M)
     if c.is_zero():
         raise SeparatingMark(M.vertices)
@@ -405,21 +366,14 @@ def marked_type(T: SimplicialTorus, M: Cycle, basis: HomologyBasis | None = None
         # itself caps the length)
         m_M, wit_cycle = _shortest_simple_in_class(T, basis, c, best_len, len(M), M)
 
-    k_roots = list(M.vertices)
-    fund = _fundamental_cycles(T, basis)
-    k_best, k_wit = None, None
-    for f in fund:
-        fsig = cycle_signature(T, basis, f)
-        if not fsig.proportional_to(c):
-            if k_best is None or len(f) < k_best:
-                k_best, k_wit = len(f), tuple(f.vertices)
-    if k_best is None:
-        # both unit classes proportional to c cannot happen (c != 0)
-        raise PolytorusError("no admissible fundamental cycle")
+    # the fundamental cycles carry the two unit classes, not both
+    # proportional to c != 0
+    k_best = min((f for f in basis.fundamental_cycles
+                  if not cycle_signature(T, basis, f).proportional_to(c)), key=len)
     k_M, k_wit = _closed_walk_search(
-        T, basis, k_roots,
+        T, basis, list(M.vertices),
         lambda p, q: (p * c.q - q * c.p != 0),
-        k_best, k_wit)
+        len(k_best), tuple(k_best.vertices))
     return (m_M, k_M), (wit_cycle.canonical(), Cycle(k_wit).canonical())
 
 
@@ -541,7 +495,7 @@ def distance_layers(T: SimplicialTorus, M: Cycle, v: int,
 
     dist = _bfs_dist(T.neighbors, v)
     cut = cut_along_cycle(T, M)
-    dist_r = _bfs_dist(_adjacency(cut.edge_faces), cut.right_copy[v])
+    dist_r = _bfs_dist(_adjacency(cut.faces), cut.right_copy[v])
 
     on_cycle = set(M.vertices)
     half_ceil = (m + 1) // 2
@@ -602,11 +556,12 @@ def _bfs_dist(adj, start):
     return dist
 
 
-def _adjacency(edge_faces):
+def _adjacency(faces):
+    """Vertex -> the vertices of its faces (itself included, which BFS skips)."""
     adj = {}
-    for u, v in edge_faces:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
+    for f in faces:
+        for u in f:
+            adj.setdefault(u, set()).update(f)
     return adj
 
 

@@ -91,6 +91,18 @@ class ParseError(PolytorusError):
         super().__init__(f"line {line_no}: cannot parse {text!r}")
 
 
+def read_input(path) -> str:
+    """Text of an input file, newlines read as in text mode; bytes that are
+    not UTF-8 raise ParseError with their line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(line_no, data.split(b"\n")[line_no - 1]) from None
+
+
 class DegenerateKnot(PolytorusError):
     def __init__(self, reason):
         super().__init__(reason)

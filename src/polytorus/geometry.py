@@ -38,8 +38,6 @@ from .errors import DegenerateFace
 
 Vec = tuple[Fraction, Fraction, Fraction]
 
-ZERO3 = (Fraction(0), Fraction(0), Fraction(0))
-
 
 def vec(x, y, z) -> Vec:
     return (Fraction(x), Fraction(y), Fraction(z))
@@ -607,6 +605,8 @@ def format_rational(x: Fraction) -> str:
 
 def rational_to_decimal(x: Fraction, digits: int) -> str:
     """Decimal string with ``digits`` places, rounding half away from zero."""
+    if digits < 0:
+        raise ValueError(f"digits must be >= 0, got {digits}")
     sign = "-" if x < 0 else ""
     x = abs(x)
     scaledx2 = x.numerator * 10 ** digits * 2 + x.denominator

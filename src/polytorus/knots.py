@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DegenerateKnot, ParseError
+from .errors import DegenerateKnot, ParseError, read_input
 from .geometry import (
     Vec,
     collinear,
@@ -143,8 +143,7 @@ def format_stick_knot(K: StickKnot) -> str:
 
 
 def load_stick_knot(path) -> StickKnot:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_stick_knot(fh.read())
+    return parse_stick_knot(read_input(path))
 
 
 def save_stick_knot(K: StickKnot, path):

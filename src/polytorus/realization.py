@@ -44,6 +44,7 @@ from .errors import (
     ParseError,
     PolytorusError,
     SeparatingCycle,
+    read_input,
 )
 from .generators import hamiltonian_sequence, minimal_torus_3k, ring_cycle, tube_complex
 from .geometry import (
@@ -948,12 +949,10 @@ def export_mesh(mesh: Mesh, path, fmt: str = "off", precision: int = 12):
 
 def import_off(path) -> Mesh:
     """Read an OFF triangle mesh; malformed input raises ParseError with its line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        tokens = []
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+    tokens = []
+    for line_no, raw in enumerate(read_input(path).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
             tokens.append((line_no, line))
     if not tokens or tokens[0][1] != "OFF":
         raise ParseError(tokens[0][0] if tokens else 0, "missing OFF header")

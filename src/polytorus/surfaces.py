@@ -40,8 +40,8 @@ whose oriented boundary runs u -> v -> w, and w.  That one map gives the
 left face of each directed edge, the face at each corner, the vertex
 opposite each face edge and the cyclic rotation (link) at each vertex; the
 links, the homology signatures, cutting along cycles and every flag
-traversal read it.  Face lists that are not tori (input being validated, cut
-surfaces) get their edge map from ``_edge_map``, built once per list.
+traversal read it.  Face lists being validated get their edge map from
+``_edge_map``, built once per list.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from .errors import (
     NonManifoldEdge,
     NotACycle,
     PolytorusError,
+    read_input,
 )
 
 Face = tuple[int, int, int]
@@ -159,8 +160,10 @@ def validate_surface(faces) -> SurfaceReport:
         if len(fs) != 2:
             raise NonManifoldEdge(e, len(fs))
 
-    vertices = sorted({v for f in norm for v in f})
-    _check_links(norm, vertices)
+    links = _link_edges(norm)
+    vertices = sorted(links)
+    for v in vertices:
+        _walk_link(v, links[v])
     if _face_components(norm, edge_faces) != 1:
         raise PolytorusError("face complex is not connected")
 
@@ -202,12 +205,23 @@ def _face_components(faces, edge_faces) -> int:
 
 def _link_cycle(faces, v):
     """Neighbors of v in cyclic order, or raise BadVertexLink."""
-    adj: dict[int, list[int]] = {}
-    for f in faces:
-        if v in f:
-            a, b = (x for x in f if x != v)
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
+    return _walk_link(v, _link_edges(faces).get(v, {}))
+
+
+def _link_edges(faces):
+    """Vertex -> its link edges (link vertex -> the link vertices joined to
+    it), from one pass over the faces."""
+    links: dict[int, dict[int, list[int]]] = {}
+    for a, b, c in faces:
+        for v, x, y in ((a, b, c), (b, a, c), (c, a, b)):
+            adj = links.setdefault(v, {})
+            adj.setdefault(x, []).append(y)
+            adj.setdefault(y, []).append(x)
+    return links
+
+
+def _walk_link(v, adj):
+    """The link of v as one cycle, from its edges ``adj``, or raise BadVertexLink."""
     if not adj:
         raise BadVertexLink(v, "isolated vertex")
     for w, nbrs in adj.items():
@@ -228,11 +242,6 @@ def _link_cycle(faces, v):
     if len(cycle) != len(adj):
         raise BadVertexLink(v, "link has several components")
     return cycle
-
-
-def _check_links(faces, vertices):
-    for v in vertices:
-        _link_cycle(faces, v)
 
 
 def _orient_faces(faces, edge_faces):
@@ -641,8 +650,7 @@ def parse_complex(text: str) -> SimplicialTorus:
 
 
 def load_complex(path) -> SimplicialTorus:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_complex(fh.read())
+    return parse_complex(read_input(path))
 
 
 def save_complex(T: SimplicialTorus, path):

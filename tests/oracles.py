@@ -1,7 +1,7 @@
 """Independent brute-force oracles for the test suite.
 
-These deliberately avoid the code paths they check: separation is decided
-by cutting and counting components (no homology), torus types come from
+These deliberately avoid the code paths they check: separation by a face
+walk with C as a wall (no homology), torus types come from
 exhaustive simple-cycle enumeration, knot determinants are recomputed
 from the Alexander relation at t = -1 (no region coloring), automorphism
 groups come from full canonical-form traversals of every flag (no early
@@ -13,7 +13,7 @@ are test-only certificates.
 
 from fractions import Fraction
 
-from polytorus.cycles import cut_along_cycle, cycle_signature, enumerate_simple_cycles
+from polytorus.cycles import _separates, cycle_signature, enumerate_simple_cycles
 from polytorus.errors import DegenerateFace
 from polytorus.geometry import collinear, cross, dot, is_zero, sub, triangles_conflict
 from polytorus.realization import EmbeddingReport
@@ -70,8 +70,7 @@ def canonical_labeling(T):
 
 
 def cut_separates(T, cycle_vertices) -> bool:
-    cut = cut_along_cycle(T, Cycle(cycle_vertices))
-    return cut.n_components > 1
+    return _separates(T, Cycle(cycle_vertices))
 
 
 def oracle_cut(T, cycle_vertices):

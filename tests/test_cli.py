@@ -191,6 +191,25 @@ def test_usage_error_exit_2(tri_file):
     assert exc.value.code == 2
 
 
+def test_negative_precision_exit_2(tmp_path):
+    out = tmp_path / "c.off"
+    with pytest.raises(SystemExit) as exc:
+        main(["realize", "cyclic", "--k", "8", "--precision", "-2", "-o", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_non_utf8_input_exit_1(tmp_path, capsys):
+    p = tmp_path / "bad.txt"
+    p.write_bytes(b"\xff\xfe")
+    for argv in (["analyze", str(p)], ["knot", "det", "--knot", str(p)],
+                 ["realize", "tube", "--knot", str(p)]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 1: cannot parse b'\\xff\\xfe'\n"
+
+
 def test_missing_file_exit_1(capsys):
     assert main(["analyze", "/nonexistent/file.txt"]) == 1
 

@@ -1,8 +1,10 @@
 """Homology signatures, shortest cycles, types, layers, and the bound."""
 
+import re
+
 import pytest
 
-from oracles import cut_separates, oracle_marked, oracle_type
+from oracles import cut_separates, oracle_cut, oracle_marked, oracle_type
 
 from polytorus.cycles import (
     bound_strict_gap,
@@ -11,12 +13,14 @@ from polytorus.cycles import (
     distance_layers,
     enumerate_simple_cycles,
     homology_basis,
+    is_separating,
     lower_bound,
     marked_type,
     shortest_nonseparating,
     stick_number_and_type,
 )
-from polytorus.errors import InvalidType, MarkNotShortest, NotGenusOne, SeparatingMark
+from polytorus.census import enumerate_tori
+from polytorus.errors import InvalidType, MarkNotShortest, NotACycle, NotGenusOne, SeparatingMark
 from polytorus.generators import (
     empty_triangle_3k,
     minimal_torus_3k,
@@ -85,7 +89,32 @@ def test_cut_along_nonseparating_gives_cylinder(moebius):
     _, witness = shortest_nonseparating(moebius)
     cut = cut_along_cycle(moebius, witness)
     assert cut.n_components == 1
-    assert cut.boundary_circles == 2
+    assert oracle_cut(moebius, witness.vertices)[1:] == (1, 2)
+
+
+def test_is_separating_matches_face_walk(census8):
+    """Homology and the cut's face walk agree on every simple cycle."""
+    tori = [moebius_torus(), minimal_torus_3k(3)]
+    tori += [r.torus() for r in enumerate_tori(7)] + [r.torus() for r in census8]
+    for T in tori:
+        basis = homology_basis(T)
+        for cyc in enumerate_simple_cycles(T):
+            C = Cycle(cyc)
+            assert is_separating(T, C, basis) == (cut_along_cycle(T, C).n_components == 2)
+
+
+def test_non_edge_pair_is_not_a_cycle():
+    # a triangle w -> u -> v whose only non-edge is its second pair (u, v)
+    T = minimal_torus_3k(4)
+    u = 1
+    v = next(x for x in range(2, T.n_vertices + 1) if not T.has_edge(u, x))
+    w = next(x for x in T.neighbors[u] if T.has_edge(x, v))
+    C = Cycle((w, u, v))
+    message = re.escape(f"consecutive pair {(u, v)} is not an edge")
+    with pytest.raises(NotACycle, match=message):
+        cycle_signature(T, homology_basis(T), C)
+    with pytest.raises(NotACycle, match=message):
+        cut_along_cycle(T, C)
 
 
 def test_cut_along_separating_disconnects(moebius):

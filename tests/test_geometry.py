@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from polytorus.geometry import (
@@ -116,6 +117,8 @@ def test_rational_to_decimal():
     assert rational_to_decimal(F(-1, 3), 6) == "-0.333333"
     assert rational_to_decimal(F(2, 3), 2) == "0.67"
     assert rational_to_decimal(F(5), 0) == "5"
+    with pytest.raises(ValueError):
+        rational_to_decimal(F(1, 4), -2)
 
 
 def test_conflict_verdict_invariant_under_rational_motions():

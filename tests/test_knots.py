@@ -8,6 +8,7 @@ from polytorus.errors import DegenerateKnot, ParseError
 from polytorus.knots import (
     StickKnot,
     format_stick_knot,
+    load_stick_knot,
     parse_stick_knot,
     trefoil_6stick,
     triangle_unknot,
@@ -38,6 +39,14 @@ def test_parse_rationals_exactly():
 def test_parse_error_carries_line():
     with pytest.raises(ParseError) as exc:
         parse_stick_knot("0 0 0\n1 0\n0 1 0\n")
+    assert exc.value.line_no == 2
+
+
+def test_load_rejects_non_utf8(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"0 0 0\n\xff 1 0\n")
+    with pytest.raises(ParseError) as exc:
+        load_stick_knot(path)
     assert exc.value.line_no == 2
 
 

@@ -327,6 +327,14 @@ def test_import_off_malformed_reports_line(tmp_path, text, line_no):
     assert exc.value.line_no == line_no
 
 
+def test_import_off_rejects_non_utf8(tmp_path):
+    path = tmp_path / "bad.off"
+    path.write_bytes(b"OFF\n3 1 0\n0 0 \xff\n")
+    with pytest.raises(ParseError) as exc:
+        import_off(path)
+    assert exc.value.line_no == 3
+
+
 def test_import_off_rejects_unused_vertex(tmp_path, tri_tube):
     path = tmp_path / "tube.off"
     export_mesh(tri_tube, path, "off", precision=15)

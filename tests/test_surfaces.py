@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 import polytorus.surfaces as surfaces
 from oracles import canonical_labeling, oracle_automorphisms, oracle_cut, oracle_vertex_orbits
 from polytorus.census import _Budget, _completions, enumerate_tori
-from polytorus.cycles import _fundamental_cycles, cut_along_cycle, homology_basis
-from polytorus.errors import NonManifoldEdge, PolytorusError
+from polytorus.cycles import cut_along_cycle, homology_basis
+from polytorus.errors import BadVertexLink, NonManifoldEdge, ParseError, PolytorusError
 from polytorus.generators import minimal_torus_3k, moebius_torus, tube_complex
 from polytorus.realization import cyclic_polytope_realization
 from polytorus.surfaces import (
@@ -22,6 +22,7 @@ from polytorus.surfaces import (
     canonical_key,
     format_complex,
     is_isomorphic,
+    load_complex,
     parse_complex,
     validate_surface,
     vertex_link,
@@ -52,6 +53,28 @@ def test_open_surface_rejected():
     with pytest.raises(NonManifoldEdge) as exc:
         validate_surface([(1, 2, 3), (1, 2, 4)])
     assert exc.value.count == 1  # an open edge, not an overused one
+
+
+def test_pinched_links_rejected_in_vertex_order():
+    """Three tetrahedra pinched at vertices 2 and 3: the one-pass link check
+    reports the least bad vertex with the per-vertex face scan's reason."""
+    faces = TETRA + [(3, 5, 6), (3, 5, 7), (3, 6, 7), (5, 6, 7),
+                     (2, 8, 9), (2, 8, 10), (2, 9, 10), (8, 9, 10)]
+    with pytest.raises(BadVertexLink) as exc:
+        validate_surface(faces)
+    with pytest.raises(BadVertexLink) as scan:
+        _link_cycle(faces, 2)
+    assert exc.value.vertex == 2
+    assert str(exc.value) == str(scan.value) == (
+        "link of vertex 2 is not a single cycle (link has several components)")
+
+
+def test_load_complex_rejects_non_utf8(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"7\n1 2 4\n\xff\xfe\n")
+    with pytest.raises(ParseError) as exc:
+        load_complex(path)
+    assert exc.value.line_no == 3
 
 
 def test_duplicate_face_rejected():
@@ -159,11 +182,11 @@ def test_rotation_core_matches_face_scans():
                 e: [i for i, f in enumerate(T.faces) if set(e) <= set(f)]
                 for e in T.edges}
             cycles = [Cycle(f) for f in T.faces]
-            cycles += _fundamental_cycles(T, homology_basis(T))
+            cycles += homology_basis(T).fundamental_cycles
             for C in cycles:
                 cut = cut_along_cycle(T, C)
-                got = (cut.faces, cut.n_components, cut.boundary_circles)
-                assert got == oracle_cut(T, C.vertices)
+                faces, components, circles = oracle_cut(T, C.vertices)
+                assert (cut.faces, cut.n_components, circles) == (faces, components, 2)
 
 
 def test_handshake(tube4):
