@@ -6,7 +6,9 @@ Two independent generation strategies back each other up:
   smallest open edge, seeded by the link of a minimum-degree vertex labelled
   (2, 3, ..., d+1), with incremental pseudomanifold bookkeeping (edge
   multiplicities and per-vertex link paths), first-use label ordering and a
-  coherent orientation, which prunes Klein bottles before they are built;
+  coherent orientation, which prunes Klein bottles before they are built.
+  It keeps only completions whose seed flag (1, 2, 3) is a start flag of the
+  key, so it builds each class once per Aut-orbit of those flags;
 
 * strategy B (cross-check): closes the link of the smallest unfinished
   vertex in all admissible cyclic orders, with only edge-multiplicity
@@ -14,12 +16,12 @@ Two independent generation strategies back each other up:
   which rejects the Klein bottles.
 
 Both deduplicate through the canonical key of ``surfaces``: the minimum
-visit-order code over the flags at vertices of minimal (degree, sorted
-neighbour degrees), each traversal stopping at its first face above the best
-code so far.  The flags tying the key give the automorphism group.  The
-sorted canonical form the records publish is computed once per new class,
-and the group, carried onto the form's labels, is handed to the class torus
-whose type is computed.
+visit-order code over the start flags (a, b, c), where a minimizes (degree,
+sorted neighbour degrees) and b minimizes it among a's neighbours.  The
+flags tying the key give the automorphism group.  The sorted canonical form
+the records publish is computed once per new class, one flag per orbit of
+the group, which, carried onto the form's labels, is handed to the class
+torus whose type is computed.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from .cycles import stick_number_and_type
 from .errors import OutOfRange, PolytorusError
 from .generators import minimal_torus_3k
-from .surfaces import SimplicialTorus, _key_scan, canonical_form, is_isomorphic
+from .surfaces import SimplicialTorus, _key_scan, _start_pairs, canonical_form, is_isomorphic
 
 N_MIN, N_MAX = 7, 11
 
@@ -279,10 +281,23 @@ def _generate_strategy_a(n, budget):
             st.undo(rec)
 
 
+def _seed_may_start(st, face=None):
+    """Whether the seed flag (1, 2, 3) can be a start flag of the key
+    (``surfaces._start_pairs``).  Exact on a finished torus, where the keys
+    of ``st.oe[v]`` are v's neighbours.  Just after ``face`` was added, by
+    degrees: deg[2] can only grow, so a closed u in 3..d+1 (vertex 1's other
+    neighbours) with deg[u] < deg[2] rules vertex 2 out."""
+    if face is None:
+        return (1, 2) in _start_pairs(st.oe)
+    deg, closed = st.deg, st.closed
+    near = range(3, st.min_deg + 2) if 2 in face else face  # what changed
+    return not any(closed[u] and deg[u] < deg[2] and 2 < u <= st.min_deg + 1 for u in near)
+
+
 def _dfs_a(st, n, target_f, budget):
     budget.check()
     if not st.open_edges:
-        if st.maxlab == n and len(st.faces) == target_f:
+        if st.maxlab == n and len(st.faces) == target_f and _seed_may_start(st):
             yield list(st.faces)
         return
     nf = len(st.faces)
@@ -300,14 +315,10 @@ def _dfs_a(st, n, target_f, budget):
             continue
         if not st.legal(u, v, w):
             continue
-        # min-degree seed rule: no vertex may close below the seed degree
         rec = st.add(u, v, w)
-        ok = True
-        for a in (u, v, w):
-            if st.closed[a] and st.deg[a] < st.min_deg:
-                ok = False
-                break
-        if ok:
+        # min-degree seed rule: no vertex may close below the seed degree
+        if not any(st.closed[a] and st.deg[a] < st.min_deg for a in (u, v, w)) \
+                and _seed_may_start(st, (u, v, w)):
             yield from _dfs_a(st, n, target_f, budget)
         st.undo(rec)
 
@@ -495,12 +506,13 @@ def enumerate_tori(n: int, strategy: str = "a", time_budget: float | None = None
     for T in _completions(n, strategy, budget):
         key, ties = _key_scan(T)
         if key not in seen:
-            form, labels = canonical_form(T, labeling=True)
-            # the flags tying the key give Aut(T) (see automorphism_group);
-            # conjugated onto the form's labels, it is the class torus's group
+            # the flags tying the key give Aut(T) (see automorphism_group): the
+            # form scan skips its orbits; on the form's labels it is the class's
             inv = {new: old for old, new in ties[0].items()}
-            autos = tuple({labels[v]: labels[inv[new]] for v, new in tie.items()}
-                          for tie in ties)
+            T._automorphisms = tuple({v: inv[new] for v, new in tie.items()} for tie in ties)
+            form, labels = canonical_form(T, labeling=True)
+            autos = tuple({labels[v]: labels[w] for v, w in g.items()}
+                          for g in T._automorphisms)
             seen[key] = (form, autos)
         if progress is not None:
             progress(len(seen))

@@ -589,11 +589,15 @@ def plane_supports(points, tri) -> bool:
 
 
 def parse_rational(token: str) -> Fraction:
-    """Parse 'p/q', integer, or decimal literals exactly."""
+    """Parse 'p/q', integer, or decimal literals exactly; like int()'s digit
+    limit, a decimal exponent above 4300 in absolute value is a ValueError."""
     token = token.strip()
     if "/" in token:
         num, den = token.split("/")
         return Fraction(int(num), int(den))
+    _, e, exponent = token.lower().partition("e")
+    if e and abs(int(exponent)) > 4300:
+        raise ValueError(f"decimal exponent out of range in {token!r}")
     return Fraction(token)
 
 

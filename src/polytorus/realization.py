@@ -973,7 +973,7 @@ def import_off(path) -> Mesh:
     for i in range(nv):
         line_no, line = entry(2 + i, f"vertex {i + 1} of {nv}")
         try:
-            x, y, z = (Fraction(p) for p in line.split())
+            x, y, z = (parse_rational(p) for p in line.split())
         except (ValueError, ZeroDivisionError):
             raise ParseError(line_no, line) from None
         coords[i + 1] = (x, y, z)

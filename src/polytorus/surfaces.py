@@ -14,12 +14,12 @@ traversal run to the end.
 
 The canonical key, which deduplicates census completions and decides
 isomorphism, is cheaper.  It is the minimum of the *visit-order* codes, the
-relabeled faces in the order the traversal visits them, and only flags that
-start at a vertex minimizing (degree, sorted neighbour degrees) are tried;
-that invariant is preserved by isomorphism.  Each traversal compares its
-faces with the best code so far and stops at the first larger one.  The
-flags that tie the minimum are one orbit of the automorphism group, so their
-number is |Aut|.
+relabeled faces in the order the traversal visits them, and only the start
+flags (a, b, c) are tried: a minimizes the invariant (degree, sorted
+neighbour degrees), and b minimizes it among a's neighbours.  That set is
+preserved by isomorphism.  Each traversal compares its faces with the best
+code so far and stops at the first larger one.  The flags that tie the
+minimum are one orbit of the automorphism group, so their number is |Aut|.
 
 The automorphism group needs neither the form nor the key.  The traversal from
 one fixed reference flag gives a reference code, the relabeled faces in visit
@@ -203,11 +203,6 @@ def _face_components(faces, edge_faces) -> int:
     return comps
 
 
-def _link_cycle(faces, v):
-    """Neighbors of v in cyclic order, or raise BadVertexLink."""
-    return _walk_link(v, _link_edges(faces).get(v, {}))
-
-
 def _link_edges(faces):
     """Vertex -> its link edges (link vertex -> the link vertices joined to
     it), from one pass over the faces."""
@@ -386,7 +381,7 @@ def vertex_link(T: SimplicialTorus, v: int) -> Cycle:
     """Cyclically ordered neighbors of v; length equals deg(v).
 
     The link starts at the least neighbor s and runs towards the third
-    vertex of the first face on edge {v, s}, as ``_link_cycle`` reads it.
+    vertex of the first face on edge {v, s}, as the validator walks it.
     """
     if not 1 <= v <= T.n_vertices:
         raise PolytorusError(f"vertex {v} out of range 1..{T.n_vertices}")
@@ -465,10 +460,15 @@ def _traverse_flag(T: SimplicialTorus, flag, ref=None, exact=True):
 
 
 def _canonical_scan(T: SimplicialTorus):
-    """Minimum canonical form over all flags, with the first labeling attaining it."""
+    """Minimum canonical form over all flags, with the first labeling attaining
+    it; of each orbit of a known ``T._automorphisms`` only the first flag."""
+    autos, done = (T._automorphisms or ())[1:], set()  # [0] is the identity
     best = best_labeling = None
     for f in T.faces:
         for flag in _flags(f):
+            if flag in done:
+                continue
+            done.update(tuple(g[v] for v in flag) for g in autos)
             code, labels = _traverse_flag(T, flag)
             form = tuple(sorted(code))
             if best is None or form < best:
@@ -483,23 +483,29 @@ def canonical_form(T: SimplicialTorus, labeling: bool = False):
     return (form, labels) if labeling else form
 
 
-def _key_scan(T: SimplicialTorus):
-    """Minimum visit-order code over the flags at invariant-minimal vertices.
-
-    Only flags whose first vertex minimizes (degree, sorted neighbour
-    degrees) are traversed, each against the best code so far.  Returns the
-    key (that code as a tuple) and the labelings of the flags attaining it,
-    in flag order.
-    """
-    nbrs = T.neighbors
+def _start_pairs(nbrs) -> set[Edge]:
+    """The (a, b) of the key's start flags (a, b, c), from ``nbrs`` (vertex ->
+    its neighbours): a minimizes the invariant (degree, sorted neighbour
+    degrees), and b minimizes it among a's neighbours."""
     inv = {v: (len(ns), sorted(len(nbrs[u]) for u in ns)) for v, ns in nbrs.items()}
     low = min(inv.values())
-    starts = {v for v, x in inv.items() if x == low}
+    return {(a, b) for a, ns in nbrs.items() if inv[a] == low
+            for b in ns if inv[b] == min(inv[u] for u in ns)}
+
+
+def _key_scan(T: SimplicialTorus):
+    """Minimum visit-order code over the start flags (``_start_pairs``).
+
+    Each traversal stops at its first face above the best code so far.
+    Returns the key (that code as a tuple) and the labelings of the flags
+    attaining it, in flag order.
+    """
+    pairs = _start_pairs(T.neighbors)
     best = None
     ties = []
     for f in T.faces:
         for flag in _flags(f):
-            if flag[0] not in starts:
+            if flag[:2] not in pairs:
                 continue
             match = _traverse_flag(T, flag, best, exact=False)
             if match is None:

@@ -17,7 +17,14 @@ from polytorus.cycles import _separates, cycle_signature, enumerate_simple_cycle
 from polytorus.errors import DegenerateFace
 from polytorus.geometry import collinear, cross, dot, is_zero, sub, triangles_conflict
 from polytorus.realization import EmbeddingReport
-from polytorus.surfaces import Cycle, _canonical_scan, _flags, _link_cycle, _traverse_flag
+from polytorus.surfaces import (
+    Cycle,
+    _canonical_scan,
+    _flags,
+    _link_edges,
+    _traverse_flag,
+    _walk_link,
+)
 from polytorus.diagrams import _Projection
 
 
@@ -69,6 +76,12 @@ def canonical_labeling(T):
     return labeling
 
 
+def link_cycle(faces, v):
+    """Neighbors of v in cyclic order, walked on the faces at v alone, or
+    raise BadVertexLink."""
+    return _walk_link(v, _link_edges([f for f in faces if v in f]).get(v, {}))
+
+
 def cut_separates(T, cycle_vertices) -> bool:
     return _separates(T, Cycle(cycle_vertices))
 
@@ -77,7 +90,7 @@ def oracle_cut(T, cycle_vertices):
     """(faces, n_components, boundary_circles) of cutting T along a cycle.
 
     Built from face scans only: each cycle vertex's link comes from
-    ``_link_cycle``, the faces around it and the left face of the directed
+    ``link_cycle``, the faces around it and the left face of the directed
     cycle edge from searches of the face lists, and both counts from
     union-find.  Cycle vertex number i gets the right copy n + 1 + i.
     """
@@ -87,7 +100,7 @@ def oracle_cut(T, cycle_vertices):
     copy_in = {}
     for i, v in enumerate(cyc):
         nxt, prv = cyc[(i + 1) % m], cyc[i - 1]
-        link = _link_cycle(T.faces, v)
+        link = link_cycle(T.faces, v)
         deg = len(link)
         around = [index[tuple(sorted((v, link[j], link[(j + 1) % deg])))]
                   for j in range(deg)]
@@ -128,22 +141,26 @@ def oracle_cut(T, cycle_vertices):
     return faces, components, circles
 
 
-def oracle_type(T, basis):
+def signed_cycles(T, basis):
+    """Every simple cycle of T with its homology signature, enumerated and
+    signed once so that both oracles below can share them."""
+    return [(cyc, cycle_signature(T, basis, Cycle(cyc))) for cyc in enumerate_simple_cycles(T)]
+
+
+def oracle_type(T, basis, signed=None):
     """(m, s) from exhaustive enumeration of all simple cycles.
 
     m: shortest cycle that does not separate (checked by cutting).
     s: max over realized non-separating classes c of the shortest simple
-    cycle in a class not proportional to c.
+    cycle in a class not proportional to c.  ``signed`` is
+    ``signed_cycles(T, basis)``, computed here when not given.
     """
-    cycles = enumerate_simple_cycles(T)
-    nonsep = []
-    for cyc in cycles:
-        if not cut_separates(T, cyc):
-            nonsep.append(cyc)
-    m = min(len(c) for c in nonsep)
-    classed = [(cyc, cycle_signature(T, basis, Cycle(cyc))) for cyc in nonsep]
+    if signed is None:
+        signed = signed_cycles(T, basis)
+    nonsep = [(cyc, sig) for cyc, sig in signed if not cut_separates(T, cyc)]
+    m = min(len(cyc) for cyc, _ in nonsep)
     classes = {}
-    for cyc, sig in classed:
+    for cyc, sig in nonsep:
         key = _class_key(sig)
         classes.setdefault(key, []).append(len(cyc))
     s = 0
@@ -153,14 +170,14 @@ def oracle_type(T, basis):
     return m, s
 
 
-def oracle_marked(T, basis, M):
-    """(m_M, k_M) from exhaustive enumeration."""
-    cycles = enumerate_simple_cycles(T)
+def oracle_marked(T, basis, M, signed=None):
+    """(m_M, k_M) from exhaustive enumeration; ``signed`` as in ``oracle_type``."""
+    if signed is None:
+        signed = signed_cycles(T, basis)
     msig = cycle_signature(T, basis, M)
     m_M = None
     k_M = None
-    for cyc in cycles:
-        sig = cycle_signature(T, basis, Cycle(cyc))
+    for cyc, sig in signed:
         if sig.is_zero():
             continue
         if sig == msig or sig == -msig:
@@ -190,6 +207,20 @@ def oracle_automorphisms(T):
     optimal = [labels for form, labels in scans if form == best]
     inv0 = {new: old for old, new in optimal[0].items()}
     return [{v: inv0[lab[v]] for v in lab} for lab in optimal]
+
+
+def oracle_start_flags(T):
+    """The flags (a, b, c) of T, in flag order, where a has the least
+    (degree, sorted neighbour degrees) of all vertices and b the least among
+    a's neighbours: the key's start flags, from ``T.neighbors`` alone."""
+    nb = T.neighbors
+
+    def invariant(v):
+        return len(nb[v]), sorted(len(nb[u]) for u in nb[v])
+
+    low = min(invariant(v) for v in nb)
+    return [(a, b, c) for f in T.faces for a, b, c in _flags(f)
+            if invariant(a) == low and invariant(b) == min(invariant(u) for u in nb[a])]
 
 
 def oracle_vertex_orbits(T, autos):

@@ -8,7 +8,7 @@ equalities; there are no numeric tolerances anywhere.
 
 import time
 
-from oracles import oracle_marked, oracle_type
+from oracles import oracle_marked, oracle_type, signed_cycles
 
 from polytorus.census import census_counts_agree, census_verify_theorem31, enumerate_tori
 from polytorus.cycles import (
@@ -207,11 +207,12 @@ def test_criterion_8_oracle_equivalence():
         assert T.n_vertices <= 12
         basis = homology_basis(T)
         res = stick_number_and_type(T, basis)
-        assert (res.m, res.s) == oracle_type(T, basis)
+        signed = signed_cycles(T, basis)
+        assert (res.m, res.s) == oracle_type(T, basis, signed)
         m, witness = shortest_nonseparating(T, basis)
         assert m == res.m and len(witness) == m
         (mM, kM), _ = marked_type(T, witness, basis)
-        assert (mM, kM) == oracle_marked(T, basis, witness)
+        assert (mM, kM) == oracle_marked(T, basis, witness, signed)
         checked += 1
     _report("8 (oracle equivalence)",
             f"{checked} complexes <= 12 vertices agree with brute force, "

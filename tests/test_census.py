@@ -4,7 +4,7 @@ import hashlib
 import os
 
 import pytest
-from oracles import oracle_automorphisms
+from oracles import oracle_automorphisms, oracle_start_flags
 
 import polytorus.census as census_mod
 from polytorus.census import (
@@ -14,7 +14,7 @@ from polytorus.census import (
     no_torus_below_seven,
 )
 from polytorus.errors import OutOfRange, PolytorusError
-from polytorus.surfaces import _orient_faces, canonical_form, validate_surface
+from polytorus.surfaces import SimplicialTorus, _orient_faces, canonical_form, validate_surface
 
 
 def test_census_n7_unique(moebius):
@@ -91,8 +91,9 @@ def test_time_budget():
 
 
 # Strategy A's orientable completions before deduplication, as recorded from
-# the DFS that built every completion and filtered out the Klein bottles
-# afterwards: count and sha256 of the sorted face lists, one per line.
+# the DFS that built every completion, seeded at every minimum-degree flag,
+# and filtered out the Klein bottles afterwards: count and sha256 of the
+# sorted face lists, one per line.
 ORIENTABLE_COMPLETIONS = {
     7: (2, "b62cf263c2cbc802914f6b490f137b27d06125494d89a089e85369197540a17a"),
     8: (31, "3d37f5ccefcc02b102b59f3b67d2ac341d7d90d3bcd9c2fc94c243fc8e533535"),
@@ -105,10 +106,16 @@ def _directed(tri):
     return {(a, b), (b, c), (c, a)}
 
 
+def _completion_faces(n):
+    return sorted(T.faces for T in census_mod._completions(n, "a", census_mod._Budget(None)))
+
+
 @pytest.mark.parametrize("n", sorted(ORIENTABLE_COMPLETIONS))
-def test_pruned_dfs_yields_exactly_the_orientable_completions(n):
-    """The orientation-pruned DFS against the unpruned one (recorded digest)
-    and the full validator; its orientation is _orient_faces's."""
+def test_pruned_dfs_yields_exactly_the_orientable_completions(n, monkeypatch):
+    """With the seed rule accepting every flag, the orientation-pruned DFS
+    against the unpruned one (recorded digest) and the full validator; its
+    orientation is _orient_faces's."""
+    monkeypatch.setattr(census_mod, "_seed_may_start", lambda st, face=None: True)
     tori = list(census_mod._completions(n, "a", census_mod._Budget(None)))
     forms = sorted(T.faces for T in tori)
     text = "\n".join(" ".join(f"{a},{b},{c}" for a, b, c in f) for f in forms)
@@ -120,6 +127,28 @@ def test_pruned_dfs_yields_exactly_the_orientable_completions(n):
         handed = T.oriented_faces
         oracle = _orient_faces(T.faces, T.edge_faces)
         assert [_directed(t) for t in handed] == [_directed(t) for t in oracle]
+
+
+@pytest.mark.parametrize("n, count", [(7, 2), (8, 15), (9, 252)])
+def test_seed_rule_yields_exactly_the_start_flag_completions(n, count, monkeypatch):
+    """The seed rule keeps exactly the completions whose seed flag (1, 2, 3)
+    is a start flag of the key, and as many as the classes' start flags
+    divided by their automorphism orders."""
+    kept = _completion_faces(n)
+    monkeypatch.setattr(census_mod, "_seed_may_start", lambda st, face=None: True)
+    every = [SimplicialTorus(faces, _skip_validation=True) for faces in _completion_faces(n)]
+    assert kept == [T.faces for T in every if (1, 2, 3) in oracle_start_flags(T)]
+    assert len(kept) == count == _start_flag_formula(enumerate_tori(n))
+
+
+def _start_flag_formula(records):
+    """The sum over classes of |start flags| / |Aut|."""
+    total = 0
+    for rec in records:
+        flags, rest = divmod(len(oracle_start_flags(rec.torus())), rec.automorphism_order)
+        assert rest == 0
+        total += flags
+    return total
 
 
 def test_census_hands_over_the_key_scan_group(monkeypatch):
@@ -154,5 +183,11 @@ def test_census_published_counts_through_n11(monkeypatch):
     arXiv:math/0506316), under TORUS_TIME_BUDGET_SECS (default one hour)."""
     if not os.environ.get(census_mod.TIME_BUDGET_ENV):
         monkeypatch.setenv(census_mod.TIME_BUDGET_ENV, "3600")
-    for n, count in zip(range(7, 12), (1, 7, 112, 2109, 37867)):
+    for n, count in zip(range(7, 11), (1, 7, 112, 2109)):
         assert len(enumerate_tori(n)) == count
+    monkeypatch.setattr(census_mod, "_CENSUS_CACHE", {})
+    calls = []
+    records = enumerate_tori(11, progress=calls.append)
+    assert len(records) == 37867
+    # one progress call per completion
+    assert len(calls) == _start_flag_formula(records)

@@ -5,10 +5,14 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polytorus import census, cli, realization
 from polytorus.cli import main
-from polytorus.knots import format_stick_knot, trefoil_6stick, triangle_unknot
+from polytorus.errors import PolytorusError
+from polytorus.knots import format_stick_knot, parse_stick_knot, trefoil_6stick, triangle_unknot
+from polytorus.realization import import_off
+from polytorus.surfaces import parse_complex
 
 
 @pytest.fixture()
@@ -63,6 +67,22 @@ def test_census_progress_on_stderr_only(monkeypatch, capsys):
     assert counts[0] == 1 and counts == sorted(counts)
     # 31 completions call back; throttling writes a line per interval
     assert len(lines) <= 2 + elapsed / cli.PROGRESS_INTERVAL_S
+
+
+# sha256 of census stdout, recorded before the key's start flags were
+# narrowed to the least vertex pairs; the benchmark checks the same digests
+CENSUS_STDOUT = {
+    "--n 7": "43078ad017d5acd10b70bbff20161cfd0f165e36d88c8e2e05aff434cb16bb27",
+    "--n 8": "a314b3e7f908b64288d59b1efe47bb8205eff409d270342e4b6772ddf3022810",
+    "--n 8 --strategy b": "a314b3e7f908b64288d59b1efe47bb8205eff409d270342e4b6772ddf3022810",
+    "--n 9": "0c26dbf292e5017177c567601a9373968d212a6a2a608dad6be29bf29eefa01f",
+}
+
+
+@pytest.mark.parametrize("args", sorted(CENSUS_STDOUT))
+def test_census_stdout_matches_recorded_digests(args, capsys):
+    assert main(["census", *args.split()]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CENSUS_STDOUT[args]
 
 
 def test_census_bad_time_budget(monkeypatch, capsys):
@@ -212,6 +232,36 @@ def test_non_utf8_input_exit_1(tmp_path, capsys):
 
 def test_missing_file_exit_1(capsys):
     assert main(["analyze", "/nonexistent/file.txt"]) == 1
+
+
+def test_huge_exponent_exit_1_at_once(tmp_path, capsys):
+    """A 15-byte knot file whose exponent would make Fraction build a
+    hundred-million-digit integer is rejected at its line."""
+    p = tmp_path / "big.txt"
+    p.write_text("1e99999999 0 0\n1 0 0\n0 1 0\n")
+    t0 = time.monotonic()
+    assert main(["knot", "det", "--knot", str(p)]) == 1
+    assert time.monotonic() - t0 < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 1: cannot parse '1e99999999 0 0'\n"
+
+
+PARSER_TEXT = st.text(st.sampled_from("0123456789 -+/.eE#\n") | st.characters(), max_size=80)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.sampled_from(["", "4\n", "OFF\n", "OFF\n3 1 0\n"]), PARSER_TEXT)
+def test_parsers_raise_only_polytorus_errors(tmp_path_factory, head, text):
+    """The complex, knot and OFF parsers turn any text into a result or a
+    PolytorusError, never another exception."""
+    path = tmp_path_factory.getbasetemp() / "parsed.off"
+    path.write_text(head + text, encoding="utf-8")
+    for parse in (parse_complex, parse_stick_knot, lambda _: import_off(path)):
+        try:
+            parse(head + text)
+        except PolytorusError:
+            pass
 
 
 def test_bad_knot_exit_1(tmp_path, capsys):

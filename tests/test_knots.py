@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from polytorus.errors import DegenerateKnot, ParseError
+from polytorus.geometry import parse_rational
 from polytorus.knots import (
     StickKnot,
     format_stick_knot,
@@ -34,6 +35,14 @@ def test_collinear_consecutive_rejected():
 def test_parse_rationals_exactly():
     K = parse_stick_knot("1/3 0.25 2\n0 1 0\n1 0 0\n")
     assert K.vertices[0] == (Fraction(1, 3), Fraction(1, 4), Fraction(2))
+
+
+def test_decimal_exponents_bounded_by_the_int_digit_limit():
+    assert parse_rational("1e4300") == 10 ** 4300
+    assert parse_rational("-2E-4300") == Fraction(-2, 10 ** 4300)
+    for token in ("1e4301", "1e-4301", "1e99999999"):
+        with pytest.raises(ValueError, match="exponent"):
+            parse_rational(token)
 
 
 def test_parse_error_carries_line():

@@ -318,7 +318,9 @@ def test_import_off_rejects_garbage(tmp_path):
     ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n", 5),               # face list cut short
     ("OFF\n3 x 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", 2),     # non-integer count
     ("OFF\n3 1 0\n0 0 0\n0 1 z\n0 1 0\n3 0 1 2\n", 4),     # non-numeric coordinate
-], ids=["header-only", "truncated-vertices", "truncated-faces", "bad-count", "bad-coordinate"])
+    ("OFF\n3 1 0\n0 0 0\n1e99999999 0 0\n0 1 0\n3 0 1 2\n", 4),  # exponent out of range
+], ids=["header-only", "truncated-vertices", "truncated-faces", "bad-count", "bad-coordinate",
+        "huge-exponent"])
 def test_import_off_malformed_reports_line(tmp_path, text, line_no):
     path = tmp_path / "bad.off"
     path.write_text(text)

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import polytorus.surfaces as surfaces
-from oracles import canonical_labeling, oracle_automorphisms, oracle_cut, oracle_vertex_orbits
+from oracles import (
+    canonical_labeling,
+    link_cycle,
+    oracle_automorphisms,
+    oracle_cut,
+    oracle_vertex_orbits,
+)
 from polytorus.census import _Budget, _completions, enumerate_tori
 from polytorus.cycles import cut_along_cycle, homology_basis
 from polytorus.errors import BadVertexLink, NonManifoldEdge, ParseError, PolytorusError
@@ -16,7 +22,6 @@ from polytorus.realization import cyclic_polytope_realization
 from polytorus.surfaces import (
     Cycle,
     SimplicialTorus,
-    _link_cycle,
     automorphism_group,
     canonical_form,
     canonical_key,
@@ -63,7 +68,7 @@ def test_pinched_links_rejected_in_vertex_order():
     with pytest.raises(BadVertexLink) as exc:
         validate_surface(faces)
     with pytest.raises(BadVertexLink) as scan:
-        _link_cycle(faces, 2)
+        link_cycle(faces, 2)
     assert exc.value.vertex == 2
     assert str(exc.value) == str(scan.value) == (
         "link of vertex 2 is not a single cycle (link has several components)")
@@ -172,7 +177,7 @@ def test_rotation_core_matches_face_scans():
                 assert (u, v, w) in ((a, b, c), (b, c, a), (c, a, b))
                 assert set(T.faces[i]) == {u, v, w}
             for v in range(1, T.n_vertices + 1):
-                scanned = _link_cycle(T.faces, v)
+                scanned = link_cycle(T.faces, v)
                 assert vertex_link(T, v).vertices == tuple(scanned)
                 walk = [scanned[0]]
                 while (w := rot[v, walk[-1]][1]) != walk[0]:
