@@ -290,7 +290,7 @@ def _seed_may_start(st, face=None):
     if face is None:
         return (1, 2) in _start_pairs(st.oe)
     deg, closed = st.deg, st.closed
-    near = range(3, st.min_deg + 2) if 2 in face else face  # what changed
+    near = range(3, st.min_deg + 2) if 2 in face else face  # verdicts that can change
     return not any(closed[u] and deg[u] < deg[2] and 2 < u <= st.min_deg + 1 for u in near)
 
 

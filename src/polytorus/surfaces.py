@@ -521,10 +521,11 @@ def _key_scan(T: SimplicialTorus):
 def canonical_key(T: SimplicialTorus) -> tuple[tuple[Face, ...], int]:
     """Relabeling-invariant key of the isomorphism class, and |Aut(T)|.
 
-    Two tori have equal keys exactly when they are isomorphic.  The key
-    differs from the sorted ``canonical_form`` and costs far less.  The
-    flags that attain it form one orbit of the automorphism group, which
-    acts freely on flags, so their number is the group order.
+    The key is the least visit-order code over the start flags, which are
+    defined by invariants, so two tori have equal keys exactly when they are
+    isomorphic.  It differs from the sorted ``canonical_form`` and costs far
+    less.  The flags that attain it form one orbit of the automorphism
+    group, which acts freely on flags, so their number is the group order.
     """
     key, ties = _key_scan(T)
     return key, len(ties)

@@ -235,8 +235,8 @@ def test_missing_file_exit_1(capsys):
 
 
 def test_huge_exponent_exit_1_at_once(tmp_path, capsys):
-    """A 15-byte knot file whose exponent would make Fraction build a
-    hundred-million-digit integer is rejected at its line."""
+    """A knot line whose exponent would make Fraction build a
+    hundred-million-digit integer is rejected at once, with its line."""
     p = tmp_path / "big.txt"
     p.write_text("1e99999999 0 0\n1 0 0\n0 1 0\n")
     t0 = time.monotonic()
