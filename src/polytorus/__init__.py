@@ -18,7 +18,6 @@ from .surfaces import (
     is_isomorphic,
     load_complex,
     parse_complex,
-    save_complex,
     validate_surface,
     vertex_link,
 )
@@ -57,7 +56,6 @@ from .census import (
 from .knots import (
     StickKnot,
     load_stick_knot,
-    save_stick_knot,
     trefoil_6stick,
     triangle_unknot,
 )

@@ -20,8 +20,8 @@ visit-order code over the start flags (a, b, c), where a minimizes (degree,
 sorted neighbour degrees) and b minimizes it among a's neighbours.  The
 flags tying the key give the automorphism group.  The sorted canonical form
 the records publish is computed once per new class, one flag per orbit of
-the group, which, carried onto the form's labels, is handed to the class
-torus whose type is computed.
+the group.  The group and the completion's orientation, carried onto the
+form's labels, are handed to the class torus whose type is computed.
 """
 
 from __future__ import annotations
@@ -486,6 +486,19 @@ def _completions(n, strategy, budget):
         yield T
 
 
+def _carry_orientation(oriented, labels, form):
+    """The oriented faces relabeled by ``labels``, in ``form``'s face order
+    and reversed if need be so that, as ``_orient_faces`` does, the first
+    face (a, b, c), a < b < c, runs a -> b -> c."""
+    by_face = {}
+    for face in oriented:
+        t = tuple(labels[v] for v in face)
+        by_face[tuple(sorted(t))] = t
+    a, b, c = form[0]
+    keep = by_face[form[0]] in ((a, b, c), (b, c, a), (c, a, b))
+    return [t if keep else (t[0], t[2], t[1]) for t in map(by_face.get, form)]
+
+
 def enumerate_tori(n: int, strategy: str = "a", time_budget: float | None = None,
                    progress=None) -> list[CensusRecord]:
     """All n-vertex torus triangulations up to isomorphism, 7 <= n <= 11.
@@ -513,13 +526,14 @@ def enumerate_tori(n: int, strategy: str = "a", time_budget: float | None = None
             form, labels = canonical_form(T, labeling=True)
             autos = tuple({labels[v]: labels[w] for v, w in g.items()}
                           for g in T._automorphisms)
-            seen[key] = (form, autos)
+            seen[key] = (form, autos, _carry_orientation(T.oriented_faces, labels, form))
         if progress is not None:
             progress(len(seen))
     records = []
-    for form, autos in sorted(seen.values(), key=lambda rec: rec[0]):
+    for form, autos, oriented in sorted(seen.values(), key=lambda rec: rec[0]):
         T = SimplicialTorus(form, _skip_validation=True)
         T._automorphisms = autos
+        T._oriented = oriented
         res = stick_number_and_type(T)
         degs = {T.degree(v) for v in range(1, T.n_vertices + 1)}
         records.append(CensusRecord(

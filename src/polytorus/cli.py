@@ -7,7 +7,7 @@ Subcommands:
                                                              -> census + summary
   realize tube --knot F [--eps E] | complement --knot F | cyclic --k K
                                                              -> OFF/OBJ + certificate
-  knot det --knot F                                          -> determinant
+  knot det|gauss --knot F                                    -> determinant | Gauss code
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 Identical arguments and inputs produce byte-identical output.
@@ -22,7 +22,7 @@ import time
 
 from . import census as census_mod
 from .cycles import analysis_report
-from .diagrams import knot_determinant
+from .diagrams import _with_retries, knot_determinant, project_diagram
 from .errors import PolytorusError
 from .generators import minimal_torus_3k, moebius_torus, tube_complex
 from .knots import load_stick_knot
@@ -146,16 +146,7 @@ def _cmd_knot(args) -> int:
         det = knot_determinant(K)
         sys.stdout.write(json.dumps({"schema": 1, "determinant": det}, sort_keys=True) + "\n")
     else:
-        from .diagrams import DIRECTION_SEQUENCE, project_diagram
-        from .errors import NonGenericDirection
-        for d in DIRECTION_SEQUENCE:
-            try:
-                diagram = project_diagram(K, d)
-                break
-            except NonGenericDirection:
-                continue
-        else:
-            raise NonGenericDirection("no generic direction found")
+        diagram = _with_retries(lambda d: project_diagram(K, d))
         sys.stdout.write(" ".join(str(x) for x in diagram.gauss_code) + "\n")
     return 0
 

@@ -229,9 +229,13 @@ def _gauss_code(proj: _Projection, comp: int):
     return tuple(code)
 
 
-def _with_retries(fn, start=0):
+def _with_retries(fn, direction=None):
+    """fn(direction) if a direction is given, else fn on the first generic
+    direction of DIRECTION_SEQUENCE: NonGenericDirection moves on to the next."""
+    if direction is not None:
+        return fn(direction)
     last = None
-    for d in DIRECTION_SEQUENCE[start:start + MAX_DIRECTION_RETRIES]:
+    for d in DIRECTION_SEQUENCE[:MAX_DIRECTION_RETRIES]:
         try:
             return fn(d)
         except NonGenericDirection as exc:
@@ -434,34 +438,21 @@ def _int_det(M) -> int:
 def knot_determinant(K: StickKnot, direction=None) -> int:
     """|H1| of the double branched cover: 1 for the unknot, 3 for the
     trefoil; always odd for knots."""
-    pts = _simplify(list(K.vertices))
-
-    def attempt(d):
-        return _goeritz_determinant(_Projection([pts], d))
-
-    if direction is not None:
-        return attempt(direction)
-    return _with_retries(attempt)
+    return polygon_determinant(K.vertices, direction)
 
 
 def polygon_determinant(points, direction=None) -> int:
     """knot_determinant for a raw closed polyline (collinear runs allowed)."""
     pts = _simplify(points)
-
-    def attempt(d):
-        return _goeritz_determinant(_Projection([pts], d))
-
-    if direction is not None:
-        return attempt(direction)
-    return _with_retries(attempt)
+    return _with_retries(lambda d: _goeritz_determinant(_Projection([pts], d)), direction)
 
 
 def linking_number(curve_a, curve_b, direction=None) -> int:
     """Half the signed count of inter-curve crossings in a generic
     projection.  Symmetric; raises IntersectingCurves when the polygons
     touch in space."""
-    pa = _simplify([p if isinstance(p, tuple) else tuple(p) for p in _points_of(curve_a)])
-    pb = _simplify([p if isinstance(p, tuple) else tuple(p) for p in _points_of(curve_b)])
+    pa = _simplify(_points_of(curve_a))
+    pb = _simplify(_points_of(curve_b))
     ka, kb = len(pa), len(pb)
     for i in range(ka):
         for j in range(kb):
@@ -479,9 +470,7 @@ def linking_number(curve_a, curve_b, direction=None) -> int:
             raise NonGenericDirection("odd inter-curve crossing sum")
         return total // 2
 
-    if direction is not None:
-        return attempt(direction)
-    return _with_retries(attempt)
+    return _with_retries(attempt, direction)
 
 
 def _points_of(curve):

@@ -7,14 +7,17 @@ defining inequalities (transversality, containment) are then checked
 exactly, and circle membership is expressed as an equation between squared
 norms.
 
-The embedding test runs on integers.  ``homogeneous_point`` writes each
-point as (X, Y, Z, W) over its own denominator W > 0, and
-det4(P, Q, R, S) = -Wp Wq Wr Ws orient3d(p, q, r, s); the four W are
-positive, so the negated determinant has the rational sign, from ints
-with no division and no gcd.  ``first_conflict`` computes each directed
-edge's Plücker line once per mesh, each face's plane as a cofactor
-4-vector, and the side of every vertex against every plane, and decides
-each face pair from that table where it can:
+The embedding test and the convex-hull certificates run on integers.
+``homogeneous_point`` writes each point as (X, Y, Z, W) over its own
+denominator W > 0, and det4(P, Q, R, S) = -Wp Wq Wr Ws orient3d(p, q, r, s);
+the four W are positive, so the negated determinant has the rational sign,
+from ints with no division and no gcd.  One integer side table,
+``_side_table``, gives the plane of each index triple as a cofactor
+4-vector and the side of every point against it.  The realization's prism
+and octahedron certificates read it for the triples of six points.
+``first_conflict`` reads it for the faces of a mesh, computes each directed
+edge's Plücker line once, and decides each face pair from the table where
+it can:
 
 * one triangle strictly on one side of the other's plane: disjoint;
 * a shared edge, not coplanar: they meet exactly in that edge;
@@ -127,7 +130,7 @@ def reduce_direction(a: Vec) -> Vec:
     """Shortest integer vector with the same direction (positive scaling)."""
     if is_zero(a):
         return a
-    ints = integer_points([a])[0]
+    ints = homogeneous_point(a)[:3]
     g = gcd(*ints)
     return tuple(Fraction(v // g) for v in ints)
 
@@ -362,15 +365,6 @@ def dot2_sign(v, a, b) -> int:
 PAIR_RULES = ("coplanar", "one_side", "shared_edge", "shared_vertex", "orientation")
 
 
-def integer_points(points) -> list[tuple[int, int, int]]:
-    """The points times the least common multiple of all their coordinate
-    denominators, integer triples with every orientation sign unchanged;
-    for the prism certificates and ``reduce_direction``."""
-    pts = list(points)
-    m = lcm(*(c.denominator for p in pts for c in p))
-    return [tuple(c.numerator * (m // c.denominator) for c in p) for p in pts]
-
-
 def homogeneous_point(p: Vec) -> tuple[int, int, int, int]:
     """Integers (X, Y, Z, W) with p = (X/W, Y/W, Z/W), where W > 0 is the
     least common multiple of p's own coordinate denominators."""
@@ -389,23 +383,22 @@ def first_conflict(points, faces):
     with its index triple, before any pair is decided.
     """
     discharged = dict.fromkeys(PAIR_RULES, 0)
-    lines, edges, planes, side = {}, [], [], []
+    table = _side_table(points, faces)
+    for f, (plane, _) in zip(faces, table):
+        if not any(plane):
+            raise DegenerateFace(f)
+    lines, edges = {}, []
     for f in faces:
         for uv in ((f[0], f[1]), (f[1], f[2]), (f[2], f[0])):
             if uv not in lines:
                 lines[uv] = _line(points[uv[0]], points[uv[1]])
         edges.append((lines[f[0], f[1]], lines[f[1], f[2]], lines[f[2], f[0]]))
-        e0, e1, e2, e3 = plane = _plane(edges[-1][0], points[f[2]])
-        if not any(plane):
-            raise DegenerateFace(f)
-        planes.append(plane)
-        side.append([_sign(e0 * x + e1 * y + e2 * z + e3 * w) for x, y, z, w in points])
     vsets = [set(f) for f in faces]
     for i, fi in enumerate(faces):
-        si = side[i]
+        si = table[i][1]
         for j in range(i + 1, len(faces)):
             fj = faces[j]
-            sj = side[j]
+            sj = table[j][1]
             on_i = (si[fj[0]], si[fj[1]], si[fj[2]])  # corners of j against plane i
             on_j = (sj[fi[0]], sj[fi[1]], sj[fi[2]])
             common = sorted(vsets[i] & vsets[j])
@@ -417,7 +410,7 @@ def first_conflict(points, faces):
                 at = {v: tuple(c * (m // points[v][3]) for c in points[v][:3]) for v in vs}
                 conflict = _coplanar_conflict(
                     tuple(at[v] for v in fi), tuple(at[v] for v in fj),
-                    tuple(at[v] for v in common), planes[i][:3]) is not None
+                    tuple(at[v] for v in common), table[i][0][:3]) is not None
             elif _one_side(on_i) or _one_side(on_j):
                 rule, conflict = "one_side", False
             elif len(common) == 2:
@@ -442,6 +435,17 @@ def first_conflict(points, faces):
             if conflict:
                 return (i, j), discharged
     return None, discharged
+
+
+def _side_table(points, triples):
+    """For each index triple (a, b, c) into the homogeneous ``points``: the
+    plane E = _plane(_line(a, b), c), zero iff a, b, c are collinear, and
+    the sign of E . X for every point X, which is orient3d(a, b, c, x)."""
+    table = []
+    for a, b, c in triples:
+        e0, e1, e2, e3 = plane = _plane(_line(points[a], points[b]), points[c])
+        table.append((plane, [_sign(e0 * x + e1 * y + e2 * z + e3 * w) for x, y, z, w in points]))
+    return table
 
 
 def _sign(x) -> int:
@@ -515,77 +519,6 @@ def _segment_meets(pq, sp, sq, tri) -> bool:
         return False
     o3 = _orient(pq, ca)
     return (o1 >= 0 and o2 >= 0 and o3 >= 0) or (o1 <= 0 and o2 <= 0 and o3 <= 0)
-
-
-# -- small convex-hull certificates ----------------------------------------------
-
-
-def point_in_segment_3d(x: Vec, a: Vec, b: Vec) -> bool:
-    if not collinear(a, b, x):
-        return False
-    d = sub(b, a)
-    t = dot(sub(x, a), d)
-    return 0 <= t <= norm2(d)
-
-
-def point_in_triangle_3d(x: Vec, a: Vec, b: Vec, c: Vec) -> bool:
-    n = cross(sub(b, a), sub(c, a))
-    if is_zero(n):
-        return False
-    if dot(n, sub(x, a)) != 0:
-        return False
-    axis = dominant_axis(n)
-    return point_in_triangle_2d(drop_axis(x, axis), drop_axis(a, axis),
-                                drop_axis(b, axis), drop_axis(c, axis))
-
-
-def point_in_tetra(x: Vec, a: Vec, b: Vec, c: Vec, d: Vec) -> bool:
-    s = orient3d(a, b, c, d)
-    if s == 0:
-        return False
-    checks = (orient3d(x, b, c, d), orient3d(a, x, c, d),
-              orient3d(a, b, x, d), orient3d(a, b, c, x))
-    return all(v == 0 or v == s for v in checks)
-
-
-def point_in_hull(x: Vec, points) -> bool:
-    """x in conv(points), |points| small (Caratheodory over subsets)."""
-    from itertools import combinations
-
-    pts = list(points)
-    for p in pts:
-        if p == x:
-            return True
-    for a, b in combinations(pts, 2):
-        if point_in_segment_3d(x, a, b):
-            return True
-    for a, b, c in combinations(pts, 3):
-        if point_in_triangle_3d(x, a, b, c):
-            return True
-    for a, b, c, d in combinations(pts, 4):
-        if point_in_tetra(x, a, b, c, d):
-            return True
-    return False
-
-
-def is_hull_vertex(points, i: int) -> bool:
-    others = [p for j, p in enumerate(points) if j != i]
-    return not point_in_hull(points[i], others)
-
-
-def plane_supports(points, tri) -> bool:
-    """The plane of ``tri`` has every point weakly on one side."""
-    a, b, c = tri
-    n = cross(sub(b, a), sub(c, a))
-    if is_zero(n):
-        return False
-    lo = hi = 0
-    for p in points:
-        s = dot(n, sub(p, a))
-        sg = (s > 0) - (s < 0)
-        lo = min(lo, sg)
-        hi = max(hi, sg)
-    return lo >= 0 or hi <= 0
 
 
 def parse_rational(token: str) -> Fraction:

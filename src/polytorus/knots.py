@@ -144,8 +144,3 @@ def format_stick_knot(K: StickKnot) -> str:
 
 def load_stick_knot(path) -> StickKnot:
     return parse_stick_knot(read_input(path))
-
-
-def save_stick_knot(K: StickKnot, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_stick_knot(K))

@@ -49,6 +49,7 @@ from .errors import (
 from .generators import hamiltonian_sequence, minimal_torus_3k, ring_cycle, tube_complex
 from .geometry import (
     Vec,
+    _side_table,
     add,
     approx_unit,
     collinear,
@@ -56,12 +57,9 @@ from .geometry import (
     dot,
     first_conflict,
     homogeneous_point,
-    integer_points,
-    is_hull_vertex,
     is_zero,
     norm2,
     parse_rational,
-    plane_supports,
     rational_to_decimal,
     reduce_direction,
     scale,
@@ -105,12 +103,6 @@ class ExactRadius:
 
     def halved(self) -> "ExactRadius":
         return ExactRadius(self.sq / 4)
-
-    def scaled(self, factor) -> "ExactRadius":
-        return ExactRadius(self.sq * Fraction(factor) ** 2)
-
-    def __le__(self, other):
-        return self.sq <= other.sq
 
     def __eq__(self, other):
         return isinstance(other, ExactRadius) and self.sq == other.sq
@@ -343,6 +335,16 @@ def _ring_points(center: Vec, frame, eps: ExactRadius):
     return tuple(pts), rho_sq
 
 
+# the index triples of six points, in the order the hull certificates read them
+SIX_TRIPLES = tuple(combinations(range(6), 3))
+
+
+def _hull_table(points):
+    """``geometry._side_table`` of the triples of the first six homogeneous
+    ``points`` against all of them, keyed by triple."""
+    return dict(zip(SIX_TRIPLES, _side_table(points, SIX_TRIPLES)))
+
+
 def _prism_faces(coords, k):
     """Mantle triangles for every prism, certified against the hull of its
     six points.
@@ -352,36 +354,43 @@ def _prism_faces(coords, k):
     grid diagonal (toward the lower-indexed ring vertex) is preferred, and
     taken whenever its two triangles lie in supporting planes; otherwise
     the opposite diagonal is certified the same way.  Returns (faces, None)
-    or (None, reason).  The six points are scaled to integers first, which
-    keeps every sign both certificates read.
+    or (None, reason).
+
+    Both certificates read one integer side table of the six points as
+    homogeneous ints.  A triple supports the hull when no two points lie
+    strictly on opposite sides of its plane.  A point is a hull vertex iff
+    it differs from the other five and the normals of the supporting
+    triples through it have rank 3.  That test is exact for six points that
+    span space, and ``_ring_planes`` guarantees they do: the next ring's
+    centre, the circumcentre of its corners, lies strictly off this ring's
+    plane, so one of those corners does too.  A collinear triple has the
+    zero plane, which adds nothing to a rank; once all six points are
+    vertices no three are collinear, so no cap or diagonal has it.
     """
     faces = []
     for r in range(k):
         s = (r + 1) % k
         labels = [3 * r + 1, 3 * r + 2, 3 * r + 3, 3 * s + 1, 3 * s + 2, 3 * s + 3]
-        pts = integer_points(coords[x] for x in labels)
-        at = dict(zip(labels, pts))
+        pts = [homogeneous_point(coords[x]) for x in labels]
+        table = _hull_table(pts)
+        support = {t for t, (_, signs) in table.items() if not (1 in signs and -1 in signs)}
         for i in range(6):
-            if not is_hull_vertex(pts, i):
+            normals = [table[t][0][:3] for t in SIX_TRIPLES if i in t and t in support]
+            if pts.count(pts[i]) > 1 or not any(
+                    dot(cross(a, b), c) for a, b, c in combinations(normals, 3)):
                 return None, f"ring point {labels[i]} inside prism hull {r}"
-        cap_a = (pts[0], pts[1], pts[2])
-        cap_b = (pts[3], pts[4], pts[5])
-        if not plane_supports(pts, cap_a) or not plane_supports(pts, cap_b):
+        if (0, 1, 2) not in support or (3, 4, 5) not in support:
             return None, f"ring triangle of prism {r} not a hull face"
-        a = labels[:3]
-        b = labels[3:]
         for i in range(3):
             j = (i + 1) % 3
-            placed = False
-            for diag in (((a[i], a[j], b[i]), (a[j], b[j], b[i])),
-                         ((a[i], a[j], b[j]), (a[i], b[j], b[i]))):
-                tris = [tuple(at[x] for x in t) for t in diag]
-                if all(plane_supports(pts, t) for t in tris):
-                    faces.extend(tuple(sorted(t)) for t in diag)
-                    placed = True
+            for diag in (((i, j, 3 + i), (j, 3 + j, 3 + i)),
+                         ((i, j, 3 + j), (i, 3 + j, 3 + i))):
+                if all(tuple(sorted(t)) in support for t in diag):
+                    faces.extend(tuple(sorted(labels[x] for x in t)) for t in diag)
                     break
-            if not placed:
-                return None, f"side quad {a[i]},{a[j]} of prism {r} has no hull diagonal"
+            else:
+                return None, (f"side quad {labels[i]},{labels[j]} of prism {r} "
+                              "has no hull diagonal")
     return faces, None
 
 
@@ -679,70 +688,48 @@ def _enclosing_octahedron(mesh: Mesh, top_labels, plane_n, c):
     # comparable lateral scales for the two frame vectors
     s1 = sqrt_floor(spread * spread / norm2(e1), 30) or Fraction(1)
     s2 = sqrt_floor(spread * spread / norm2(e2), 30) or Fraction(1)
+    # the mesh points follow the six in the side table; the glued corners
+    # are among the six
+    mesh_pts = [homogeneous_point(p) for p in pts]
+    inside = [6 + m for m, p in enumerate(pts) if p not in top]
     R = Fraction(4)
     for _ in range(40):
         z = [add(c0, scale(e1, 2 * R * s1)),
              add(c0, add(scale(e1, -R * s1), scale(e2, R * s2))),
              add(c0, add(scale(e1, -R * s1), scale(e2, -R * s2)))]
-        six = top + z
-        facets = _hull_facets(six)
+        table = _hull_table([homogeneous_point(p) for p in top + z] + mesh_pts)
+        facets = _hull_facets(table)
         if facets is not None and len(facets) == 8 \
                 and frozenset((0, 1, 2)) in facets and frozenset((3, 4, 5)) in facets:
-            if _encloses(six, facets, pts, top):
+            if _encloses(table, facets, inside):
                 return {"z_points": z, "facets": sorted(tuple(sorted(f)) for f in facets)}
         R *= 2
     raise EnclosureFailure("no enclosing octahedron found")
 
 
-def _hull_facets(points):
-    """Facets of a 6-point hull by brute force; None when degenerate."""
-    n = len(points)
+def _hull_facets(table):
+    """Facets of the hull of six points, from their ``_hull_table``; None
+    when four of them are coplanar."""
     facets = set()
-    for tri in combinations(range(n), 3):
-        a, b, c = (points[i] for i in tri)
-        nrm = cross(sub(b, a), sub(c, a))
-        if is_zero(nrm):
+    for tri, (plane, signs) in table.items():
+        if not any(plane):
             continue
-        sides = []
-        for i in range(n):
-            if i in tri:
-                continue
-            s = dot(nrm, sub(points[i], a))
-            sides.append((s > 0) - (s < 0))
-        if 0 in sides:
+        six = signs[:6]
+        if six.count(0) > 3:
             return None  # four coplanar points: jiggle the scale
-        if all(s > 0 for s in sides) or all(s < 0 for s in sides):
+        if not (1 in six and -1 in six):
             facets.add(frozenset(tri))
     return facets
 
 
-def _encloses(six, facets, pts, top):
-    """All mesh points strictly inside every facet plane except the three
-    glued corners on their own facets."""
+def _encloses(table, facets, inside):
+    """The points at the indices ``inside`` lie strictly on the inner side
+    of every facet plane, the side of the six points off that facet."""
     for tri in facets:
-        idx = sorted(tri)
-        a, b, c = (six[i] for i in idx)
-        nrm = cross(sub(b, a), sub(c, a))
-        inner = None
-        for i in range(6):
-            if i in tri:
-                continue
-            s = dot(nrm, sub(six[i], a))
-            inner = (s > 0) - (s < 0)
-            break
-        for p in pts:
-            if any(p == t for t in top):
-                continue
-            s = dot(nrm, sub(p, a))
-            if ((s > 0) - (s < 0)) != inner:
-                return False
-        for t in top:
-            corner = six.index(t)
-            if corner in tri:
-                continue
-            s = dot(nrm, sub(t, a))
-            if ((s > 0) - (s < 0)) != inner:
-                return False
+        signs = table[tuple(sorted(tri))][1]
+        inner = next(signs[i] for i in range(6) if i not in tri)
+        if any(signs[i] != inner for i in inside):
+            return False
     return True
 
 

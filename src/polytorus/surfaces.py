@@ -111,10 +111,6 @@ class Cycle:
     def __len__(self):
         return len(self.vertices)
 
-    @property
-    def length(self) -> int:
-        return len(self.vertices)
-
     def edges(self):
         v = self.vertices
         return [tuple(sorted((v[i], v[(i + 1) % len(v)]))) for i in range(len(v))]
@@ -658,8 +654,3 @@ def parse_complex(text: str) -> SimplicialTorus:
 
 def load_complex(path) -> SimplicialTorus:
     return parse_complex(read_input(path))
-
-
-def save_complex(T: SimplicialTorus, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_complex(T))

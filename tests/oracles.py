@@ -7,15 +7,31 @@ from the Alexander relation at t = -1 (no region coloring), automorphism
 groups come from full canonical-form traversals of every flag (no early
 abort), cutting along a cycle is redone from face scans (no rotation
 system), and embeddings are proved by the rational all-pairs face test (no
-integer kernel).  ``canonical_labeling`` and ``supporting_plane_of_edge``
-are test-only certificates.
+integer kernel).  Convex-hull certificates come from Carathéodory subset
+tests and brute-force rational facet loops (no integer side table).
+``canonical_labeling`` and ``supporting_plane_of_edge`` are test-only
+certificates.
 """
 
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
 
 from polytorus.cycles import _separates, cycle_signature, enumerate_simple_cycles
 from polytorus.errors import DegenerateFace
-from polytorus.geometry import collinear, cross, dot, is_zero, sub, triangles_conflict
+from polytorus.geometry import (
+    collinear,
+    cross,
+    dominant_axis,
+    dot,
+    drop_axis,
+    is_zero,
+    norm2,
+    orient3d,
+    point_in_triangle_2d,
+    sub,
+    triangles_conflict,
+)
 from polytorus.realization import EmbeddingReport
 from polytorus.surfaces import (
     Cycle,
@@ -68,6 +84,152 @@ def supporting_plane_of_edge(points, i, j):
         if lo >= 0 or hi <= 0:
             return (n, dot(n, a))
     return None
+
+
+def point_in_segment_3d(x, a, b) -> bool:
+    if a == b:
+        return x == a
+    if not collinear(a, b, x):
+        return False
+    d = sub(b, a)
+    t = dot(sub(x, a), d)
+    return 0 <= t <= norm2(d)
+
+
+def point_in_triangle_3d(x, a, b, c) -> bool:
+    n = cross(sub(b, a), sub(c, a))
+    if is_zero(n):
+        return False
+    if dot(n, sub(x, a)) != 0:
+        return False
+    axis = dominant_axis(n)
+    return point_in_triangle_2d(drop_axis(x, axis), drop_axis(a, axis),
+                                drop_axis(b, axis), drop_axis(c, axis))
+
+
+def point_in_tetra(x, a, b, c, d) -> bool:
+    s = orient3d(a, b, c, d)
+    if s == 0:
+        return False
+    checks = (orient3d(x, b, c, d), orient3d(a, x, c, d),
+              orient3d(a, b, x, d), orient3d(a, b, c, x))
+    return all(v == 0 or v == s for v in checks)
+
+
+def point_in_hull(x, points) -> bool:
+    """x in conv(points), |points| small (Carathéodory over subsets)."""
+    pts = list(points)
+    for p in pts:
+        if p == x:
+            return True
+    for a, b in combinations(pts, 2):
+        if point_in_segment_3d(x, a, b):
+            return True
+    for a, b, c in combinations(pts, 3):
+        if point_in_triangle_3d(x, a, b, c):
+            return True
+    for a, b, c, d in combinations(pts, 4):
+        if point_in_tetra(x, a, b, c, d):
+            return True
+    return False
+
+
+def is_hull_vertex(points, i: int) -> bool:
+    others = [p for j, p in enumerate(points) if j != i]
+    return not point_in_hull(points[i], others)
+
+
+def plane_supports(points, tri) -> bool:
+    """The plane of ``tri`` has every point weakly on one side."""
+    a, b, c = tri
+    n = cross(sub(b, a), sub(c, a))
+    if is_zero(n):
+        return False
+    lo = hi = 0
+    for p in points:
+        s = dot(n, sub(p, a))
+        sg = (s > 0) - (s < 0)
+        lo = min(lo, sg)
+        hi = max(hi, sg)
+    return lo >= 0 or hi <= 0
+
+
+def oracle_prism_faces(coords, k):
+    """``realization._prism_faces`` by Carathéodory hull tests and
+    supporting planes, on the six points of each prism times the least
+    common multiple of their denominators: the same rule order, reasons and
+    diagonal preference."""
+    faces = []
+    for r in range(k):
+        s = (r + 1) % k
+        labels = [3 * r + 1, 3 * r + 2, 3 * r + 3, 3 * s + 1, 3 * s + 2, 3 * s + 3]
+        m = lcm(*(c.denominator for x in labels for c in coords[x]))
+        pts = [tuple(c.numerator * (m // c.denominator) for c in coords[x]) for x in labels]
+        at = dict(zip(labels, pts))
+        for i in range(6):
+            if not is_hull_vertex(pts, i):
+                return None, f"ring point {labels[i]} inside prism hull {r}"
+        cap_a = (pts[0], pts[1], pts[2])
+        cap_b = (pts[3], pts[4], pts[5])
+        if not plane_supports(pts, cap_a) or not plane_supports(pts, cap_b):
+            return None, f"ring triangle of prism {r} not a hull face"
+        a = labels[:3]
+        b = labels[3:]
+        for i in range(3):
+            j = (i + 1) % 3
+            placed = False
+            for diag in (((a[i], a[j], b[i]), (a[j], b[j], b[i])),
+                         ((a[i], a[j], b[j]), (a[i], b[j], b[i]))):
+                tris = [tuple(at[x] for x in t) for t in diag]
+                if all(plane_supports(pts, t) for t in tris):
+                    faces.extend(tuple(sorted(t)) for t in diag)
+                    placed = True
+                    break
+            if not placed:
+                return None, f"side quad {a[i]},{a[j]} of prism {r} has no hull diagonal"
+    return faces, None
+
+
+def oracle_hull_facets(points):
+    """Facets of a 6-point hull by rational cross products, as index
+    triples; None when four points are coplanar."""
+    n = len(points)
+    facets = set()
+    for tri in combinations(range(n), 3):
+        a, b, c = (points[i] for i in tri)
+        nrm = cross(sub(b, a), sub(c, a))
+        if is_zero(nrm):
+            continue
+        sides = []
+        for i in range(n):
+            if i in tri:
+                continue
+            s = dot(nrm, sub(points[i], a))
+            sides.append((s > 0) - (s < 0))
+        if 0 in sides:
+            return None
+        if all(s > 0 for s in sides) or all(s < 0 for s in sides):
+            facets.add(frozenset(tri))
+    return facets
+
+
+def oracle_encloses(six, facets, pts, top):
+    """All mesh points strictly inside every facet plane of the six points,
+    except the three glued corners on their own facets, by rational cross
+    products."""
+    for tri in facets:
+        a, b, c = (six[i] for i in sorted(tri))
+        nrm = cross(sub(b, a), sub(c, a))
+        off = next(i for i in range(6) if i not in tri)
+        s = dot(nrm, sub(six[off], a))
+        inner = (s > 0) - (s < 0)
+        for p in pts:
+            if p in top and six.index(p) in tri:
+                continue
+            s = dot(nrm, sub(p, a))
+            if ((s > 0) - (s < 0)) != inner:
+                return False
+    return True
 
 
 def canonical_labeling(T):

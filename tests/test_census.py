@@ -129,6 +129,26 @@ def test_pruned_dfs_yields_exactly_the_orientable_completions(n, monkeypatch):
         assert [_directed(t) for t in handed] == [_directed(t) for t in oracle]
 
 
+@pytest.mark.parametrize("n, strategy", [(7, "a"), (8, "a"), (9, "a"), (7, "b"), (8, "b")])
+def test_class_torus_carries_the_completion_orientation(n, strategy, monkeypatch):
+    """Every class torus reaches the type computation with an orientation
+    equal, face by face, to the one _orient_faces finds on its form."""
+    typed = []
+    original = census_mod.stick_number_and_type
+
+    def recording(T):
+        typed.append((T, T._oriented))
+        return original(T)
+    monkeypatch.setattr(census_mod, "_CENSUS_CACHE", {})
+    monkeypatch.setattr(census_mod, "stick_number_and_type", recording)
+    records = enumerate_tori(n, strategy)
+    assert len(typed) == len(records)
+    for T, handed in typed:
+        assert handed is not None
+        oracle = _orient_faces(T.faces, T.edge_faces)
+        assert [_directed(t) for t in handed] == [_directed(t) for t in oracle]
+
+
 @pytest.mark.parametrize("n, count", [(7, 2), (8, 15), (9, 252)])
 def test_seed_rule_yields_exactly_the_start_flag_completions(n, count, monkeypatch):
     """The seed rule keeps exactly the completions whose seed flag (1, 2, 3)

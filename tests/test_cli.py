@@ -99,6 +99,16 @@ def test_knot_det(tri_file, capsys):
     assert json.loads(capsys.readouterr().out)["determinant"] == 1
 
 
+def test_knot_gauss(tri_file, tmp_path, capsys):
+    trefoil = tmp_path / "trefoil.txt"
+    trefoil.write_text(format_stick_knot(trefoil_6stick()))
+    assert main(["knot", "gauss", "--knot", str(trefoil)]) == 0
+    assert capsys.readouterr().out == "-1 2 -3 1 -2 3\n"
+    # the triangle's diagram has no crossings
+    assert main(["knot", "gauss", "--knot", tri_file]) == 0
+    assert capsys.readouterr().out == "\n"
+
+
 def test_realize_tube(tri_file, tmp_path, capsys):
     out = tmp_path / "tube.off"
     code = main(["realize", "tube", "--knot", tri_file, "-o", str(out)])

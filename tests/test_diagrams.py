@@ -8,6 +8,7 @@ from polytorus.diagrams import (
     DIRECTION_SEQUENCE,
     knot_determinant,
     linking_number,
+    polygon_determinant,
     project_diagram,
 )
 from polytorus.errors import IntersectingCurves, NonGenericDirection
@@ -32,6 +33,14 @@ def test_direction_along_edge_rejected():
     K = triangle_unknot()
     with pytest.raises(NonGenericDirection):
         project_diagram(K, (1, 0, 0))  # parallel to the first edge
+    # a direction given to the invariants is used as it is, never retried
+    far = [(x + 5, y, z + 1) for x, y, z in K.vertices]
+    for invariant in (lambda d: knot_determinant(K, d),
+                      lambda d: polygon_determinant(K.vertices, d),
+                      lambda d: linking_number(K, far, d)):
+        with pytest.raises(NonGenericDirection):
+            invariant((1, 0, 0))
+        assert invariant(None) in (0, 1)
 
 
 def test_trefoil_has_at_least_three_crossings():

@@ -1,23 +1,22 @@
 """Exact predicates: distances, intersections, hull certificates."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from oracles import is_hull_vertex, plane_supports, point_in_hull, point_in_tetra
 from polytorus.geometry import (
     PAIR_RULES,
+    _side_table,
     collinear,
     first_conflict,
     homogeneous_point,
-    integer_points,
-    is_hull_vertex,
     orient3d,
-    plane_supports,
-    point_in_hull,
-    point_in_tetra,
     point_segment_dist2,
     rational_to_decimal,
+    reduce_direction,
     segment_segment_dist2,
     segments_intersect_2d,
     sqrt_floor,
@@ -91,6 +90,8 @@ def test_shared_vertex_only():
 
 
 def test_hull_certificates():
+    """The oracle's Carathéodory predicates, and the side table: its signs
+    are orient3d's and its supporting planes the oracle's."""
     pts = [vec(0, 0, 0), vec(2, 0, 0), vec(0, 2, 0), vec(0, 0, 2),
            vec(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))]
     assert all(is_hull_vertex(pts, i) for i in range(4))
@@ -104,6 +105,24 @@ def test_hull_certificates():
     # a plane through the interior point cuts the tetrahedron
     inner = (pts[0], pts[1], pts[4])
     assert not plane_supports(pts, inner)
+    triples = list(combinations(range(5), 3)) + [(0, 0, 1)]
+    table = _side_table([homogeneous_point(p) for p in pts], triples)
+    for (a, b, c), (plane, signs) in zip(triples, table):
+        assert signs == [orient3d(pts[a], pts[b], pts[c], p) for p in pts]
+        supports = any(plane) and not (1 in signs and -1 in signs)
+        assert supports == plane_supports(pts, (pts[a], pts[b], pts[c]))
+    assert table[triples.index((0, 1, 2))][1] == [0, 0, 0, 1, 1]
+    assert not any(table[-1][0])
+
+
+def test_reduce_direction():
+    """The shortest integer vector along a, by a positive factor."""
+    assert reduce_direction(vec(F(1, 2), F(-1, 3), 2)) == (3, -2, 12)
+    assert reduce_direction(vec(6, -4, 24)) == (3, -2, 12)
+    assert reduce_direction(vec(F(-3, 4), 0, F(9, 8))) == (-2, 0, 3)
+    assert reduce_direction(vec(0, F(5, 7), 0)) == (0, 1, 0)
+    assert reduce_direction(vec(0, 0, 0)) == (0, 0, 0)
+    assert all(type(c) is F for c in reduce_direction(vec(F(1, 2), 1, 0)))
 
 
 def test_orient3d_signs():
@@ -157,13 +176,6 @@ def test_conflict_verdict_invariant_under_rational_motions():
         assert moved == base
         checked += 1
     assert checked >= 40
-
-
-def test_integer_points_scale_by_common_denominator():
-    pts = [vec(F(1, 2), F(-1, 3), 2), vec(F(5, 6), 0, F(-7, 4))]
-    # lcm(2, 3, 4, 6) = 12
-    assert integer_points(pts) == [(6, -4, 24), (10, 0, -21)]
-    assert all(type(c) is int for p in integer_points(pts) for c in p)
 
 
 POINT = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2))

@@ -1,13 +1,21 @@
 """Exact realizations: radius choice, tubes, complements, cyclic polytopes,
 mesh I/O.  The expensive trefoil constructions live in the acceptance suite;
-everything here sticks to the triangle unknot and small k."""
+apart from one trefoil tube, everything here sticks to the triangle unknot
+and small k."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from oracles import oracle_verify_embedding, supporting_plane_of_edge
+from oracles import (
+    oracle_encloses,
+    oracle_hull_facets,
+    oracle_prism_faces,
+    oracle_verify_embedding,
+    supporting_plane_of_edge,
+)
 from polytorus.cycles import homology_basis, cycle_signature, stick_number_and_type
 from polytorus.errors import (
     DegenerateFace,
@@ -18,8 +26,18 @@ from polytorus.errors import (
     SeparatingCycle,
 )
 from polytorus.generators import ring_cycle
-from polytorus.geometry import PAIR_RULES, add, collinear, dot, norm2, scale, sub
-from polytorus.knots import StickKnot, triangle_unknot
+from polytorus.geometry import (
+    PAIR_RULES,
+    add,
+    collinear,
+    dot,
+    homogeneous_point,
+    norm2,
+    orient3d,
+    scale,
+    sub,
+)
+from polytorus.knots import StickKnot, trefoil_6stick, triangle_unknot
 import polytorus.realization as realization
 from polytorus.realization import (
     ExactRadius,
@@ -62,7 +80,6 @@ def test_exact_radius_arithmetic():
     r = ExactRadius.from_value(Fraction(3, 2))
     assert r.sq == Fraction(9, 4)
     assert r.halved().sq == Fraction(9, 16)
-    assert r.scaled(2).sq == 9
 
 
 def test_tube_triangle(tri_tube):
@@ -418,3 +435,114 @@ def test_tube_rotated_z_onto_x(perm, signs):
     assert verify_embedding(mesh).ok
     assert core_curve(mesh) == K
     assert knot_determinant(core_curve(mesh)) == 1
+
+
+def _rational(p):
+    """The rational point of a homogeneous one."""
+    return tuple(Fraction(c, p[3]) for c in p[:3])
+
+
+def test_hull_certificates_match_oracle_on_constructions(monkeypatch):
+    """Every prism set the tube and complement constructions certify or
+    reject gets the Carathéodory oracle's verdict, reason and faces; every
+    candidate octahedron its rational facets and enclosure verdict."""
+    from polytorus.realization import complement_construction
+    prisms, tables = [], []
+    prism_faces, hull_table = realization._prism_faces, realization._hull_table
+
+    def recorded_prisms(coords, k):
+        prisms.append((dict(coords), k, prism_faces(coords, k)))
+        return prisms[-1][2]
+
+    def recorded_table(points):
+        tables.append((points, hull_table(points)))
+        return tables[-1][1]
+    monkeypatch.setattr(realization, "_prism_faces", recorded_prisms)
+    monkeypatch.setattr(realization, "_hull_table", recorded_table)
+    for perm, signs in [((0, 1, 2), (1, 1, 1))] + Z_ONTO_X:
+        K = StickKnot([tuple(signs[i] * v[perm[i]] for i in range(3))
+                       for v in triangle_unknot().vertices])
+        for eps in (None, "1", "1/2", "1/20"):
+            try:
+                tube_construction(K, eps and ExactRadius.from_value(eps))
+            except EpsilonTooLarge:
+                pass
+    tube_construction(trefoil_6stick())
+    complement_construction(triangle_unknot())
+    reasons = set()
+    for coords, k, got in prisms:
+        assert got == oracle_prism_faces(coords, k)
+        reasons.add(got[1] and " ".join(got[1].split()[:2]))
+    assert reasons == {None, "ring point", "ring triangle", "side quad"}
+    octahedra = [(p, t) for p, t in tables if len(p) > 6]
+    assert octahedra
+    for points, table in octahedra:
+        six, pts = [_rational(p) for p in points[:6]], [_rational(p) for p in points[6:]]
+        facets = realization._hull_facets(table)
+        assert facets == oracle_hull_facets(six)
+        if facets:
+            inside = [6 + m for m, p in enumerate(pts) if p not in six[:3]]
+            assert realization._encloses(table, facets, inside) \
+                == oracle_encloses(six, facets, pts, six[:3])
+
+
+GRID = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 1, 2, 3)))
+GRID_POINT = st.tuples(GRID, GRID, GRID)
+
+
+@st.composite
+def prism_points(draw):
+    """Six distinct points on a small rational grid that span space, as
+    two rings of three; half the time the second ring is the first moved
+    by one vector and jiggled, so that hull prisms are common."""
+    ring_a = draw(st.lists(GRID_POINT, min_size=3, max_size=3))
+    if draw(st.booleans()):
+        move = draw(GRID_POINT)
+        jiggle = st.sampled_from((Fraction(-1, 2), 0, 0, Fraction(1, 2)))
+        ring_b = [tuple(c + m + draw(jiggle) for c, m in zip(p, move)) for p in ring_a]
+    else:
+        ring_b = draw(st.lists(GRID_POINT, min_size=3, max_size=3))
+    pts = ring_a + ring_b
+    assume(len(set(pts)) == 6)
+    assume(any(orient3d(*q) for q in combinations(pts, 4)))
+    return pts
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(prism_points())
+def test_prism_certificate_matches_oracle(pts):
+    """On two rings of three points that span space, both prisms of k = 2
+    get the oracle's verdict, reason and faces."""
+    coords = dict(enumerate(pts, start=1))
+    assert realization._prism_faces(coords, 2) == oracle_prism_faces(coords, 2)
+
+
+def test_prism_certificate_rejects_inner_and_repeated_points():
+    """A point inside the tetrahedron of four others, or equal to another
+    point, is no hull vertex."""
+    F = Fraction
+    tetra = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)]
+    for pts, reason in (
+            (tetra + [(F(1, 2), F(1, 2), F(1, 2)), (3, 3, 3)], "ring point 5 inside prism hull 0"),
+            (tetra + [(2, 0, 0), (3, 3, 3)], "ring point 2 inside prism hull 0")):
+        coords = {i: tuple(map(F, p)) for i, p in enumerate(pts, start=1)}
+        assert realization._prism_faces(coords, 2) == (None, reason) \
+            == oracle_prism_faces(coords, 2)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=7, max_size=7, unique=True))
+def test_hull_facets_match_oracle(points):
+    """The side table's facets of six grid points are the rational ones,
+    four coplanar points giving None in both; so is the verdict on whether
+    their centroid, alone or with a seventh point, lies strictly inside."""
+    pts = [tuple(map(Fraction, p)) for p in points]
+    pts.append(tuple(sum(p[i] for p in pts[:6]) / 6 for i in range(3)))
+    table = realization._hull_table([homogeneous_point(p) for p in pts])
+    facets = realization._hull_facets(table)
+    assert facets == oracle_hull_facets(pts[:6])
+    if facets:
+        for inside in ([7], [6, 7]):
+            assert realization._encloses(table, facets, inside) == oracle_encloses(
+                pts[:6], facets, [pts[i] for i in inside], pts[:3])
