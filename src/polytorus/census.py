@@ -11,9 +11,12 @@ Two independent generation strategies back each other up:
   key, so it builds each class once per Aut-orbit of those flags;
 
 * strategy B (cross-check): closes the link of the smallest unfinished
-  vertex in all admissible cyclic orders, with only edge-multiplicity
-  pruning, and validates every completion with the full surface validator,
-  which rejects the Klein bottles.
+  vertex in all admissible cyclic orders, with its own link bookkeeping
+  (per-vertex link adjacency kept as faces come and go), its own coherent
+  orientation rule, which never builds a Klein bottle, and a screen that
+  drops a link with a closed cycle beside its open paths.  It shares no
+  code with A, and every completion still goes through the full surface
+  validator.
 
 Both deduplicate through the canonical key of ``surfaces``: the minimum
 visit-order code over the start flags (a, b, c), where a minimizes (degree,
@@ -37,6 +40,7 @@ from .generators import minimal_torus_3k
 from .surfaces import SimplicialTorus, _key_scan, _start_pairs, canonical_form, is_isomorphic
 
 N_MIN, N_MAX = 7, 11
+K_MIN, K_MAX = 3, (N_MAX + 2) // 3  # Theorem 3.1's k, with 3k - 2 <= N_MAX
 
 TIME_BUDGET_ENV = "TORUS_TIME_BUDGET_SECS"
 
@@ -331,109 +335,111 @@ def _generate_strategy_b(n, budget):
 
     Control flow is organized around whole vertex links instead of open
     edges: the link of the smallest unfinished vertex is completed in every
-    admissible cyclic order before the next vertex is touched.  Only edge
-    multiplicities are tracked; completions are screened by the full
-    surface validator in the caller.
+    admissible cyclic order before the next vertex is touched, so the
+    vertices below it are the closed ones.  Every vertex's link adjacency is
+    kept up to date as faces come and go, and an edge's multiplicity is its
+    degree in either endpoint's link.  ``runs`` maps each open edge to the
+    direction its one face runs along it.  Each face is glued along the open
+    edge {v, start} and runs against the face there; a face running along
+    another open edge the way its face does would close a Moebius band, so
+    it is never added.  A link holding a closed cycle beside open paths can
+    never become one cycle, and is dropped.  The caller still runs the full
+    surface validator on every completion.
     """
     target_f = 2 * n
-    ec = {}
-    faces = []
-    faceset = set()
-    closed = set()
+    link = {v: {} for v in range(1, n + 1)}  # vertex -> link vertex -> its link neighbours
+    runs = {}                                # sorted open edge -> (a, b): its face runs a -> b
+    faces = []                               # oriented triples
     results = []
 
     def edge(a, b):
         return (a, b) if a < b else (b, a)
 
-    def add_face(f):
-        faces.append(f)
-        faceset.add(f)
-        for e in (edge(f[0], f[1]), edge(f[0], f[2]), edge(f[1], f[2])):
-            ec[e] = ec.get(e, 0) + 1
+    def add_face(tri):
+        faces.append(tri)
+        a, b, c = tri
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            lx = link[x]
+            lx.setdefault(y, set()).add(z)
+            lx.setdefault(z, set()).add(y)
+            if runs.pop(edge(x, y), None) is None:
+                runs[edge(x, y)] = (x, y)
 
-    def pop_face(f):
+    def pop_face(tri):
         faces.pop()
-        faceset.discard(f)
-        for e in (edge(f[0], f[1]), edge(f[0], f[2]), edge(f[1], f[2])):
-            if ec[e] == 1:
-                del ec[e]
+        a, b, c = tri
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            lx = link[x]
+            for p, q in ((y, z), (z, y)):
+                lx[p].discard(q)
+                if not lx[p]:
+                    del lx[p]
+            e = edge(x, y)
+            if e in runs:
+                del runs[e]
             else:
-                ec[e] -= 1
+                runs[e] = (y, x)  # the face left on e runs against tri
 
-    def path_end(adj, start):
-        """Other endpoint of the link path starting at ``start``."""
-        prev, cur = None, start
-        while True:
-            nxt = [x for x in adj[cur] if x != prev]
-            if not nxt:
-                return cur
-            prev, cur = cur, nxt[0]
+    def glue(v, start, b):
+        """Face {v, start, b} running against the face on the open edge
+        {v, start}, or None if the edge {start, b} is full or the face runs
+        along an open edge the way that edge's face does.  The edge {v, b}
+        is never full: b is a path end of v's link or outside it, so no link
+        vertex gets a third neighbour and no face is added twice."""
+        if len(link[start].get(b, ())) == 2:
+            return None
+        tri = (start, v, b) if runs[edge(v, start)] == (v, start) else (v, start, b)
+        x, y, z = tri
+        if runs.get(edge(y, z)) == (y, z) or runs.get(edge(z, x)) == (z, x):
+            return None
+        return tri
 
     def close_vertex(v, maxlab):
         budget.check()
-        adj = {}
-        for f in faces:
-            if v in f:
-                a, b = (x for x in f if x != v)
-                adj.setdefault(a, set()).add(b)
-                adj.setdefault(b, set()).add(a)
-        if any(len(nb) > 2 for nb in adj.values()):
-            return
+        adj = link[v]
         ends = [a for a, nb in adj.items() if len(nb) == 1]
-        if not ends:
-            if adj and _single_cycle(adj):
-                advance(v, maxlab)
-            return
-        grow(v, maxlab, adj, len(ends) // 2)
+        # each path is walked from both its ends, a lone cycle once
+        covered = (sum(_link_walk(adj, a)[1] for a in ends) // 2 if ends
+                   else _link_walk(adj, next(iter(adj)))[1])
+        if covered != len(adj):
+            return  # a closed cycle beside the paths, or several cycles
+        if ends:
+            grow(v, maxlab, len(ends) // 2)
+        else:
+            advance(v, maxlab)
 
-    def grow(v, maxlab, adj, ncomp):
+    def grow(v, maxlab, ncomp):
         budget.check()
         if len(faces) + ncomp > target_f or len(faces) + (n - maxlab) > target_f:
             return
-        ends = sorted(a for a, nb in adj.items() if len(nb) == 1)
-        start = ends[0]
-        mate = path_end(adj, start)
-        if ec[edge(v, start)] >= 2:
-            return
+        adj = link[v]
+        start = min(a for a, nb in adj.items() if len(nb) == 1)
+        mate = _link_walk(adj, start)[0]
         # closing move: one path left, join its two ends
         if ncomp == 1 and len(adj) >= 3:
-            f = tuple(sorted((v, start, mate)))
-            if f not in faceset and ec.get(edge(start, mate), 0) < 2 \
-                    and ec[edge(v, mate)] < 2:
-                add_face(f)
+            tri = glue(v, start, mate)
+            if tri is not None:
+                add_face(tri)
                 advance(v, maxlab)
-                pop_face(f)
-        # extension moves: endpoint of another path, an existing vertex not
-        # yet in the link, or one fresh label
-        cands = [b for b in ends if b not in (start, mate)]
-        cands += [b for b in range(2, maxlab + 1)
-                  if b != v and b not in adj and b not in closed]
-        if maxlab < n:
-            cands.append(maxlab + 1)
-        for b in sorted(set(cands)):
-            f = tuple(sorted((v, start, b)))
-            if f in faceset:
+                pop_face(tri)
+        # extension moves: endpoint of another path, an open vertex not yet
+        # in the link, or one fresh label
+        for b in range(v + 1, min(maxlab + 1, n) + 1):
+            nb = adj.get(b)
+            if nb is not None and (len(nb) == 2 or b == start or b == mate):
                 continue
-            if ec.get(edge(v, b), 0) >= 2 or ec.get(edge(start, b), 0) >= 2:
+            tri = glue(v, start, b)
+            if tri is None:
                 continue
-            joining = b in adj
-            add_face(f)
-            adj.setdefault(b, set()).add(start)
-            adj[start].add(b)
-            grow(v, max(maxlab, b), adj, ncomp - 1 if joining else ncomp)
-            adj[start].discard(b)
-            adj[b].discard(start)
-            if not adj[b]:
-                del adj[b]
-            pop_face(f)
+            add_face(tri)
+            grow(v, max(maxlab, b), ncomp if nb is None else ncomp - 1)
+            pop_face(tri)
 
     def advance(v, maxlab):
-        closed.add(v)
         if v + 1 <= maxlab:
             close_vertex(v + 1, maxlab)
         elif maxlab == n and len(faces) == target_f and v == n:
             results.append(list(faces))
-        closed.discard(v)
 
     # first face is (1,2,3) up to relabeling
     add_face((1, 2, 3))
@@ -442,21 +448,20 @@ def _generate_strategy_b(n, budget):
     yield from results
 
 
-def _single_cycle(adj):
-    if any(len(nb) != 2 for nb in adj.values()):
-        return False
-    start = next(iter(adj))
-    prev, cur = start, sorted(adj[start])[0]
-    count = 1
+def _link_walk(adj, start):
+    """Walk a link from ``start``, a path end or a vertex on a cycle, to the
+    path's other end or back round to ``start``; return where the walk
+    stopped and how many vertices it covered."""
+    prev, cur, count = start, next(iter(adj[start])), 1
     while cur != start:
-        nxt = [x for x in adj[cur] if x != prev]
-        if len(nxt) != 1:
-            return False
-        prev, cur = cur, nxt[0]
         count += 1
-        if count > len(adj):
-            return False
-    return count == len(adj)
+        for nxt in adj[cur]:
+            if nxt != prev:
+                break
+        else:
+            return cur, count
+        prev, cur = cur, nxt
+    return start, count
 
 
 # -- public API -------------------------------------------------------------------
@@ -472,12 +477,7 @@ def _completions(n, strategy, budget):
     copies included."""
     for faces in _STRATEGIES[strategy](n, budget):
         if strategy == "b":
-            try:
-                T = SimplicialTorus(faces)
-            except PolytorusError:
-                continue
-            if T.n_vertices != n:
-                continue
+            T = SimplicialTorus(faces)  # the full validator
         else:
             # the seed face (1, 2, 3) runs 1 -> 2 -> 3 and is the least face,
             # which is how _orient_faces orients it, so no flip is needed
@@ -549,15 +549,24 @@ def enumerate_tori(n: int, strategy: str = "a", time_budget: float | None = None
 
 
 def census_counts_agree(n: int, time_budget: float | None = None) -> tuple[int, int]:
-    """Run both strategies; return the two counts (they must match)."""
+    """Run both strategies; return the two counts.  Raise, naming the least
+    form whose records differ, unless both give the same records."""
     a = enumerate_tori(n, "a", time_budget)
     b = enumerate_tori(n, "b", time_budget)
-    forms_a = {r.canonical_faces for r in a}
-    forms_b = {r.canonical_faces for r in b}
-    if forms_a != forms_b:
+    if a != b:
+        by_a = {r.canonical_faces: r for r in a}
+        by_b = {r.canonical_faces: r for r in b}
+        form = min(f for f in by_a.keys() | by_b.keys() if by_a.get(f) != by_b.get(f))
         raise PolytorusError(
-            f"strategies disagree at n={n}: {len(forms_a)} vs {len(forms_b)}")
+            f"strategies disagree at n={n} ({len(a)} vs {len(b)} classes), first on "
+            f"{form}: {_record_summary(by_a.get(form))} vs {_record_summary(by_b.get(form))}")
     return len(a), len(b)
+
+
+def _record_summary(rec):
+    if rec is None:
+        return "absent"
+    return f"{rec.type_str}, equivelar={rec.equivelar}, |Aut|={rec.automorphism_order}"
 
 
 @dataclass
@@ -583,9 +592,9 @@ def no_torus_below_seven(n: int) -> bool:
 def census_verify_theorem31(k: int, time_budget: float | None = None) -> Theorem31Report:
     """Check at census scale: no type-3xk torus below 3k-2 vertices, and a
     unique one (the generator output) at 3k-2."""
+    if not K_MIN <= k <= K_MAX:
+        raise OutOfRange(k, K_MIN, K_MAX, "K")
     n_min = 3 * k - 2
-    if n_min > N_MAX:
-        raise OutOfRange(n_min, N_MIN, N_MAX)
     below = {}
     for n in range(max(N_MIN, 3 * k - 4), n_min):
         records = enumerate_tori(n, "a", time_budget)

@@ -77,9 +77,9 @@ class InvalidK(PolytorusError):
 
 
 class OutOfRange(PolytorusError):
-    def __init__(self, n, lo, hi):
+    def __init__(self, n, lo, hi, name="n"):
         self.n = n
-        super().__init__(f"census supports {lo} <= n <= {hi}, got {n}")
+        super().__init__(f"census supports {lo} <= {name} <= {hi}, got {n}")
 
 
 # -- geometry errors -----------------------------------------------------------

@@ -1,5 +1,6 @@
 """Census plumbing at fast sizes; the full n=9/10 runs live in acceptance."""
 
+import dataclasses
 import hashlib
 import os
 
@@ -99,6 +100,61 @@ ORIENTABLE_COMPLETIONS = {
     8: (31, "3d37f5ccefcc02b102b59f3b67d2ac341d7d90d3bcd9c2fc94c243fc8e533535"),
     9: (947, "c30bf0ac9239e1a6ea3ac7d554fae6abb87ddd005423fa87d738c99c1f74b482"),
 }
+
+
+# Strategy B's completions that pass the full validator, as recorded from the
+# search that built every completion, Klein bottles and several-component
+# links included, before its orientation rule and link screen: count and
+# sha256 of the sorted face lists, one per line.
+STRATEGY_B_COMPLETIONS = {
+    7: (2, "ecb3dabbbda97b23b99d6f7fcf5aff1ade29c9f75a4a760559c48a9e29313d9e"),
+    8: (195, "227b1ffbb09719108c3eaec5be2c0ba0467a722a34cae93949e6bb68500cd0b8"),
+    9: (8386, "a8614d19e33348a4a04f804408d2886be6922a9092e9af62378b612bd5e5cb82"),
+}
+
+
+def _digest(face_lists):
+    forms = sorted(tuple(sorted(tuple(sorted(f)) for f in faces)) for faces in face_lists)
+    text = "\n".join(" ".join(f"{a},{b},{c}" for a, b, c in f) for f in forms)
+    return len(forms), hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n", sorted(STRATEGY_B_COMPLETIONS))
+def test_strategy_b_yields_exactly_the_validated_completions(n):
+    """Every raw completion of strategy B passes the full validator, and
+    they are exactly the validated completions of the unscreened search."""
+    raw = list(census_mod._generate_strategy_b(n, census_mod._Budget(None)))
+    assert _digest(raw) == STRATEGY_B_COMPLETIONS[n]
+    for faces in raw:
+        report = validate_surface(faces)
+        assert (report.euler, report.orientable, report.n_vertices) == (0, True, n)
+
+
+def test_theorem31_k_range_checked():
+    for k in (0, 2, 5):
+        with pytest.raises(OutOfRange, match=f"3 <= K <= 4, got {k}$"):
+            census_verify_theorem31(k)
+
+
+@pytest.mark.parametrize("index, change", [
+    (3, lambda rec: dataclasses.replace(rec, automorphism_order=rec.automorphism_order + 1)),
+    (3, lambda rec: dataclasses.replace(rec, equivelar=not rec.equivelar)),
+    (5, lambda rec: None),
+])
+def test_counts_agree_names_the_first_differing_form(index, change, monkeypatch):
+    records = enumerate_tori(8)
+    assert census_mod.census_counts_agree(8) == (7, 7)
+    real = census_mod.enumerate_tori
+
+    def disagreeing(n, strategy="a", time_budget=None):
+        got = real(n, strategy, time_budget)
+        if strategy == "b":
+            got[index] = change(got[index])
+        return [r for r in got if r is not None]
+    monkeypatch.setattr(census_mod, "enumerate_tori", disagreeing)
+    with pytest.raises(PolytorusError, match="strategies disagree at n=8") as err:
+        census_mod.census_counts_agree(8)
+    assert f"first on {records[index].canonical_faces}:" in str(err.value)
 
 
 def _directed(tri):

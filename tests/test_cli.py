@@ -74,8 +74,10 @@ def test_census_progress_on_stderr_only(monkeypatch, capsys):
 CENSUS_STDOUT = {
     "--n 7": "43078ad017d5acd10b70bbff20161cfd0f165e36d88c8e2e05aff434cb16bb27",
     "--n 8": "a314b3e7f908b64288d59b1efe47bb8205eff409d270342e4b6772ddf3022810",
+    "--n 7 --strategy b": "43078ad017d5acd10b70bbff20161cfd0f165e36d88c8e2e05aff434cb16bb27",
     "--n 8 --strategy b": "a314b3e7f908b64288d59b1efe47bb8205eff409d270342e4b6772ddf3022810",
     "--n 9": "0c26dbf292e5017177c567601a9373968d212a6a2a608dad6be29bf29eefa01f",
+    "--n 9 --strategy b": "0c26dbf292e5017177c567601a9373968d212a6a2a608dad6be29bf29eefa01f",
 }
 
 
@@ -83,6 +85,14 @@ CENSUS_STDOUT = {
 def test_census_stdout_matches_recorded_digests(args, capsys):
     assert main(["census", *args.split()]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CENSUS_STDOUT[args]
+
+
+@pytest.mark.parametrize("k", [0, 2, 5])
+def test_census_verify_thm31_names_k_out_of_range(k, capsys):
+    assert main(["census", "--n", "7", "--verify-thm31", str(k)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: census supports 3 <= K <= 4, got {k}\n"
 
 
 def test_census_bad_time_budget(monkeypatch, capsys):
