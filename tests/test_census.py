@@ -130,12 +130,6 @@ def test_strategy_b_yields_exactly_the_validated_completions(n):
         assert (report.euler, report.orientable, report.n_vertices) == (0, True, n)
 
 
-def test_theorem31_k_range_checked():
-    for k in (0, 2, 5):
-        with pytest.raises(OutOfRange, match=f"3 <= K <= 4, got {k}$"):
-            census_verify_theorem31(k)
-
-
 @pytest.mark.parametrize("index, change", [
     (3, lambda rec: dataclasses.replace(rec, automorphism_order=rec.automorphism_order + 1)),
     (3, lambda rec: dataclasses.replace(rec, equivelar=not rec.equivelar)),
@@ -173,9 +167,7 @@ def test_pruned_dfs_yields_exactly_the_orientable_completions(n, monkeypatch):
     orientation is _orient_faces's."""
     monkeypatch.setattr(census_mod, "_seed_may_start", lambda st, face=None: True)
     tori = list(census_mod._completions(n, "a", census_mod._Budget(None)))
-    forms = sorted(T.faces for T in tori)
-    text = "\n".join(" ".join(f"{a},{b},{c}" for a, b, c in f) for f in forms)
-    assert (len(forms), hashlib.sha256(text.encode()).hexdigest()) == ORIENTABLE_COMPLETIONS[n]
+    assert _digest(T.faces for T in tori) == ORIENTABLE_COMPLETIONS[n]
     for T in tori:
         report = validate_surface(T.faces)
         assert (report.euler, report.orientable, report.n_vertices) == (0, True, n)
