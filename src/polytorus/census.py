@@ -21,10 +21,12 @@ Two independent generation strategies back each other up:
 Both deduplicate through the canonical key of ``surfaces``: the minimum
 visit-order code over the start flags (a, b, c), where a minimizes (degree,
 sorted neighbour degrees) and b minimizes it among a's neighbours.  The
-flags tying the key give the automorphism group.  The sorted canonical form
-the records publish is computed once per new class, one flag per orbit of
-the group.  The group and the completion's orientation, carried onto the
-form's labels, are handed to the class torus whose type is computed.
+flags tying the key give the automorphism group.  A class's record is
+built from the completion that first found it: the sorted canonical form
+the records publish (one flag traversed per orbit of the group), and the
+type, which reads the group and the completion's own orientation.  The
+type, |Aut| and the equivelar flag are invariants, so any completion of
+the class gives the same record.
 """
 
 from __future__ import annotations
@@ -486,19 +488,6 @@ def _completions(n, strategy, budget):
         yield T
 
 
-def _carry_orientation(oriented, labels, form):
-    """The oriented faces relabeled by ``labels``, in ``form``'s face order
-    and reversed if need be so that, as ``_orient_faces`` does, the first
-    face (a, b, c), a < b < c, runs a -> b -> c."""
-    by_face = {}
-    for face in oriented:
-        t = tuple(labels[v] for v in face)
-        by_face[tuple(sorted(t))] = t
-    a, b, c = form[0]
-    keep = by_face[form[0]] in ((a, b, c), (b, c, a), (c, a, b))
-    return [t if keep else (t[0], t[2], t[1]) for t in map(by_face.get, form)]
-
-
 def enumerate_tori(n: int, strategy: str = "a", time_budget: float | None = None,
                    progress=None) -> list[CensusRecord]:
     """All n-vertex torus triangulations up to isomorphism, 7 <= n <= 11.
@@ -520,30 +509,21 @@ def enumerate_tori(n: int, strategy: str = "a", time_budget: float | None = None
         key, ties = _key_scan(T)
         if key not in seen:
             # the flags tying the key give Aut(T) (see automorphism_group): the
-            # form scan skips its orbits; on the form's labels it is the class's
+            # form scan skips its orbits and the type reads it
             inv = {new: old for old, new in ties[0].items()}
             T._automorphisms = tuple({v: inv[new] for v, new in tie.items()} for tie in ties)
-            form, labels = canonical_form(T, labeling=True)
-            autos = tuple({labels[v]: labels[w] for v, w in g.items()}
-                          for g in T._automorphisms)
-            seen[key] = (form, autos, _carry_orientation(T.oriented_faces, labels, form))
+            res = stick_number_and_type(T)
+            seen[key] = CensusRecord(
+                canonical_faces=canonical_form(T),
+                n=n,
+                m=res.m,
+                s=res.s,
+                equivelar=len({len(nb) for nb in T.neighbors.values()}) == 1,
+                automorphism_order=len(ties),
+            )
         if progress is not None:
             progress(len(seen))
-    records = []
-    for form, autos, oriented in sorted(seen.values(), key=lambda rec: rec[0]):
-        T = SimplicialTorus(form, _skip_validation=True)
-        T._automorphisms = autos
-        T._oriented = oriented
-        res = stick_number_and_type(T)
-        degs = {T.degree(v) for v in range(1, T.n_vertices + 1)}
-        records.append(CensusRecord(
-            canonical_faces=form,
-            n=T.n_vertices,
-            m=res.m,
-            s=res.s,
-            equivelar=(len(degs) == 1),
-            automorphism_order=len(autos),
-        ))
+    records = sorted(seen.values(), key=lambda rec: rec.canonical_faces)
     _CENSUS_CACHE[(n, strategy)] = records
     return list(records)
 
@@ -589,11 +569,16 @@ def no_torus_below_seven(n: int) -> bool:
     return 3 * n > n * (n - 1) // 2
 
 
+def check_theorem31_k(k: int):
+    """Raise OutOfRange unless the census reaches 3k-2 vertices for this k."""
+    if not K_MIN <= k <= K_MAX:
+        raise OutOfRange(k, K_MIN, K_MAX, "K")
+
+
 def census_verify_theorem31(k: int, time_budget: float | None = None) -> Theorem31Report:
     """Check at census scale: no type-3xk torus below 3k-2 vertices, and a
     unique one (the generator output) at 3k-2."""
-    if not K_MIN <= k <= K_MAX:
-        raise OutOfRange(k, K_MIN, K_MAX, "K")
+    check_theorem31_k(k)
     n_min = 3 * k - 2
     below = {}
     for n in range(max(N_MIN, 3 * k - 4), n_min):

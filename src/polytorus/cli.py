@@ -81,6 +81,8 @@ def _census_progress(n):
 
 
 def _cmd_census(args) -> int:
+    if args.verify_thm31 is not None:
+        census_mod.check_theorem31_k(args.verify_thm31)  # before any census runs
     progress = _census_progress(args.n) if args.progress else None
     records = census_mod.enumerate_tori(args.n, args.strategy, progress=progress)
     if progress is not None:

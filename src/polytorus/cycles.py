@@ -82,10 +82,6 @@ class HomologyBasis:
     leftover_edges: tuple
     fundamental_cycles: tuple  # per leftover edge (u, v): tree path u..v
 
-    def signature(self, u: int, v: int) -> HomologySignature:
-        p, q = self.edge_sig[(u, v)]
-        return HomologySignature(p, q)
-
 
 def homology_basis(T: SimplicialTorus) -> HomologyBasis:
     """Tree-cotree signature assignment; raises NotGenusOne off the torus."""

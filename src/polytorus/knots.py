@@ -37,10 +37,6 @@ class StickKnot:
         self.vertices: tuple[Vec, ...] = verts
         self.k = k
 
-    def edges(self):
-        v = self.vertices
-        return [(v[i], v[(i + 1) % self.k]) for i in range(self.k)]
-
     def is_general_position(self) -> bool:
         """No 3 vertices collinear, no 4 coplanar."""
         v = self.vertices

@@ -49,6 +49,8 @@ from .errors import (
 from .generators import hamiltonian_sequence, minimal_torus_3k, ring_cycle, tube_complex
 from .geometry import (
     Vec,
+    _line,
+    _plane,
     _side_table,
     add,
     approx_unit,
@@ -578,20 +580,20 @@ def _build_complement(K: StickKnot, tube: Mesh) -> Mesh:
         slope = dot(plane_n, sub(pw, m))
         if denom == 0 or slope >= 0:
             continue
+        new_faces = [f for f in tube.complex.faces if f != f_old]
+        new_faces += [tuple(sorted(tr)) for tr in
+                      ((v1, v2, y_label), (v1, y_label, w), (v2, y_label, w))]
+        try:
+            torus2 = SimplicialTorus(new_faces)
+        except PolytorusError as exc:
+            raise EnclosureFailure(f"subdivision broke the torus: {exc}")
         t = Fraction(1, 4)
         for _ in range(60):
             h = -t * slope / denom
             y = add(m, add(scale(sub(pw, m), t), scale(n_f, h)))
             assert dot(plane_n, y) == c
-            new_faces = [f for f in tube.complex.faces if f != f_old]
-            new_faces += [tuple(sorted(tr)) for tr in
-                          ((v1, v2, y_label), (v1, y_label, w), (v2, y_label, w))]
             coords = dict(tube.coords)
             coords[y_label] = y
-            try:
-                torus2 = SimplicialTorus(new_faces)
-            except PolytorusError as exc:
-                raise EnclosureFailure(f"subdivision broke the torus: {exc}")
             cand = Mesh(coords, torus2, {})
             if verify_embedding(cand).ok:
                 sub_mesh = (cand, y, w)
@@ -767,21 +769,12 @@ def _moment_point(t: int):
     return (t, t * t, t ** 3, t ** 4)
 
 
-def _cross4(a, b, c):
-    """Vector orthogonal to three 4-vectors (generalized cross product)."""
-    out = []
-    for i in range(4):
-        cols = [j for j in range(4) if j != i]
-        det = _det3([[a[j] for j in cols], [b[j] for j in cols], [c[j] for j in cols]])
-        out.append(det if i % 2 == 0 else -det)
-    return tuple(out)
-
-
 def _facet_plane(positions):
     """Integer normal N and offset c of the hyperplane N.x = c through the
     moment points at four positions."""
     p = [_moment_point(t) for t in positions]
-    N = _cross4(*(tuple(x - y for x, y in zip(q, p[0])) for q in p[1:]))
+    a, b, c = (tuple(x - y for x, y in zip(q, p[0])) for q in p[1:])
+    N = _plane(_line(a, b), c)  # orthogonal to a, b and c
     return N, _dot4(N, p[0])
 
 
@@ -854,13 +847,10 @@ def cyclic_polytope_realization(k: int) -> Mesh:
         return tuple(vx + t * (px - vx) for vx, px in zip(viewpoint, p4))
 
     basis = [tuple(p - q for p, q in zip(fp[i], fp[0])) for i in (1, 2, 3)]
-    rows = _independent_rows(basis)
+    rows, frame = _independent_rows(basis)
 
     def to3d(q4):
-        rhs = [q4[r] - fp[0][r] for r in rows]
-        m = [[basis[j][r] for j in range(3)] for r in rows]
-        sol = _solve3(m, rhs)
-        return tuple(sol)
+        return tuple(_solve3(frame, [q4[r] - fp[0][r] for r in rows]))
 
     coords = {}
     for v in pos:
@@ -875,7 +865,6 @@ def cyclic_polytope_realization(k: int) -> Mesh:
     })
     res = stick_number_and_type(T)
     mesh.provenance["core_determinant"] = polygon_determinant(mesh.cycle_points(res.witness_s))
-    mesh.provenance["meridian_determinant"] = polygon_determinant(mesh.cycle_points(res.witness_m))
     mesh.embedding = verify_embedding(mesh)
     if not mesh.embedding.ok:
         raise PolytorusError(f"Schlegel projection self-intersects: {mesh.embedding.witness}")
@@ -883,28 +872,20 @@ def cyclic_polytope_realization(k: int) -> Mesh:
 
 
 def _independent_rows(basis):
+    """Three coordinates in which the three 4-vectors ``basis`` stay
+    independent, and the vectors read in those coordinates."""
     for rows in combinations(range(4), 3):
-        m = [[basis[j][r] for j in range(3)] for r in rows]
-        if _det3(m) != 0:
-            return rows
+        frame = [tuple(b[r] for r in rows) for b in basis]
+        if dot(cross(frame[0], frame[1]), frame[2]) != 0:
+            return rows, frame
     raise PolytorusError("degenerate facet frame")
 
 
-def _det3(m):
-    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-
-
-def _solve3(m, rhs):
-    d = _det3(m)
-    out = []
-    for col in range(3):
-        mm = [row[:] for row in m]
-        for r in range(3):
-            mm[r][col] = rhs[r]
-        out.append(Fraction(_det3(mm), 1) / d)
-    return out
+def _solve3(cols, rhs):
+    """x with x[0] cols[0] + x[1] cols[1] + x[2] cols[2] = rhs, by Cramer's rule."""
+    c0, c1, c2 = cols
+    d = dot(cross(c0, c1), c2)
+    return [Fraction(dot(cross(a, b), rhs), d) for a, b in ((c1, c2), (c2, c0), (c0, c1))]
 
 
 # -- mesh I/O --------------------------------------------------------------------

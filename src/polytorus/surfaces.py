@@ -111,10 +111,6 @@ class Cycle:
     def __len__(self):
         return len(self.vertices)
 
-    def edges(self):
-        v = self.vertices
-        return [tuple(sorted((v[i], v[(i + 1) % len(v)]))) for i in range(len(v))]
-
     def directed_edges(self):
         v = self.vertices
         return [(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
@@ -472,11 +468,10 @@ def _canonical_scan(T: SimplicialTorus):
     return best, best_labeling
 
 
-def canonical_form(T: SimplicialTorus, labeling: bool = False):
-    """Relabeling-invariant representative of the isomorphism class; with
-    ``labeling``, also the relabeling old -> new that carries T onto it."""
-    form, labels = _canonical_scan(T)
-    return (form, labels) if labeling else form
+def canonical_form(T: SimplicialTorus):
+    """Relabeling-invariant representative of the isomorphism class: the
+    least sorted relabeled face list over all flags."""
+    return _canonical_scan(T)[0]
 
 
 def _start_pairs(nbrs) -> set[Edge]:

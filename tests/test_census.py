@@ -14,8 +14,15 @@ from polytorus.census import (
     enumerate_tori,
     no_torus_below_seven,
 )
+from polytorus.cycles import stick_number_and_type
 from polytorus.errors import OutOfRange, PolytorusError
-from polytorus.surfaces import SimplicialTorus, _orient_faces, canonical_form, validate_surface
+from polytorus.surfaces import (
+    SimplicialTorus,
+    _orient_faces,
+    automorphism_group,
+    canonical_form,
+    validate_surface,
+)
 
 
 def test_census_n7_unique(moebius):
@@ -179,8 +186,9 @@ def test_pruned_dfs_yields_exactly_the_orientable_completions(n, monkeypatch):
 
 @pytest.mark.parametrize("n, strategy", [(7, "a"), (8, "a"), (9, "a"), (7, "b"), (8, "b")])
 def test_class_torus_carries_the_completion_orientation(n, strategy, monkeypatch):
-    """Every class torus reaches the type computation with an orientation
-    equal, face by face, to the one _orient_faces finds on its form."""
+    """Every completion the census types reaches the type computation with
+    an orientation equal, face by face, to the one _orient_faces finds on
+    its faces."""
     typed = []
     original = census_mod.stick_number_and_type
 
@@ -220,8 +228,9 @@ def _start_flag_formula(records):
 
 
 def test_census_hands_over_the_key_scan_group(monkeypatch):
-    """Every class torus for n <= 9 reaches the type computation with the
-    group from its key scan, equal to the full-scan oracle's."""
+    """Every completion the census types for n <= 9 reaches the type
+    computation with the group from its key scan, equal to the full-scan
+    oracle's."""
     seen = []
     original = census_mod.stick_number_and_type
 
@@ -233,14 +242,27 @@ def test_census_hands_over_the_key_scan_group(monkeypatch):
     monkeypatch.setattr(census_mod, "_CENSUS_CACHE", {})
     for n, count in ((7, 1), (8, 7), (9, 112)):
         del seen[:]
-        records = enumerate_tori(n)
-        assert len(seen) == len(records) == count
-        for rec, (T, handed) in zip(records, seen):
-            assert T.faces == rec.canonical_faces
+        by_form = {rec.canonical_faces: rec for rec in enumerate_tori(n)}
+        assert len(seen) == len(by_form) == count
+        for T, handed in seen:
+            rec = by_form.pop(canonical_form(T))
             assert handed[0] == {v: v for v in range(1, n + 1)}
             got = {tuple(sorted(a.items())) for a in handed}
             assert len(got) == len(handed) == rec.automorphism_order
             assert got == {tuple(sorted(a.items())) for a in oracle_automorphisms(T)}
+
+
+@pytest.mark.parametrize("n, strategy", [(7, "a"), (8, "a"), (9, "a"), (7, "b"), (8, "b")])
+def test_records_match_their_form_torus(n, strategy, monkeypatch):
+    """Each record, typed on the completion that found its class, gives the
+    type, |Aut| and equivelar flag computed afresh on its form's torus."""
+    monkeypatch.setattr(census_mod, "_CENSUS_CACHE", {})
+    for rec in enumerate_tori(n, strategy):
+        T = rec.torus()
+        res = stick_number_and_type(T)
+        assert (res.m, res.s) == (rec.m, rec.s)
+        assert len(automorphism_group(T)) == rec.automorphism_order
+        assert (len({T.degree(v) for v in range(1, n + 1)}) == 1) == rec.equivelar
 
 
 @pytest.mark.slow

@@ -88,8 +88,13 @@ def test_census_stdout_matches_recorded_digests(args, capsys):
 
 
 @pytest.mark.parametrize("k", [0, 2, 5])
-def test_census_verify_thm31_names_k_out_of_range(k, capsys):
-    assert main(["census", "--n", "7", "--verify-thm31", str(k)]) == 1
+def test_census_verify_thm31_names_k_out_of_range(k, monkeypatch, capsys):
+    """A K out of range is rejected before any census runs."""
+    def no_census(*args, **kwargs):
+        raise AssertionError("a census ran before K was range-checked")
+
+    monkeypatch.setattr(census, "enumerate_tori", no_census)
+    assert main(["census", "--n", "10", "--progress", "--verify-thm31", str(k)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: census supports 3 <= K <= 4, got {k}\n"
