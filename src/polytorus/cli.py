@@ -22,7 +22,7 @@ import time
 
 from . import census as census_mod
 from .cycles import analysis_report
-from .diagrams import _with_retries, knot_determinant, project_diagram
+from .diagrams import knot_determinant, project_diagram
 from .errors import PolytorusError
 from .generators import minimal_torus_3k, moebius_torus, tube_complex
 from .knots import load_stick_knot
@@ -148,7 +148,7 @@ def _cmd_knot(args) -> int:
         det = knot_determinant(K)
         sys.stdout.write(json.dumps({"schema": 1, "determinant": det}, sort_keys=True) + "\n")
     else:
-        diagram = _with_retries(lambda d: project_diagram(K, d))
+        diagram = project_diagram(K)
         sys.stdout.write(" ".join(str(x) for x in diagram.gauss_code) + "\n")
     return 0
 

@@ -361,7 +361,13 @@ def marked_type(T: SimplicialTorus, M: Cycle, basis: HomologyBasis | None = None
         # multiple of [M]; fall back to a bounded exact-class search (M
         # itself caps the length)
         m_M, wit_cycle = _shortest_simple_in_class(T, basis, c, best_len, len(M), M)
+    k_M, k_wit = _k_search(T, basis, M, c)
+    return (m_M, k_M), (wit_cycle.canonical(), k_wit)
 
+
+def _k_search(T, basis, M, c):
+    """(k_M, witness): the shortest non-separating cycle through a vertex of
+    M in a class not proportional to c = [M] != 0."""
     # the fundamental cycles carry the two unit classes, not both
     # proportional to c != 0
     k_best = min((f for f in basis.fundamental_cycles
@@ -370,7 +376,7 @@ def marked_type(T: SimplicialTorus, M: Cycle, basis: HomologyBasis | None = None
         T, basis, list(M.vertices),
         lambda p, q: (p * c.q - q * c.p != 0),
         len(k_best), tuple(k_best.vertices))
-    return (m_M, k_M), (wit_cycle.canonical(), Cycle(k_wit).canonical())
+    return k_M, Cycle(k_wit).canonical()
 
 
 def _shortest_simple_in_class(T, basis, c, lo, hi, fallback_cycle):
@@ -439,7 +445,7 @@ def stick_number_and_type(T: SimplicialTorus, basis: HomologyBasis | None = None
     if basis is None:
         basis = homology_basis(T)
     m, wm = shortest_nonseparating(T, basis)
-    (_, s), (_, ws) = marked_type(T, wm, basis)
+    s, ws = _k_search(T, basis, wm, cycle_signature(T, basis, wm))
     assert m <= s
     return TorusTypeResult(m, s, wm, ws)
 

@@ -6,20 +6,17 @@ interior crossings, and no two crossings share a point.  All of this is
 checked exactly, so over/under decisions and crossing signs are never
 subject to rounding.
 
-The knot determinant is the absolute determinant of a Goeritz matrix: the
-projected curve cuts the plane into regions, the regions are checkerboard
-coloured, and each crossing contributes +-1 between the two regions of one
-colour class according to which pair of opposite sectors they occupy
-relative to the under-strand.  Either colour class yields the same absolute
-value, as does any consistent sector convention, which keeps the
-computation free of figure-matching.
+The knot determinant |Delta(-1)| is read off the Gauss code alone: the
+arcs between consecutive under-passages are the columns of the
+arc-colouring matrix, each crossing contributes the row 2*over - in - out,
+and the absolute determinant of any first minor is the knot determinant.
+No planar map of the projection is needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 
 from .errors import DegenerateKnot, IntersectingCurves, NonGenericDirection
 from .geometry import (
@@ -111,10 +108,6 @@ class _Projection:
         pts = self.img[comp]
         return pts[i], pts[(i + 1) % len(pts)]
 
-    def seg_dir(self, comp, i):
-        a, b = self.seg(comp, i)
-        return (b[0] - a[0], b[1] - a[1])
-
     def _check_vertices(self):
         allv = [(p, ci) for ci, pts in enumerate(self.img) for p in pts]
         for i in range(len(allv)):
@@ -201,16 +194,21 @@ class _Projection:
         return hs[si] + t * (hs[(si + 1) % k] - hs[si])
 
 
-def project_diagram(K: StickKnot, direction) -> KnotDiagram:
-    """Regular diagram of K along ``direction`` (exact over/under data)."""
-    proj = _Projection([list(K.vertices)], direction)
-    code = _gauss_code(proj, 0)
-    return KnotDiagram(
-        crossings=proj.crossings,
-        gauss_code=code,
-        projection_direction=proj.direction,
-        n_segments=K.k,
-    )
+def project_diagram(K: StickKnot, direction=None) -> KnotDiagram:
+    """Regular diagram of K along ``direction``, or along the first generic
+    direction of DIRECTION_SEQUENCE when none is given (exact over/under
+    data)."""
+
+    def attempt(d):
+        proj = _Projection([list(K.vertices)], d)
+        return KnotDiagram(
+            crossings=proj.crossings,
+            gauss_code=_gauss_code(proj, 0),
+            projection_direction=proj.direction,
+            n_segments=K.k,
+        )
+
+    return _with_retries(attempt, direction)
 
 
 def _gauss_code(proj: _Projection, comp: int):
@@ -243,172 +241,26 @@ def _with_retries(fn, direction=None):
     raise NonGenericDirection(f"no generic direction found ({last})")
 
 
-# -- planar map of the projected curve(s) ---------------------------------------
-
-
-def _angle_cmp(a, b):
-    """Counterclockwise comparison of nonzero 2D vectors."""
-    ha = 0 if (a[1] > 0 or (a[1] == 0 and a[0] > 0)) else 1
-    hb = 0 if (b[1] > 0 or (b[1] == 0 and b[0] > 0)) else 1
-    if ha != hb:
-        return -1 if ha < hb else 1
-    cr = a[0] * b[1] - a[1] * b[0]
-    if cr > 0:
-        return -1
-    if cr < 0:
+def _colouring_determinant(proj: _Projection) -> int:
+    """|det| of a first minor of the arc-colouring matrix of the knot's
+    Gauss code.  Arcs run between consecutive under-passages (the arc after
+    the last one is arc 0 again); crossing c gives the row
+    2*over - in - out, Alexander's relation at t = -1."""
+    code = _gauss_code(proj, 0)
+    n = len(code) // 2
+    if n == 0:
         return 1
-    return 0
-
-
-class _PlanarMap:
-    """Faces of the projected curves, with per-sector face lookup."""
-
-    def __init__(self, proj: _Projection):
-        self.proj = proj
-        crossings = proj.crossings
-        if not crossings:
-            raise ValueError("planar map needs at least one crossing")
-        # passages along each component, in curve order
-        passages = {}  # component -> sorted list of (seg, t, crossing idx, role)
-        for idx, c in enumerate(crossings):
-            for role, (ci, si, t) in (("o", c.over), ("u", c.under)):
-                passages.setdefault(ci, []).append((si, t, idx, role))
-        for ci in passages:
-            passages[ci].sort()
-        self.passages = passages
-
-        # arcs between consecutive passages; each arc yields two half-edges
-        # (arc id, 0) from its start passage and (arc id, 1) from its end
-        self.arcs = []
-        half_at = {}  # crossing idx -> list of (ray, half-edge)
-        for ci, plist in passages.items():
-            npass = len(plist)
-            for a in range(npass):
-                si, t, idx, role = plist[a]
-                sj, t2, idx2, role2 = plist[(a + 1) % npass]
-                arc_id = len(self.arcs)
-                self.arcs.append((ci, (si, t, idx, role), (sj, t2, idx2, role2)))
-                d_start = proj.seg_dir(ci, si)
-                d_end = proj.seg_dir(ci, sj)
-                half_at.setdefault(idx, []).append((d_start, (arc_id, 0)))
-                half_at.setdefault(idx2, []).append(
-                    ((-d_end[0], -d_end[1]), (arc_id, 1)))
-
-        # counterclockwise rotation of the four half-edges at each crossing
-        self.next_ccw = {}
-        for idx, items in half_at.items():
-            if len(items) != 4:
-                raise NonGenericDirection(f"crossing {idx} with {len(items)} ends")
-            items.sort(key=cmp_to_key(lambda x, y: _angle_cmp(x[0], y[0])))
-            for i, (_, h) in enumerate(items):
-                self.next_ccw[h] = items[(i + 1) % 4][1]
-        self.ray_of = {}
-        for idx, items in half_at.items():
-            for ray, h in items:
-                self.ray_of[h] = (idx, ray)
-
-        # face orbits: follow an arc to its far end, then turn to the next
-        # half-edge clockwise (= three ccw steps) at the far crossing
-        def twin(h):
-            return (h[0], 1 - h[1])
-
-        def nxt(h):
-            t = twin(h)
-            return self.next_ccw[self.next_ccw[self.next_ccw[t]]]
-
-        self.face_of = {}
-        faces = 0
-        for h in list(self.next_ccw):
-            if h in self.face_of:
-                continue
-            cur = h
-            while cur not in self.face_of:
-                self.face_of[cur] = faces
-                cur = nxt(cur)
-            faces += 1
-        self.n_faces = faces
-        n_cross = len(crossings)
-        n_arcs = len(self.arcs)
-        if n_cross - n_arcs + faces != 2:
-            raise NonGenericDirection(
-                f"projection not a planar map: V={n_cross} E={n_arcs} F={faces}")
-
-        # checkerboard colouring: adjacent faces differ
-        self.colour = self._checkerboard()
-
-    def _checkerboard(self):
-        adj = {}
-        for arc_id in range(len(self.arcs)):
-            f1 = self.face_of[(arc_id, 0)]
-            f2 = self.face_of[(arc_id, 1)]
-            adj.setdefault(f1, set()).add(f2)
-            adj.setdefault(f2, set()).add(f1)
-        colour = {0: 0}
-        stack = [0]
-        while stack:
-            f = stack.pop()
-            for g in adj.get(f, ()):
-                if g not in colour:
-                    colour[g] = 1 - colour[f]
-                    stack.append(g)
-                elif colour[g] == colour[f]:
-                    raise NonGenericDirection("faces not two-colourable")
-        return colour
-
-    def sector_face(self, crossing_idx, ray):
-        """Face of the sector swept counterclockwise from ``ray``."""
-        items = [(r, h) for h, (idx, r) in self.ray_of.items() if idx == crossing_idx]
-        items.sort(key=cmp_to_key(lambda x, y: _angle_cmp(x[0], y[0])))
-        pos = next(i for i, (r, _) in enumerate(items)
-                   if r[0] * ray[1] == r[1] * ray[0]
-                   and r[0] * ray[0] + r[1] * ray[1] > 0)
-        # the sector between this ray and the next ccw one belongs to the
-        # face of the half-edge along this ray when faces are traversed with
-        # the sector on their left; either consistent choice works, which the
-        # alternating-colour assertion below guards
-        return self.face_of[items[pos][1]]
-
-
-def _goeritz_determinant(proj: _Projection) -> int:
-    if not proj.crossings:
-        return 1
-    pm = _PlanarMap(proj)
-    # sector colours around each crossing must alternate
-    white_pairs = []
-    for idx, c in enumerate(proj.crossings):
-        ci, si, _ = c.under
-        du = proj.seg_dir(ci, si)
-        rays = [du, (-du[0], -du[1])]
-        co, so, _ = c.over
-        do = proj.seg_dir(co, so)
-        rays += [do, (-do[0], -do[1])]
-        f_sectors = [pm.sector_face(idx, r) for r in rays]
-        cols = [pm.colour[f] for f in f_sectors]
-        if cols[0] != cols[1] or cols[2] != cols[3] or cols[0] == cols[2]:
-            raise NonGenericDirection("sector colours fail to alternate")
-        # sectors ccw-adjacent to the under-strand rays share one colour;
-        # call the crossing positive when that colour is colour 0, and pair
-        # the two colour-0 sectors
-        if cols[0] == 0:
-            eta, pair = 1, (f_sectors[0], f_sectors[1])
+    rows = [[0] * n for _ in range(n)]
+    arc = 0
+    for c in code:
+        row = rows[abs(c) - 1]
+        if c > 0:
+            row[arc % n] += 2
         else:
-            eta, pair = -1, (f_sectors[2], f_sectors[3])
-        white_pairs.append((pair[0], pair[1], eta))
-
-    whites = sorted({f for f, col in pm.colour.items() if col == 0})
-    index = {f: i for i, f in enumerate(whites)}
-    size = len(whites)
-    G = [[0] * size for _ in range(size)]
-    for fa, fb, eta in white_pairs:
-        ia, ib = index[fa], index[fb]
-        if ia == ib:
-            continue
-        G[ia][ib] -= eta
-        G[ib][ia] -= eta
-    for i in range(size):
-        G[i][i] = -sum(G[i][j] for j in range(size) if j != i)
-    minor = [row[1:] for row in G[1:]]
-    return abs(_int_det(minor))
+            row[arc % n] -= 1
+            arc += 1
+            row[arc % n] -= 1
+    return abs(_int_det([row[:-1] for row in rows[:-1]]))
 
 
 def _int_det(M) -> int:
@@ -444,7 +296,7 @@ def knot_determinant(K: StickKnot, direction=None) -> int:
 def polygon_determinant(points, direction=None) -> int:
     """knot_determinant for a raw closed polyline (collinear runs allowed)."""
     pts = _simplify(points)
-    return _with_retries(lambda d: _goeritz_determinant(_Projection([pts], d)), direction)
+    return _with_retries(lambda d: _colouring_determinant(_Projection([pts], d)), direction)
 
 
 def linking_number(curve_a, curve_b, direction=None) -> int:

@@ -523,8 +523,13 @@ def _segment_meets(pq, sp, sq, tri) -> bool:
 
 def parse_rational(token: str) -> Fraction:
     """Parse 'p/q', integer, or decimal literals exactly; like int()'s digit
-    limit, a decimal exponent above 4300 in absolute value is a ValueError."""
+    limit, a decimal exponent above 4300 in absolute value is a ValueError.
+    So is a token that is not ASCII or holds a '_': int() takes digit
+    separators and non-ASCII digits, and Fraction() takes separators only
+    from Python 3.11 on, so the grammar would depend on the version."""
     token = token.strip()
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"not an ASCII rational literal: {token!r}")
     if "/" in token:
         num, den = token.split("/")
         return Fraction(int(num), int(den))

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 from .cycles import homology_basis, cycle_signature, stick_number_and_type
 from .diagrams import linking_number, polygon_determinant
@@ -205,11 +205,10 @@ def _project_to_plane(u: Vec, n: Vec) -> Vec:
     return sub(u, scale(n, dot(u, n) / norm2(n)))
 
 
-def _initial_direction(n: Vec, first: int = 0) -> Vec:
-    """cross(n, e) for the first coordinate axis e, counting cyclically from
-    axis ``first`` (0 = x), that is not parallel to n."""
-    axes = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    for axis in axes[first:] + axes[:first]:
+def _initial_direction(n: Vec) -> Vec:
+    """cross(n, e) for the first coordinate axis e (x, then y, then z) that
+    is not parallel to n."""
+    for axis in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
         u = cross(n, vec(*axis))
         if not is_zero(u):
             return u
@@ -233,22 +232,22 @@ def _rotate_in_plane(u: Vec, w: Vec, angle: float) -> Vec:
     return out
 
 
-def _transported_frames(K: StickKnot, normals, orientation: int, axis: int):
+def _transported_frames(K: StickKnot, normals):
     """Per-ring frames (u, w) with the closing twist spread over all rings.
 
-    ``orientation`` flips w, which flips the handedness of the corner
-    labelling around the rings; the construction retries with the opposite
-    handedness when the prism certificates reject the first one, then with
-    the next coordinate ``axis`` to start from (see ``_initial_direction``).
+    u starts from the x-axis (see ``_initial_direction``) and is carried
+    from ring to ring by projection onto the next ring plane.  At sharp
+    turns consecutive frames may still be twisted far against each other;
+    ``_prism_faces`` absorbs that by choosing each prism's corner matching.
     """
     k = K.k
     us = []
-    u = _initial_direction(normals[0], axis)
+    u = _initial_direction(normals[0])
     for i in range(k):
         if i > 0:
             u = reduce_direction(_project_to_plane(u, normals[i]))
             if is_zero(u):
-                u = _initial_direction(normals[i], axis)
+                u = _initial_direction(normals[i])
         us.append(u)
     closing = _project_to_plane(us[-1], normals[0])
     if is_zero(closing):
@@ -260,10 +259,7 @@ def _transported_frames(K: StickKnot, normals, orientation: int, axis: int):
         base_u = approx_unit(us[i], 30)
         w = _balanced_cross(normals[i], base_u)
         ui = _rotate_in_plane(base_u, w, theta * i / k) if theta else base_u
-        wi = _balanced_cross(normals[i], ui)
-        if orientation < 0:
-            wi = scale(wi, -1)
-        frames.append((ui, wi))
+        frames.append((ui, _balanced_cross(normals[i], ui)))
     return frames
 
 
@@ -352,11 +348,17 @@ def _prism_faces(coords, k):
     six points.
 
     The paper's cylinders are convex-hull boundaries minus the two ring
-    caps, so the diagonal of each side quad is dictated by the hull.  The
-    grid diagonal (toward the lower-indexed ring vertex) is preferred, and
-    taken whenever its two triangles lie in supporting planes; otherwise
-    the opposite diagonal is certified the same way.  Returns (faces, None)
-    or (None, reason).
+    caps, so the side quads and their diagonals are dictated by the hull.
+    The six points must be hull vertices and both ring triangles hull faces
+    first; neither depends on which corners the side quads join.  Then the
+    next ring's corners are matched to this ring's in their three cyclic
+    orders, unshifted first, and the first order whose three side quads
+    all have a hull diagonal is taken.  In each quad the grid diagonal
+    (toward the lower-indexed ring vertex) is preferred, and taken whenever
+    its two triangles lie in supporting planes; otherwise the opposite
+    diagonal is certified the same way.  Returns (faces, None) or
+    (None, reason), where a prism with no matching gives the unshifted
+    order's reason.
 
     Both certificates read one integer side table of the six points as
     homogeneous ints.  A triple supports the hull when no two points lie
@@ -383,16 +385,25 @@ def _prism_faces(coords, k):
                 return None, f"ring point {labels[i]} inside prism hull {r}"
         if (0, 1, 2) not in support or (3, 4, 5) not in support:
             return None, f"ring triangle of prism {r} not a hull face"
-        for i in range(3):
-            j = (i + 1) % 3
-            for diag in (((i, j, 3 + i), (j, 3 + j, 3 + i)),
-                         ((i, j, 3 + j), (i, 3 + j, 3 + i))):
-                if all(tuple(sorted(t)) in support for t in diag):
-                    faces.extend(tuple(sorted(labels[x] for x in t)) for t in diag)
+        for shift in range(3):
+            b = [3 + (i + shift) % 3 for i in range(3)]
+            mantle = []
+            for i in range(3):
+                j = (i + 1) % 3
+                diag = next((d for d in (((i, j, b[i]), (j, b[j], b[i])),
+                                         ((i, j, b[j]), (i, b[j], b[i])))
+                             if all(tuple(sorted(t)) in support for t in d)), None)
+                if diag is None:
+                    if shift == 0:
+                        reason = (f"side quad {labels[i]},{labels[j]} of prism {r} "
+                                  "has no hull diagonal")
                     break
+                mantle.extend(tuple(sorted(labels[x] for x in t)) for t in diag)
             else:
-                return None, (f"side quad {labels[i]},{labels[j]} of prism {r} "
-                              "has no hull diagonal")
+                faces.extend(mantle)
+                break
+        else:
+            return None, reason
     return faces, None
 
 
@@ -419,44 +430,39 @@ def tube_construction(K: StickKnot, eps: ExactRadius | None = None) -> Mesh:
 
 
 def _tube_at(K: StickKnot, eps: ExactRadius) -> Mesh:
-    """The tube at one radius, from the first frame (x-axis start in both
-    handednesses, then y, then z) whose prisms certify and whose mesh is
-    embedded."""
+    """The tube at one radius: rings in the one transported frame, prisms
+    certified with their own corner matchings, the mesh proved embedded;
+    EpsilonTooLarge with the reason when any of it fails."""
     k = K.k
     normals = _ring_planes(K)
-    last_reason = None
-    for axis, orientation in product(range(3), (1, -1)):
-        frames = _transported_frames(K, normals, orientation, axis)
-        coords = {}
-        radii = []
-        for i in range(k):
-            pts, rho_sq = _ring_points(K.vertices[i], frames[i], eps)
-            radii.append(rho_sq)
-            for j in range(3):
-                coords[3 * i + 1 + j] = pts[j]
-        faces, reason = _prism_faces(coords, k)
-        if faces is None:
-            last_reason = reason
-            continue
-        try:
-            complex_ = SimplicialTorus(faces)
-        except PolytorusError as exc:
-            last_reason = f"mantle not a torus: {exc}"
-            continue
-        mesh = Mesh(coords, complex_, {
-            "kind": "tube",
-            "knot": K,
-            "epsilon_sq": eps.sq,
-            "ring_radius_sq": radii,
-            "ring_normals": normals,
-            "meridian": ring_cycle(k),
-            "grid_diagonals": complex_.faces == tube_complex(k).faces,
-        })
-        mesh.embedding = verify_embedding(mesh)
-        if mesh.embedding.ok:
-            return mesh
-        last_reason = f"self-intersection: {mesh.embedding.witness}"
-    raise EpsilonTooLarge(last_reason)
+    frames = _transported_frames(K, normals)
+    coords = {}
+    radii = []
+    for i in range(k):
+        pts, rho_sq = _ring_points(K.vertices[i], frames[i], eps)
+        radii.append(rho_sq)
+        for j in range(3):
+            coords[3 * i + 1 + j] = pts[j]
+    faces, reason = _prism_faces(coords, k)
+    if faces is None:
+        raise EpsilonTooLarge(reason)
+    try:
+        complex_ = SimplicialTorus(faces)
+    except PolytorusError as exc:
+        raise EpsilonTooLarge(f"mantle not a torus: {exc}") from None
+    mesh = Mesh(coords, complex_, {
+        "kind": "tube",
+        "knot": K,
+        "epsilon_sq": eps.sq,
+        "ring_radius_sq": radii,
+        "ring_normals": normals,
+        "meridian": ring_cycle(k),
+        "grid_diagonals": complex_.faces == tube_complex(k).faces,
+    })
+    mesh.embedding = verify_embedding(mesh)
+    if not mesh.embedding.ok:
+        raise EpsilonTooLarge(f"self-intersection: {mesh.embedding.witness}")
+    return mesh
 
 
 def choose_epsilon(K: StickKnot) -> ExactRadius:

@@ -1,14 +1,18 @@
 """Independent brute-force oracles for the test suite.
 
 These deliberately avoid the code paths they check: separation by a face
-walk with C as a wall (no homology), torus types come from
-exhaustive simple-cycle enumeration, knot determinants are recomputed
-from the Alexander relation at t = -1 (no region coloring), automorphism
-groups come from full canonical-form traversals of every flag (no early
-abort), cutting along a cycle is redone from face scans (no rotation
-system), and embeddings are proved by the rational all-pairs face test (no
-integer kernel).  Convex-hull certificates come from Carathéodory subset
-tests and brute-force rational facet loops (no integer side table).
+walk with C as a wall (no homology), torus types come from exhaustive
+simple-cycle enumeration, automorphism groups come from full
+canonical-form traversals of every flag (no early abort), cutting along a
+cycle is redone from face scans (no rotation system), and embeddings are
+proved by the rational all-pairs face test (no integer kernel).
+Convex-hull certificates come from Carathéodory subset tests and
+brute-force rational facet loops (no integer side table).  Knot
+determinants are recomputed from the Alexander relation at t = -1, the
+relation ``src/`` uses as well, but with their own walk over the crossing
+events and their own ``Fraction`` elimination; the values of the
+region-colouring Goeritz matrix that ``src/`` computed before are pinned in
+``test_diagrams.py``.
 ``canonical_labeling`` and ``supporting_plane_of_edge`` are test-only
 certificates.
 """
@@ -157,7 +161,8 @@ def plane_supports(points, tri) -> bool:
 def oracle_prism_faces(coords, k):
     """``realization._prism_faces`` by Carathéodory hull tests and
     supporting planes, on the six points of each prism times the least
-    common multiple of their denominators: the same rule order, reasons and
+    common multiple of their denominators: the same rule order, reasons,
+    corner matchings (the next ring rotated by 0, 1, then 2 places) and
     diagonal preference."""
     faces = []
     for r in range(k):
@@ -174,19 +179,28 @@ def oracle_prism_faces(coords, k):
         if not plane_supports(pts, cap_a) or not plane_supports(pts, cap_b):
             return None, f"ring triangle of prism {r} not a hull face"
         a = labels[:3]
-        b = labels[3:]
-        for i in range(3):
-            j = (i + 1) % 3
-            placed = False
-            for diag in (((a[i], a[j], b[i]), (a[j], b[j], b[i])),
-                         ((a[i], a[j], b[j]), (a[i], b[j], b[i]))):
-                tris = [tuple(at[x] for x in t) for t in diag]
-                if all(plane_supports(pts, t) for t in tris):
-                    faces.extend(tuple(sorted(t)) for t in diag)
-                    placed = True
+        unplaced = []
+        for shift in range(3):
+            b = labels[3 + shift:] + labels[3:3 + shift]
+            mantle = []
+            for i in range(3):
+                j = (i + 1) % 3
+                for diag in (((a[i], a[j], b[i]), (a[j], b[j], b[i])),
+                             ((a[i], a[j], b[j]), (a[i], b[j], b[i]))):
+                    tris = [tuple(at[x] for x in t) for t in diag]
+                    if all(plane_supports(pts, t) for t in tris):
+                        mantle.extend(tuple(sorted(t)) for t in diag)
+                        break
+                else:
+                    unplaced.append(i)
                     break
-            if not placed:
-                return None, f"side quad {a[i]},{a[j]} of prism {r} has no hull diagonal"
+            if len(mantle) == 6:
+                faces.extend(mantle)
+                break
+        else:
+            i = unplaced[0]
+            j = (i + 1) % 3
+            return None, f"side quad {a[i]},{a[j]} of prism {r} has no hull diagonal"
     return faces, None
 
 

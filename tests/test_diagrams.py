@@ -1,5 +1,10 @@
 """Projection diagrams, Gauss codes, determinants, linking numbers."""
 
+import hashlib
+import json
+import random
+from collections import Counter
+
 import pytest
 
 from oracles import alexander_determinant
@@ -11,7 +16,7 @@ from polytorus.diagrams import (
     polygon_determinant,
     project_diagram,
 )
-from polytorus.errors import IntersectingCurves, NonGenericDirection
+from polytorus.errors import DegenerateKnot, IntersectingCurves, NonGenericDirection
 from polytorus.knots import StickKnot, trefoil_6stick, triangle_unknot
 
 # star-shaped about the z-axis (strictly monotone angle, winding once),
@@ -98,13 +103,44 @@ def test_determinant_matches_alexander_oracle():
         checked = 0
         for d in DIRECTION_SEQUENCE[:8]:
             try:
-                goeritz = knot_determinant(K, d)
+                det = knot_determinant(K, d)
                 alex = alexander_determinant(K.vertices, d)
             except NonGenericDirection:
                 continue
-            assert goeritz == alex
+            assert det == alex
             checked += 1
         assert checked >= 3
+
+
+def _seeded_polygons(count):
+    """Random integer polygons with positive clearance, from a fixed seed."""
+    rng = random.Random(5)
+    out = []
+    while len(out) < count:
+        k = rng.randint(5, 12)
+        pts = [tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(k)]
+        try:
+            StickKnot(pts).min_clearance_sq()
+        except DegenerateKnot:
+            continue
+        out.append(pts)
+    return out
+
+
+def test_determinants_match_recorded_region_colouring_values():
+    # determinants of 60 seeded polygons in 8 directions each (None where
+    # the direction is not generic), recorded from a Goeritz matrix of the
+    # checkerboard-coloured regions of each projection
+    values = []
+    for pts in _seeded_polygons(60):
+        for d in DIRECTION_SEQUENCE[:8]:
+            try:
+                values.append(polygon_determinant(pts, d))
+            except NonGenericDirection:
+                values.append(None)
+    assert Counter(values) == {1: 436, 3: 15, 7: 7, None: 22}
+    assert hashlib.sha256(json.dumps(values).encode()).hexdigest() == (
+        "b568b5e0acd0720469bc65c4393d513a686db67ab680372e284afe7d8408dc54")
 
 
 def test_linking_far_apart_squares_zero():

@@ -45,6 +45,15 @@ def test_decimal_exponents_bounded_by_the_int_digit_limit():
             parse_rational(token)
 
 
+@pytest.mark.parametrize("token", ["1_0", "1_0.5", "2/1_0", "1e1_0", "\u0661\u0662"])
+def test_digit_separators_and_non_ascii_digits_rejected(token):
+    with pytest.raises(ValueError):
+        parse_rational(token)
+    with pytest.raises(ParseError) as exc:
+        parse_stick_knot(f"0 0 0\n{token} 0 0\n0 1 0\n")
+    assert exc.value.line_no == 2
+
+
 def test_parse_error_carries_line():
     with pytest.raises(ParseError) as exc:
         parse_stick_knot("0 0 0\n1 0\n0 1 0\n")

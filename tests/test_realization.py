@@ -3,6 +3,7 @@ mesh I/O.  The expensive trefoil constructions live in the acceptance suite;
 apart from one trefoil tube, everything here sticks to the triangle unknot
 and small k."""
 
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -19,6 +20,7 @@ from oracles import (
 from polytorus.cycles import homology_basis, cycle_signature, stick_number_and_type
 from polytorus.errors import (
     DegenerateFace,
+    DegenerateKnot,
     EpsilonTooLarge,
     FaceNotInPolytope,
     ParseError,
@@ -424,9 +426,10 @@ Z_ONTO_X = [(perm, signs) for perm in ((2, 0, 1), (2, 1, 0))
 @pytest.mark.parametrize("perm, signs", Z_ONTO_X, ids=[
     "".join(map(str, p)) + "".join("+" if x > 0 else "-" for x in s) for p, s in Z_ONTO_X])
 def test_tube_rotated_z_onto_x(perm, signs):
-    """These rotations put the triangle in the plane x = 0, where frames
-    started from the x-axis give prisms without hull diagonals at every
-    radius; the construction falls back to the next axis."""
+    """These rotations put the triangle in the plane x = 0, where the
+    frames started from the x-axis twist the rings against each other; each
+    prism then finds its side quads' hull diagonals under its own corner
+    matching."""
     from polytorus.diagrams import knot_determinant
     K = StickKnot([tuple(signs[i] * v[perm[i]] for i in range(3))
                    for v in triangle_unknot().vertices])
@@ -435,6 +438,42 @@ def test_tube_rotated_z_onto_x(perm, signs):
     assert verify_embedding(mesh).ok
     assert core_curve(mesh) == K
     assert knot_determinant(core_curve(mesh)) == 1
+
+
+def _seeded_general_position_knots(count):
+    """Random integer polygons of 4 to 9 sticks in general position with
+    positive clearance, from a fixed seed."""
+    rng = random.Random(21)
+    out = []
+    while len(out) < count:
+        k = rng.randint(4, 9)
+        pts = [tuple(rng.randint(-8, 8) for _ in range(3)) for _ in range(k)]
+        try:
+            K = StickKnot(pts)
+            if K.is_general_position():
+                K.min_clearance_sq()
+                out.append(K)
+        except DegenerateKnot:
+            continue
+    return out
+
+
+def test_tube_certifies_where_transported_frames_twist():
+    """At sharp turns the transported frames twist one ring far against the
+    next, so that corner i of a ring need not face corner i of the next one;
+    each prism then matches its corners to the hull.  A general-position
+    5-stick unknot and ten seeded polygons all certify, with the exact core
+    and its determinant recovered."""
+    from polytorus.diagrams import knot_determinant
+    five = StickKnot([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+    assert five.is_general_position()
+    knots = [five] + _seeded_general_position_knots(10)
+    meshes = [tube_construction(K) for K in knots]
+    for K, mesh in zip(knots, meshes):
+        assert mesh.embedding.ok
+        assert core_curve(mesh) == K
+        assert knot_determinant(core_curve(mesh)) == knot_determinant(K)
+    assert oracle_verify_embedding(meshes[0]) == meshes[0].embedding
 
 
 def _rational(p):
@@ -473,7 +512,7 @@ def test_hull_certificates_match_oracle_on_constructions(monkeypatch):
     for coords, k, got in prisms:
         assert got == oracle_prism_faces(coords, k)
         reasons.add(got[1] and " ".join(got[1].split()[:2]))
-    assert reasons == {None, "ring point", "ring triangle", "side quad"}
+    assert reasons == {None, "ring point", "ring triangle"}
     octahedra = [(p, t) for p, t in tables if len(p) > 6]
     assert octahedra
     for points, table in octahedra:
@@ -520,12 +559,15 @@ def test_prism_certificate_matches_oracle(pts):
 
 def test_prism_certificate_rejects_inner_and_repeated_points():
     """A point inside the tetrahedron of four others, or equal to another
-    point, is no hull vertex."""
+    point, is no hull vertex; a second ring that is the first one mirrored
+    has no corner matching whose side quads all lie on the hull."""
     F = Fraction
     tetra = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)]
+    mirrored = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2), (0, 2, 2), (2, 0, 2)]
     for pts, reason in (
             (tetra + [(F(1, 2), F(1, 2), F(1, 2)), (3, 3, 3)], "ring point 5 inside prism hull 0"),
-            (tetra + [(2, 0, 0), (3, 3, 3)], "ring point 2 inside prism hull 0")):
+            (tetra + [(2, 0, 0), (3, 3, 3)], "ring point 2 inside prism hull 0"),
+            (mirrored, "side quad 1,2 of prism 0 has no hull diagonal")):
         coords = {i: tuple(map(F, p)) for i, p in enumerate(pts, start=1)}
         assert realization._prism_faces(coords, 2) == (None, reason) \
             == oracle_prism_faces(coords, 2)
