@@ -46,7 +46,7 @@ from .errors import (
     SeparatingCycle,
     read_input,
 )
-from .generators import hamiltonian_sequence, minimal_torus_3k, ring_cycle, tube_complex
+from .generators import hamiltonian_sequence, minimal_torus_3k, ring_cycle
 from .geometry import (
     Vec,
     _line,
@@ -71,7 +71,7 @@ from .geometry import (
     vec,
 )
 from .knots import StickKnot
-from .surfaces import Cycle, SimplicialTorus
+from .surfaces import Cycle, SimplicialTorus, parse_int
 
 MAX_EPS_HALVINGS = 16
 
@@ -457,7 +457,6 @@ def _tube_at(K: StickKnot, eps: ExactRadius) -> Mesh:
         "ring_radius_sq": radii,
         "ring_normals": normals,
         "meridian": ring_cycle(k),
-        "grid_diagonals": complex_.faces == tube_complex(k).faces,
     })
     mesh.embedding = verify_embedding(mesh)
     if not mesh.embedding.ok:
@@ -938,7 +937,7 @@ def import_off(path) -> Mesh:
 
     line_no, line = entry(1, "the counts line")
     try:
-        nv, nf, _ = (int(p) for p in line.split())
+        nv, nf, _ = (parse_int(p) for p in line.split())
     except ValueError:
         raise ParseError(line_no, line) from None
     if nv < 0 or nf < 0:
@@ -955,7 +954,7 @@ def import_off(path) -> Mesh:
     for i in range(nf):
         line_no, line = entry(2 + nv + i, f"face {i + 1} of {nf}")
         try:
-            size, *idx = (int(p) for p in line.split())
+            size, *idx = (parse_int(p) for p in line.split())
         except ValueError:
             raise ParseError(line_no, line) from None
         if size != 3 or len(idx) != 3 or not all(0 <= j < nv for j in idx):

@@ -9,8 +9,7 @@ Isomorphism machinery works through a canonical labeling: a traversal of the
 face-adjacency structure started from a *flag* (an ordered face) relabels the
 vertices deterministically, and the lexicographic minimum over all flags is a
 relabeling-invariant normal form.  The published form (``canonical_form``)
-is the minimum of the sorted relabeled face lists, which needs every flag's
-traversal run to the end.
+is the least sorted relabeled face list (``_canonical_scan`` prunes its walks).
 
 The canonical key, which deduplicates census completions and decides
 isomorphism, is cheaper.  It is the minimum of the *visit-order* codes, the
@@ -451,21 +450,56 @@ def _traverse_flag(T: SimplicialTorus, flag, ref=None, exact=True):
     return out, labels
 
 
+def _form_labels(T: SimplicialTorus, flag, best):
+    """``_traverse_flag``'s labeling, or None if ``_canonical_scan`` prunes it."""
+    (a, b, c), rot, nbrs = flag, T.rotation, T.neighbors
+    labels, order = {a: 1, b: 2, c: 3}, [0, a, b, c]  # order[m] is labeled m
+    forward = rot[a, b][1] == c
+    visited = {rot[a, b][0] if forward else rot[b, a][0]}
+    queue = [flag]
+    m, k = 1, 0  # the next block to compare, and where it starts in best
+    for x, y, z in queue:  # breadth-first: the loop reaches appended faces
+        for u, v in ((x, y), (y, z), (z, x)):
+            j, w = rot[v, u] if forward else rot[u, v]
+            if j not in visited:
+                visited.add(j)
+                queue.append((v, u, w))
+                if w not in labels:
+                    labels[w] = len(order)
+                    order.append(w)
+        while best and m < len(order) and all(u in labels for u in nbrs[order[m]]):
+            vm = order[m]
+            block = tuple(sorted((m, p, q) if p < q else (m, q, p) for u in nbrs[vm]
+                                 if (p := labels[u]) > m and (q := labels[rot[vm, u][1]]) > m))
+            if block > best[k:k + len(block)]:
+                return None
+            best = best if block == best[k:k + len(block)] else None
+            m, k = m + 1, k + len(block)
+    return None if best else labels
+
+
 def _canonical_scan(T: SimplicialTorus):
-    """Minimum canonical form over all flags, with the first labeling attaining
-    it; of each orbit of a known ``T._automorphisms`` only the first flag."""
+    """Least sorted form over all flags, with the first labeling attaining it
+    in flag order.  Flag (a, b, c) gives (1,2,3), (1,2,4), (1,3,x), x = 4 iff
+    the vertices across {a, b} and {a, c} agree, iff deg(a) = 3, else x = 5
+    or 6: if T has a degree-3 vertex, only flags at one are walked.  A walk
+    compares each block m (faces with least label m; final once m's
+    neighbours are labeled) with the best form's, in order.  For forms equal
+    before it, block m is m's link cycle less the same edges, so neither is
+    a proper prefix of the other.  Automorphisms keep degrees and forms, so
+    one flag per orbit of a known ``T._automorphisms`` is walked."""
     autos, done = (T._automorphisms or ())[1:], set()  # [0] is the identity
-    best = best_labeling = None
+    degree3 = 3 in map(len, T.neighbors.values())
+    form = labeling = None
     for f in T.faces:
         for flag in _flags(f):
-            if flag in done:
+            if flag in done or degree3 and T.degree(flag[0]) != 3:
                 continue
             done.update(tuple(g[v] for v in flag) for g in autos)
-            code, labels = _traverse_flag(T, flag)
-            form = tuple(sorted(code))
-            if best is None or form < best:
-                best, best_labeling = form, labels
-    return best, best_labeling
+            if labels := _form_labels(T, flag, form):
+                labeling = labels
+                form = tuple(sorted(tuple(sorted(labels[v] for v in t)) for t in T.faces))
+    return form, labeling
 
 
 def canonical_form(T: SimplicialTorus):
@@ -613,6 +647,13 @@ def format_complex(T: SimplicialTorus) -> str:
     return "\n".join(lines) + "\n"
 
 
+def parse_int(token: str) -> int:
+    """int() on the tokens ``parse_rational`` takes: ASCII, without '_'."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"not an ASCII integer literal: {token!r}")
+    return int(token)
+
+
 def parse_complex(text: str) -> SimplicialTorus:
     """Parse the text format: first line n, then one face per line.
 
@@ -627,7 +668,7 @@ def parse_complex(text: str) -> SimplicialTorus:
         parts = line.split()
         if n is None:
             try:
-                (n,) = map(int, parts)
+                (n,) = map(parse_int, parts)
             except ValueError:
                 raise PolytorusError(
                     f"line {line_no}: expected vertex count, got {raw!r}") from None
@@ -635,7 +676,7 @@ def parse_complex(text: str) -> SimplicialTorus:
         if len(parts) != 3:
             raise PolytorusError(f"line {line_no}: expected 3 vertex labels, got {raw!r}")
         try:
-            faces.append(tuple(int(p) for p in parts))
+            faces.append(tuple(parse_int(p) for p in parts))
         except ValueError:
             raise PolytorusError(f"line {line_no}: expected integers, got {raw!r}") from None
     if n is None:

@@ -2,10 +2,11 @@
 
 These deliberately avoid the code paths they check: separation by a face
 walk with C as a wall (no homology), torus types come from exhaustive
-simple-cycle enumeration, automorphism groups come from full
-canonical-form traversals of every flag (no early abort), cutting along a
-cycle is redone from face scans (no rotation system), and embeddings are
-proved by the rational all-pairs face test (no integer kernel).
+simple-cycle enumeration, automorphism groups and the sorted canonical form
+come from full traversals of every flag (no orbit skip, no early abort),
+cutting along a cycle is redone from face scans (no rotation system), and
+embeddings are proved by the rational all-pairs face test (no integer
+kernel).
 Convex-hull certificates come from Carathéodory subset tests and
 brute-force rational facet loops (no integer side table).  Knot
 determinants are recomputed from the Alexander relation at t = -1, the
@@ -39,7 +40,6 @@ from polytorus.geometry import (
 from polytorus.realization import EmbeddingReport
 from polytorus.surfaces import (
     Cycle,
-    _canonical_scan,
     _flags,
     _link_edges,
     _traverse_flag,
@@ -246,10 +246,16 @@ def oracle_encloses(six, facets, pts, top):
     return True
 
 
+def oracle_canonical_scan(T):
+    """The least sorted form over every flag, each walked to the end (no
+    orbit skip, no degree rule, no early abort), and the first labeling in
+    flag order that attains it."""
+    return min(_flag_forms(T), key=lambda scan: scan[0])
+
+
 def canonical_labeling(T):
     """One labeling old->new realizing canonical_form(T)."""
-    _, labeling = _canonical_scan(T)
-    return labeling
+    return oracle_canonical_scan(T)[1]
 
 
 def link_cycle(faces, v):
@@ -371,14 +377,18 @@ def _proportional(a, b):
     return a[0] * b[1] - a[1] * b[0] == 0
 
 
-def oracle_automorphisms(T):
-    """Every flag whose full sorted form equals the minimum over all flags,
-    mapped through the first flag attaining it."""
-    scans = []
+def _flag_forms(T):
+    """(sorted form, labeling) of every flag, in flag order."""
     for f in T.faces:
         for flag in _flags(f):
             code, labels = _traverse_flag(T, flag)
-            scans.append((tuple(sorted(code)), labels))
+            yield tuple(sorted(code)), labels
+
+
+def oracle_automorphisms(T):
+    """Every flag whose full sorted form equals the minimum over all flags,
+    mapped through the first flag attaining it."""
+    scans = list(_flag_forms(T))
     best = min(form for form, _ in scans)
     optimal = [labels for form, labels in scans if form == best]
     inv0 = {new: old for old, new in optimal[0].items()}

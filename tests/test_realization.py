@@ -338,11 +338,17 @@ def test_import_off_rejects_garbage(tmp_path):
     ("OFF\n3 x 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", 2),     # non-integer count
     ("OFF\n3 1 0\n0 0 0\n0 1 z\n0 1 0\n3 0 1 2\n", 4),     # non-numeric coordinate
     ("OFF\n3 1 0\n0 0 0\n1e99999999 0 0\n0 1 0\n3 0 1 2\n", 4),  # exponent out of range
+    # int() takes these digits and separators; the integer grammar does not
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 \u0662\n", 6),  # Arabic-Indic 2
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 0_2\n", 6),
+    ("OFF\n\uff13 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", 2),  # fullwidth 3
+    ("OFF\n3 1 0_0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", 2),
 ], ids=["header-only", "truncated-vertices", "truncated-faces", "bad-count", "bad-coordinate",
-        "huge-exponent"])
+        "huge-exponent", "non-ascii-index", "separator-index", "non-ascii-count",
+        "separator-count"])
 def test_import_off_malformed_reports_line(tmp_path, text, line_no):
     path = tmp_path / "bad.off"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     with pytest.raises(ParseError) as exc:
         import_off(path)
     assert exc.value.line_no == line_no

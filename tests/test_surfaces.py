@@ -11,6 +11,7 @@ from oracles import (
     canonical_labeling,
     link_cycle,
     oracle_automorphisms,
+    oracle_canonical_scan,
     oracle_cut,
     oracle_vertex_orbits,
 )
@@ -117,6 +118,45 @@ def test_canonical_forms_distinct_for_distinct_classes(census8):
     # canonical form of a canonical form is itself
     for r in census8:
         assert canonical_form(r.torus()) == r.canonical_faces
+
+
+def test_canonical_scan_matches_unrestricted_scan(monkeypatch):
+    """The pruned form scan against the oracle, which walks every flag to
+    the end: equal forms and equal first labelings on a seeded relabeling of
+    every census class for n = 7..10 and on seeded relabelings of
+    minimal_torus_3k(5) and tube_complex(6).  Without a group the scan walks
+    exactly the flags (a, b, c) with deg(a) = 3 when there are any, six per
+    degree-3 vertex.  Each torus but the n = 10 classes is scanned again
+    with its automorphism group, as the census scans its completions."""
+    rng = random.Random(1610)
+
+    def shuffled(T):
+        perm = list(range(1, T.n_vertices + 1))
+        rng.shuffle(perm)
+        return relabeled(T, perm)
+
+    tori = [shuffled(r.torus()) for n in range(7, 11) for r in enumerate_tori(n)]
+    tori += [shuffled(T) for T in (minimal_torus_3k(5), tube_complex(6)) for _ in range(3)]
+    walks = []
+    original = surfaces._form_labels
+
+    def counting(T, flag, best):
+        walks.append(flag)
+        return original(T, flag, best)
+
+    monkeypatch.setattr(surfaces, "_form_labels", counting)
+    with_degree3 = 0
+    for T in tori:
+        expected = oracle_canonical_scan(T)
+        del walks[:]
+        assert surfaces._canonical_scan(T) == expected
+        degree3 = sum(len(ns) == 3 for ns in T.neighbors.values())
+        assert len(walks) == (6 * degree3 if degree3 else 6 * len(T.faces))
+        with_degree3 += degree3 > 0
+        if T.n_vertices != 10:
+            automorphism_group(T)
+            assert surfaces._canonical_scan(T) == expected
+    assert 0 < with_degree3 < len(tori)
 
 
 def test_is_isomorphic_returns_valid_bijection(minimal5):
@@ -358,6 +398,21 @@ def test_text_roundtrip(minimal5):
 def test_parse_rejects_bad_header():
     with pytest.raises(PolytorusError):
         parse_complex("not a number\n1 2 3\n")
+
+
+@pytest.mark.parametrize("old, new, line_no", [
+    ("7\n", "0_7\n", 1),
+    ("7\n", "\u0667\n", 1),
+    ("\n1 2 4\n", "\n\u0661 2 4\n", 2),
+    ("\n1 2 4\n", "\n1 2 0_4\n", 2),
+], ids=["separator-header", "arabic-indic-header", "arabic-indic-label", "separator-label"])
+def test_parse_complex_takes_only_ascii_integers(moebius, old, new, line_no):
+    """int() reads each of these as the moebius torus; the grammar of
+    parse_rational's tokens rejects them, naming the line."""
+    text = format_complex(moebius).replace(old, new, 1)
+    assert text != format_complex(moebius)
+    with pytest.raises(PolytorusError, match=f"^line {line_no}: "):
+        parse_complex(text)
 
 
 def test_sparse_labels_compacted():
