@@ -451,7 +451,7 @@ def _traverse_flag(T: SimplicialTorus, flag, ref=None, exact=True):
 
 
 def _form_labels(T: SimplicialTorus, flag, best):
-    """``_traverse_flag``'s labeling, or None if ``_canonical_scan`` prunes it."""
+    """``_traverse_flag``'s labeling, or None if its form is not below ``best``."""
     (a, b, c), rot, nbrs = flag, T.rotation, T.neighbors
     labels, order = {a: 1, b: 2, c: 3}, [0, a, b, c]  # order[m] is labeled m
     forward = rot[a, b][1] == c
@@ -482,12 +482,12 @@ def _canonical_scan(T: SimplicialTorus):
     """Least sorted form over all flags, with the first labeling attaining it
     in flag order.  Flag (a, b, c) gives (1,2,3), (1,2,4), (1,3,x), x = 4 iff
     the vertices across {a, b} and {a, c} agree, iff deg(a) = 3, else x = 5
-    or 6: if T has a degree-3 vertex, only flags at one are walked.  A walk
-    compares each block m (faces with least label m; final once m's
-    neighbours are labeled) with the best form's, in order.  For forms equal
-    before it, block m is m's link cycle less the same edges, so neither is
-    a proper prefix of the other.  Automorphisms keep degrees and forms, so
-    one flag per orbit of a known ``T._automorphisms`` is walked."""
+    or 6: if T has a degree-3 vertex, only flags at one are walked.  Walks
+    compare blocks (block m: faces with least label m, final once m's
+    neighbours are labeled) with the best form's in order, to the first that
+    differs.  Forms equal before block m have it as m's link cycle less the
+    same edges, so neither is a proper prefix of the other.  Automorphisms
+    keep degrees and forms: one flag per orbit of ``T._automorphisms``."""
     autos, done = (T._automorphisms or ())[1:], set()  # [0] is the identity
     degree3 = 3 in map(len, T.neighbors.values())
     form = labeling = None
