@@ -34,7 +34,7 @@ from .realization import (
     export_mesh,
     tube_construction,
 )
-from .surfaces import format_complex, load_complex
+from .surfaces import format_complex, load_complex, parse_int
 
 
 def _write(text: str, path):
@@ -160,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="write a named triangulation")
     g.add_argument("kind", choices=["moebius", "minimal3k", "tube-complex"])
-    g.add_argument("--k", type=int, default=3)
+    g.add_argument("--k", type=parse_int, default=3)
     g.add_argument("-o", "--output", default="-")
     g.set_defaults(func=_cmd_generate)
 
@@ -170,9 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
     a.set_defaults(func=_cmd_analyze)
 
     c = sub.add_parser("census", help="enumerate all n-vertex torus triangulations")
-    c.add_argument("--n", type=int, required=True)
+    c.add_argument("--n", type=parse_int, required=True)
     c.add_argument("--strategy", choices=["a", "b"], default="a")
-    c.add_argument("--verify-thm31", type=int, default=None, metavar="K")
+    c.add_argument("--verify-thm31", type=parse_int, default=None, metavar="K")
     c.add_argument("--progress", action="store_true",
                    help="write the running class count to stderr")
     c.add_argument("-o", "--output", default="-")
@@ -181,11 +181,11 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("realize", help="build an exact geometric realization")
     r.add_argument("what", choices=["tube", "complement", "cyclic"])
     r.add_argument("--knot", help="stick knot file (tube, complement)")
-    r.add_argument("--k", type=int, default=3, help="parameter for cyclic")
+    r.add_argument("--k", type=parse_int, default=3, help="parameter for cyclic")
     r.add_argument("--eps", help="tube radius override (rational)")
     r.add_argument("-o", "--output", help="mesh output file")
     r.add_argument("--format", choices=["off", "obj"], default="off")
-    r.add_argument("--precision", type=int, default=12)
+    r.add_argument("--precision", type=parse_int, default=12)
     r.set_defaults(func=_cmd_realize)
 
     k = sub.add_parser("knot", help="knot invariants")

@@ -13,16 +13,26 @@ exactly when its signature vanishes.
 
 Shortest cycles
 ---------------
-Minima are computed as shortest closed walks in the signature-labelled
-covering graph (states are (vertex, p, q)).  A shortest closed walk whose
-signature class is admissible is automatically a *simple* cycle for the two
-searches used here: splitting a non-simple walk at a repeated vertex yields
-two shorter closed walks whose signatures add up, and at least one summand
-stays admissible ("nonzero" and "not proportional to a fixed class" are both
-preserved by at least one part of any split).  Walks not proportional to a
-class c must share a vertex with any cycle realizing c (non-proportional
-classes on the torus have nonzero intersection number), which keeps the
-search rooted at the marking cycle only.
+Both type searches want the shortest closed walk whose class lies outside a
+subgroup H of Z^2: H = 0 for m, H = Qc meet Z^2 ("not proportional to
+c = [M]") for k_M.  Such a walk is a simple cycle: split at a repeated vertex,
+its two shorter parts have classes adding up to its own, and one is outside H.
+
+Each root's minimum is read off its BFS tree (Thomassen's 3-path condition,
+as Erickson and Har-Peled apply it).  With d(v) the depth of v and S(v) the
+signature of the tree path r..v, edge uv closes a loop at r of length
+d(u) + 1 + d(v) and class S(u) + sig(u, v) - S(v).  Lemma: the least loop
+outside H is the least closed walk at r outside H.  Proof: the loop classes
+of a walk's edges telescope to its class, so the loop of some edge uv, say
+edge i (from 0) of a walk of length L, is outside H; and d(u) <= i,
+d(v) <= L - i - 1, so that loop is no longer than the walk.  Edges between
+vertices of depth >= D close loops of length >= 2D + 1, which ends the BFS.
+
+States (vertex, p, q) of the signature-labelled covering graph remain for
+the witness walk, from one root, and for the proportional search of
+``marked_type``: the nonzero multiples of [M] are not the complement of a
+subgroup.  Walks not proportional to c meet every cycle realizing c (their
+intersection number is nonzero), so the k_M search roots at M only.
 
 Cutting
 -------
@@ -44,7 +54,7 @@ from .errors import (
     PolytorusError,
     SeparatingMark,
 )
-from .surfaces import Cycle, SimplicialTorus, vertex_orbits
+from .surfaces import Cycle, SimplicialTorus
 
 
 class HomologySignature(tuple):
@@ -318,15 +328,50 @@ def _closed_walk_search(T, basis, roots, allowed, best_len, best_witness):
     return best_len, best_witness
 
 
+def _shortest_admissible(T, basis, roots, allowed, best_len, best_witness):
+    """``_closed_walk_search`` for an ``allowed`` rejecting exactly a subgroup
+    of Z^2, with its result.  Each root's minimum is its least admissible
+    BFS-tree loop (module docstring), the bound passed on from root to root.
+    Only the first root attaining the least minimum L < ``best_len`` runs the
+    state BFS, with bound L + 1: its order to depth L does not depend on the
+    bound, so it finds the same witness."""
+    sig, nbrs = basis.edge_sig, T.neighbors
+    bound, first = best_len, None
+    for r in roots:
+        tree = {r: (0, 0, 0)}  # v -> d(v), S(v)
+        queue = deque([r])
+        while queue:
+            u = queue.popleft()
+            d, p, q = tree[u]
+            if 2 * d + 1 >= bound:
+                break
+            for v in nbrs[u]:
+                sp, sq = sig[u, v]
+                if v not in tree:
+                    tree[v] = (d + 1, p + sp, q + sq)
+                    queue.append(v)
+                    continue
+                dv, pv, qv = tree[v]
+                lp, lq = p + sp - pv, q + sq - qv
+                if (lp or lq) and d + 1 + dv < bound and allowed(lp, lq):
+                    bound, first = d + 1 + dv, r
+    if first is None:
+        return best_len, best_witness
+    found = _closed_walk_search(T, basis, [first], allowed, bound + 1, best_witness)
+    assert found[0] == bound
+    return found
+
+
 def shortest_nonseparating(T: SimplicialTorus, basis: HomologyBasis | None = None):
-    """(m, witness): minimum length over all non-separating simple cycles."""
+    """(m, witness): minimum length over all non-separating simple cycles.
+    Roots run 1..n: the first to attain m is the least of its orbit, so the
+    witness is that of a search from orbit representatives, with no group."""
     if basis is None:
         basis = homology_basis(T)
     best = min(basis.fundamental_cycles, key=len)
-    best_len, witness = len(best), tuple(best.vertices)
-    roots = [orbit[0] for orbit in vertex_orbits(T)]
-    best_len, witness = _closed_walk_search(
-        T, basis, roots, lambda p, q: True, best_len, witness)
+    best_len, witness = _shortest_admissible(
+        T, basis, range(1, T.n_vertices + 1), lambda p, q: True,
+        len(best), tuple(best.vertices))
     cyc = Cycle(witness).canonical()
     assert len(cyc) == best_len
     return best_len, cyc
@@ -367,13 +412,13 @@ def marked_type(T: SimplicialTorus, M: Cycle, basis: HomologyBasis | None = None
 
 def _k_search(T, basis, M, c):
     """(k_M, witness): the shortest non-separating cycle through a vertex of
-    M in a class not proportional to c = [M] != 0."""
+    M, in M's order, in a class not proportional to c = [M] != 0."""
     # the fundamental cycles carry the two unit classes, not both
     # proportional to c != 0
     k_best = min((f for f in basis.fundamental_cycles
                   if not cycle_signature(T, basis, f).proportional_to(c)), key=len)
-    k_M, k_wit = _closed_walk_search(
-        T, basis, list(M.vertices),
+    k_M, k_wit = _shortest_admissible(
+        T, basis, M.vertices,
         lambda p, q: (p * c.q - q * c.p != 0),
         len(k_best), tuple(k_best.vertices))
     return k_M, Cycle(k_wit).canonical()

@@ -14,15 +14,20 @@ relation ``src/`` uses as well, but with their own walk over the crossing
 events and their own ``Fraction`` elimination; the values of the
 region-colouring Goeritz matrix that ``src/`` computed before are pinned in
 ``test_diagrams.py``.
+``oracle_stick_number_and_type`` is the type search that ``src/`` ran
+before it read per-root minima off BFS trees: a state BFS over
+(vertex, p, q) in the signature-labelled covering graph from every root,
+with one root per automorphism orbit for m.
 ``canonical_labeling`` and ``supporting_plane_of_edge`` are test-only
 certificates.
 """
 
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from polytorus.cycles import _separates, cycle_signature, enumerate_simple_cycles
+from polytorus.cycles import _separates, cycle_signature, enumerate_simple_cycles, homology_basis
 from polytorus.errors import DegenerateFace
 from polytorus.geometry import (
     collinear,
@@ -44,6 +49,7 @@ from polytorus.surfaces import (
     _link_edges,
     _traverse_flag,
     _walk_link,
+    vertex_orbits,
 )
 from polytorus.diagrams import _Projection
 
@@ -367,6 +373,61 @@ def oracle_marked(T, basis, M, signed=None):
         elif not _proportional(_class_key(sig), _class_key(msig)):
             k_M = len(cyc) if k_M is None else min(k_M, len(cyc))
     return m_M, k_M
+
+
+def _state_bfs(T, basis, roots, allowed, best_len, best_witness):
+    """Shortest closed walk at a root whose nonzero class passes
+    ``allowed``: BFS over (vertex, p, q) states from each root in turn,
+    the bound carried over, a witness kept only when strictly shorter."""
+    sig = basis.edge_sig
+    nbrs = T.neighbors
+    for r in roots:
+        start = (r, 0, 0)
+        parent = {start: None}
+        frontier = deque([(start, 0)])
+        while frontier:
+            state, d = frontier.popleft()
+            if d + 1 >= best_len:
+                continue
+            u, p, q = state
+            for v in nbrs[u]:
+                sp, sq = sig[(u, v)]
+                np_, nq = p + sp, q + sq
+                if v == r:
+                    if (np_ or nq) and allowed(np_, nq) and d + 1 < best_len:
+                        walk = []
+                        s = state
+                        while s is not None:
+                            walk.append(s[0])
+                            s = parent[s]
+                        best_len = d + 1
+                        best_witness = tuple(reversed(walk))
+                    continue
+                ns = (v, np_, nq)
+                if ns not in parent and abs(np_) < best_len and abs(nq) < best_len:
+                    parent[ns] = state
+                    frontier.append((ns, d + 1))
+    return best_len, best_witness
+
+
+def oracle_stick_number_and_type(T):
+    """(m, s, witness_m, witness_s) by the state BFS: m from the least
+    vertex of each automorphism orbit, s from the vertices of witness_m,
+    each bounded by the shorter admissible fundamental cycle."""
+    basis = homology_basis(T)
+    best = min(basis.fundamental_cycles, key=len)
+    roots = [orbit[0] for orbit in vertex_orbits(T)]
+    m, wm = _state_bfs(T, basis, roots, lambda p, q: True, len(best), tuple(best.vertices))
+    wm = Cycle(wm).canonical()
+    c = cycle_signature(T, basis, wm)
+
+    def free(p, q):
+        return p * c.q - q * c.p != 0
+
+    k_best = min((f for f in basis.fundamental_cycles
+                  if free(*cycle_signature(T, basis, f))), key=len)
+    s, ws = _state_bfs(T, basis, wm.vertices, free, len(k_best), tuple(k_best.vertices))
+    return m, s, wm, Cycle(ws).canonical()
 
 
 def _class_key(sig):

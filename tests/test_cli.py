@@ -244,6 +244,39 @@ def test_negative_precision_exit_2(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["census", "--n", "0_7"], "--n"),
+    (["census", "--n", "\u0667"], "--n"),
+    (["census", "--n", "7", "--verify-thm31", "0_3"], "--verify-thm31"),
+    (["generate", "minimal3k", "--k", "\u0665"], "--k"),
+    (["realize", "cyclic", "--k", "\u0668"], "--k"),
+    (["realize", "cyclic", "--k", "8", "--precision", "\u0661"], "--precision"),
+])
+def test_integer_options_take_ascii_literals_only(argv, option, monkeypatch, capsys):
+    """Digit separators and non-ASCII digits are usage errors naming the
+    option, as in the file parsers, and nothing is built."""
+    built = []
+    monkeypatch.setattr(census, "enumerate_tori", lambda *a, **kw: built.append(a))
+    monkeypatch.setattr(cli, "minimal_torus_3k", built.append)
+    monkeypatch.setattr(cli, "cyclic_polytope_realization", built.append)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}: invalid" in captured.err
+    assert built == []
+
+
+def test_integer_options_take_plain_literals(tmp_path, capsys):
+    assert main(["census", "--n", "7"]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["count"] == 1
+    out = tmp_path / "c.off"
+    assert main(["realize", "cyclic", "--k", "3", "--precision", "0", "-o", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["vertices"] == 7
+    assert out.read_text().startswith("OFF")
+
+
 def test_non_utf8_input_exit_1(tmp_path, capsys):
     p = tmp_path / "bad.txt"
     p.write_bytes(b"\xff\xfe")

@@ -1,12 +1,21 @@
 """Homology signatures, shortest cycles, types, layers, and the bound."""
 
+import random
 import re
 
 import pytest
 
-from oracles import cut_separates, oracle_cut, oracle_marked, oracle_type
+from oracles import (
+    cut_separates,
+    oracle_cut,
+    oracle_marked,
+    oracle_stick_number_and_type,
+    oracle_type,
+)
 
+from polytorus import cycles, surfaces
 from polytorus.cycles import (
+    analysis_report,
     bound_strict_gap,
     cut_along_cycle,
     cycle_signature,
@@ -193,6 +202,66 @@ def test_oracle_agreement_census8(census8):
         T = rec.torus()
         basis = homology_basis(T)
         assert (rec.m, rec.s) == oracle_type(T, basis)
+
+
+def _relabeled(T, rng):
+    perm = list(range(1, T.n_vertices + 1))
+    rng.shuffle(perm)
+    return SimplicialTorus([tuple(perm[v - 1] for v in f) for f in T.faces])
+
+
+def _type_tuple(T):
+    res = stick_number_and_type(T)
+    return res.m, res.s, res.witness_m, res.witness_s
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 10])
+def test_type_matches_state_bfs_oracle_on_census(n):
+    """Lengths and witnesses from BFS-tree loops equal the state BFS's on
+    every census class, and on two relabelings of each class for n <= 9."""
+    rng = random.Random(1700 + n)
+    for rec in enumerate_tori(n):
+        T = rec.torus()
+        for X in [T] + ([_relabeled(T, rng), _relabeled(T, rng)] if n <= 9 else []):
+            assert _type_tuple(X) == oracle_stick_number_and_type(X), rec.canonical_faces
+
+
+def test_type_matches_state_bfs_oracle_on_generators(moebius):
+    rng = random.Random(1711)
+    tori = [moebius]
+    for k in list(range(3, 13)) + [40]:
+        for T in (minimal_torus_3k(k), tube_complex(k)):
+            tori += [T, _relabeled(T, rng)]
+    # on this relabeling the first shortest BFS-tree loop for s and the
+    # covering-graph walk are different cycles: the witness is the walk
+    tori.append(_relabeled(minimal_torus_3k(40), random.Random(27)))
+    for T in tori:
+        assert _type_tuple(T) == oracle_stick_number_and_type(T)
+
+
+def test_analysis_report_builds_no_group(monkeypatch):
+    """The type of a k=40 torus needs no automorphism group, and each of
+    its two searches walks the covering graph from at most one root."""
+    groups, searches = [], []
+    group, search = surfaces.automorphism_group, cycles._closed_walk_search
+
+    def counting_group(T):
+        groups.append(T)
+        return group(T)
+
+    def counting_search(T, basis, roots, *rest):
+        searches.append(list(roots))
+        return search(T, basis, roots, *rest)
+
+    monkeypatch.setattr(surfaces, "automorphism_group", counting_group)
+    monkeypatch.setattr(cycles, "_closed_walk_search", counting_search)
+    rng = random.Random(1712)
+    for T in (minimal_torus_3k(40), tube_complex(40)):
+        searches.clear()
+        report = analysis_report(_relabeled(T, rng))
+        assert report["type"] == "3x40"
+        assert len(searches) <= 2 and all(len(roots) <= 1 for roots in searches)
+    assert groups == []
 
 
 def test_layers_minimal6():
