@@ -21,12 +21,12 @@ Two independent generation strategies back each other up:
 Both deduplicate through the canonical key of ``surfaces``: the minimum
 visit-order code over the start flags (a, b, c), where a minimizes (degree,
 sorted neighbour degrees) and b minimizes it among a's neighbours.  The
-flags tying the key give the automorphism group.  A class's record is
-built from the completion that first found it: the sorted canonical form
-the records publish (one flag traversed per orbit of the group), and the
-type, which reads the group and the completion's own orientation.  The
-type, |Aut| and the equivelar flag are invariants, so any completion of
-the class gives the same record.
+flags tying the key are one orbit of the automorphism group, and the group
+is the key's tie set.  A class's record is built from the completion that
+first found it: the sorted canonical form the records publish (handed the
+ties, the form scan walks one flag per orbit of the group), and the type,
+from the completion's own orientation.  The type, |Aut| and the equivelar
+flag are invariants, so any completion of the class gives the same record.
 """
 
 from __future__ import annotations
@@ -508,13 +508,10 @@ def enumerate_tori(n: int, strategy: str = "a", time_budget: float | None = None
     for T in _completions(n, strategy, budget):
         key, ties = _key_scan(T)
         if key not in seen:
-            # the flags tying the key give Aut(T) (see automorphism_group): the
-            # form scan skips its orbits and the type reads it
-            inv = {new: old for old, new in ties[0].items()}
-            T._automorphisms = tuple({v: inv[new] for v, new in tie.items()} for tie in ties)
             res = stick_number_and_type(T)
             seen[key] = CensusRecord(
-                canonical_faces=canonical_form(T),
+                # the ties are Aut(T): the form scan skips its orbits
+                canonical_faces=canonical_form(T, ties),
                 n=n,
                 m=res.m,
                 s=res.s,

@@ -391,7 +391,7 @@ def marked_type(T: SimplicialTorus, M: Cycle, basis: HomologyBasis | None = None
 
     # proportional search: admissible classes are the nonzero multiples of c
     best_len, witness = _closed_walk_search(
-        T, basis, sorted(set(range(1, T.n_vertices + 1))),
+        T, basis, range(1, T.n_vertices + 1),
         lambda p, q: (p * c.q - q * c.p == 0),
         len(M), tuple(M.vertices))
     wit_cycle = None

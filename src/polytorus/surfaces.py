@@ -18,16 +18,9 @@ flags (a, b, c) are tried: a minimizes the invariant (degree, sorted
 neighbour degrees), and b minimizes it among a's neighbours.  That set is
 preserved by isomorphism.  Each traversal compares its faces with the best
 code so far and stops at the first larger one.  The flags that tie the
-minimum are one orbit of the automorphism group, so their number is |Aut|.
-
-The automorphism group needs neither the form nor the key.  The traversal from
-one fixed reference flag gives a reference code, the relabeled faces in visit
-order.  The traversal from any other flag reproduces that code exactly when
-some automorphism carries the flag onto the reference flag, and it stops at
-the first face that differs.  Each match is a generator, and the group they
-generate settles every flag in the orbit of a traversed flag (the pruning of
-nauty: McKay, *Practical graph isomorphism*, 1981), so the minimal 3 x 40
-torus needs 20 traversals for its 1,416 flags, once per torus.
+minimum are one orbit of the automorphism group, so their number is |Aut|,
+and the group is the key's tie set: each tie, read through the first, is one
+automorphism (``automorphism_group``).
 
 Combinatorial core
 ------------------
@@ -290,7 +283,6 @@ class SimplicialTorus:
         self._oriented = report.oriented_faces
         self._neighbors = None
         self._rotation = None
-        self._automorphisms = None
 
     # -- cached structure ---------------------------------------------------
 
@@ -395,7 +387,7 @@ def _flags(face):
     return ((a, b, c), (b, c, a), (c, a, b), (a, c, b), (c, b, a), (b, a, c))
 
 
-def _traverse_flag(T: SimplicialTorus, flag, ref=None, exact=True):
+def _traverse_flag(T: SimplicialTorus, flag, best=None):
     """Deterministic relabeling induced by one oriented starting face.
 
     ``flag`` is an oriented triple (a, b, c) of some face.  Faces are visited
@@ -407,10 +399,9 @@ def _traverse_flag(T: SimplicialTorus, flag, ref=None, exact=True):
     orientation iff the flag does, so the neighbor across (u, v) is the left
     face of (v, u) if the flag runs with the orientation, else of (u, v).
 
-    With a reference ``ref`` (the code of another traversal), returns None as
-    soon as a visited face differs from the face at the same place in ``ref``.
-    With ``exact=False`` only a larger face aborts; at the first smaller face
-    the traversal stops comparing and runs to the end.
+    With ``best`` (the code of another traversal), returns None at the first
+    visited face above the face at the same place in ``best``; at the first
+    face below it the traversal stops comparing and runs to the end.
     """
     rot = T.rotation
     a, b, c = flag
@@ -434,10 +425,10 @@ def _traverse_flag(T: SimplicialTorus, flag, ref=None, exact=True):
             if p > q:
                 p, q = q, p
         face = (p, q, r)
-        if ref is not None and face != ref[len(out)]:
-            if exact or face > ref[len(out)]:
+        if best is not None and face != best[len(out)]:
+            if face > best[len(out)]:
                 return None
-            ref = None
+            best = None
         out.append(face)
         for u, v in ((x, y), (y, z), (z, x)):
             j, w = rot[v, u] if forward else rot[u, v]
@@ -478,7 +469,7 @@ def _form_labels(T: SimplicialTorus, flag, best):
     return None if best else labels
 
 
-def _canonical_scan(T: SimplicialTorus):
+def _canonical_scan(T: SimplicialTorus, ties=None):
     """Least sorted form over all flags, with the first labeling attaining it
     in flag order.  Flag (a, b, c) gives (1,2,3), (1,2,4), (1,3,x), x = 4 iff
     the vertices across {a, b} and {a, c} agree, iff deg(a) = 3, else x = 5
@@ -487,8 +478,9 @@ def _canonical_scan(T: SimplicialTorus):
     neighbours are labeled) with the best form's in order, to the first that
     differs.  Forms equal before block m have it as m's link cycle less the
     same edges, so neither is a proper prefix of the other.  Automorphisms
-    keep degrees and forms: one flag per orbit of ``T._automorphisms``."""
-    autos, done = (T._automorphisms or ())[1:], set()  # [0] is the identity
+    keep degrees and forms: given the key scan's ``ties``, one flag per orbit
+    of their group."""
+    autos, done = _tie_group(ties)[1:] if ties else (), set()  # [0] is the identity
     degree3 = 3 in map(len, T.neighbors.values())
     form = labeling = None
     for f in T.faces:
@@ -502,10 +494,11 @@ def _canonical_scan(T: SimplicialTorus):
     return form, labeling
 
 
-def canonical_form(T: SimplicialTorus):
+def canonical_form(T: SimplicialTorus, ties=None):
     """Relabeling-invariant representative of the isomorphism class: the
-    least sorted relabeled face list over all flags."""
-    return _canonical_scan(T)[0]
+    least sorted relabeled face list over all flags.  ``ties``, the tie
+    labelings of T's key scan, let the scan skip the orbits of Aut(T)."""
+    return _canonical_scan(T, ties)[0]
 
 
 def _start_pairs(nbrs) -> set[Edge]:
@@ -532,7 +525,7 @@ def _key_scan(T: SimplicialTorus):
         for flag in _flags(f):
             if flag[:2] not in pairs:
                 continue
-            match = _traverse_flag(T, flag, best, exact=False)
+            match = _traverse_flag(T, flag, best)
             if match is None:
                 continue
             code, labels = match
@@ -556,74 +549,22 @@ def canonical_key(T: SimplicialTorus) -> tuple[tuple[Face, ...], int]:
     return key, len(ties)
 
 
+def _tie_group(ties) -> list[dict[int, int]]:
+    """The automorphisms v -> inv0(tie(v)) of the key scan's tie labelings,
+    where inv0 inverts the first tie; that one gives the identity."""
+    inv = {new: old for old, new in ties[0].items()}
+    return [{v: inv[new] for v, new in tie.items()} for tie in ties]
+
+
 def automorphism_group(T: SimplicialTorus) -> list[dict[int, int]]:
     """All face-preserving vertex bijections, the identity first.
 
-    The reference flag is the first flag of ``T.faces[0]``.  A flag whose
-    traversal reproduces the reference code gives the automorphism
-    v -> ref_labeling^-1(labeling(v)), which carries it onto the reference
-    flag; every automorphism arises from exactly one flag, in whose order
-    the list runs.  A flag is traversed only while its verdict is open.
-    Each match adds a generator to G, closed under composition, and two
-    exact rules give verdicts without traversals:
-
-    - every h(ref), h in G, matches: h^-1 carries it onto the reference;
-    - if flag f misses, so does every h(f), h in G: an automorphism g
-      carrying h(f) onto the reference would make g.h carry f there.  The
-      rule runs on each miss, and again on every earlier miss when G grows.
-
-    Aut acts freely on flags, so once every flag has a verdict G is all of
-    Aut.  Computed once per torus; each call returns fresh dicts.
+    The key's tie flags are one orbit of Aut, which acts freely on flags:
+    each tie, read through the first, is one automorphism, and each
+    automorphism arises from exactly one tie, in whose order the list runs.
+    Each call runs the key scan and returns fresh dicts.
     """
-    if T._automorphisms is None:
-        n = T.n_vertices
-        ref_flag = r0, r1, r2 = _flags(T.faces[0])[0]
-        ref, ref_labels = _traverse_flag(T, ref_flag)
-        inv = {new: old for old, new in ref_labels.items()}
-        # elements of G are tuples h with h[v] the image of v, h[0] = 0
-        group = [tuple(range(n + 1))]
-        gens, misses = [], []
-        verdict = {ref_flag: group[0]}  # flag -> h with h(ref) = flag, or None
-        for f in T.faces:
-            for flag in _flags(f):
-                if flag in verdict:
-                    continue
-                match = _traverse_flag(T, flag, ref)
-                if match is None:
-                    misses.append(flag)
-                    verdict.update(((h[flag[0]], h[flag[1]], h[flag[2]]), None) for h in group)
-                    continue
-                labels = match[1]
-                gens.append((0,) + tuple(inv[labels[v]] for v in range(1, n + 1)))
-                grown = len(group)
-                # the loop visits the elements it appends; old elements are
-                # closed under the old generators.  Two elements are equal
-                # iff they agree on the reference flag (Aut acts freely).
-                for i, e in enumerate(group):
-                    for s in gens if i >= grown else gens[-1:]:
-                        image = (s[e[r0]], s[e[r1]], s[e[r2]])
-                        if image not in verdict:
-                            verdict[image] = h = tuple([s[x] for x in e])
-                            group.append(h)
-                            verdict.update(((h[m[0]], h[m[1]], h[m[2]]), None) for m in misses)
-        T._automorphisms = tuple(
-            {h[v]: v for v in range(1, n + 1)}
-            for f in T.faces for flag in _flags(f) if (h := verdict[flag]))
-    return [dict(a) for a in T._automorphisms]
-
-
-def vertex_orbits(T: SimplicialTorus) -> list[tuple[int, ...]]:
-    """Orbits of the automorphism group on vertices (sorted representatives)."""
-    autos = automorphism_group(T)
-    seen = set()
-    orbits = []
-    for v in range(1, T.n_vertices + 1):
-        if v in seen:
-            continue
-        orbit = sorted({a[v] for a in autos})
-        seen.update(orbit)
-        orbits.append(tuple(orbit))
-    return orbits
+    return _tie_group(_key_scan(T)[1])
 
 
 def is_isomorphic(T1: SimplicialTorus, T2: SimplicialTorus):

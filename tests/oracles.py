@@ -17,7 +17,9 @@ region-colouring Goeritz matrix that ``src/`` computed before are pinned in
 ``oracle_stick_number_and_type`` is the type search that ``src/`` ran
 before it read per-root minima off BFS trees: a state BFS over
 (vertex, p, q) in the signature-labelled covering graph from every root,
-with one root per automorphism orbit for m.
+with one root per automorphism orbit for m.  Those orbits are
+``oracle_vertex_orbits`` of ``automorphism_group``, the group read off the
+canonical key's ties, which ``oracle_automorphisms`` checks separately.
 ``canonical_labeling`` and ``supporting_plane_of_edge`` are test-only
 certificates.
 """
@@ -49,7 +51,7 @@ from polytorus.surfaces import (
     _link_edges,
     _traverse_flag,
     _walk_link,
-    vertex_orbits,
+    automorphism_group,
 )
 from polytorus.diagrams import _Projection
 
@@ -416,7 +418,7 @@ def oracle_stick_number_and_type(T):
     each bounded by the shorter admissible fundamental cycle."""
     basis = homology_basis(T)
     best = min(basis.fundamental_cycles, key=len)
-    roots = [orbit[0] for orbit in vertex_orbits(T)]
+    roots = [orbit[0] for orbit in oracle_vertex_orbits(T, automorphism_group(T))]
     m, wm = _state_bfs(T, basis, roots, lambda p, q: True, len(best), tuple(best.vertices))
     wm = Cycle(wm).canonical()
     c = cycle_signature(T, basis, wm)

@@ -240,20 +240,24 @@ def test_type_matches_state_bfs_oracle_on_generators(moebius):
 
 
 def test_analysis_report_builds_no_group(monkeypatch):
-    """The type of a k=40 torus needs no automorphism group, and each of
-    its two searches walks the covering graph from at most one root."""
+    """The type of a k=40 torus needs no automorphism group, nor the key
+    scan that is its only source, and each of its two searches walks the
+    covering graph from at most one root."""
     groups, searches = [], []
-    group, search = surfaces.automorphism_group, cycles._closed_walk_search
+    search = cycles._closed_walk_search
 
-    def counting_group(T):
-        groups.append(T)
-        return group(T)
+    def counting_group(source):
+        def counted(T):
+            groups.append(T)
+            return source(T)
+        return counted
 
     def counting_search(T, basis, roots, *rest):
         searches.append(list(roots))
         return search(T, basis, roots, *rest)
 
-    monkeypatch.setattr(surfaces, "automorphism_group", counting_group)
+    for name in ("automorphism_group", "_key_scan"):
+        monkeypatch.setattr(surfaces, name, counting_group(getattr(surfaces, name)))
     monkeypatch.setattr(cycles, "_closed_walk_search", counting_search)
     rng = random.Random(1712)
     for T in (minimal_torus_3k(40), tube_complex(40)):

@@ -32,7 +32,6 @@ from polytorus.surfaces import (
     parse_complex,
     validate_surface,
     vertex_link,
-    vertex_orbits,
 )
 
 TETRA = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
@@ -127,7 +126,7 @@ def test_canonical_scan_matches_unrestricted_scan(monkeypatch):
     minimal_torus_3k(5) and tube_complex(6).  Without a group the scan walks
     exactly the flags (a, b, c) with deg(a) = 3 when there are any, six per
     degree-3 vertex.  Each torus but the n = 10 classes is scanned again
-    with its automorphism group, as the census scans its completions."""
+    with its key scan's ties, as the census scans its completions."""
     rng = random.Random(1610)
 
     def shuffled(T):
@@ -154,8 +153,7 @@ def test_canonical_scan_matches_unrestricted_scan(monkeypatch):
         assert len(walks) == (6 * degree3 if degree3 else 6 * len(T.faces))
         with_degree3 += degree3 > 0
         if T.n_vertices != 10:
-            automorphism_group(T)
-            assert surfaces._canonical_scan(T) == expected
+            assert surfaces._canonical_scan(T, surfaces._key_scan(T)[1]) == expected
     assert 0 < with_degree3 < len(tori)
 
 
@@ -247,11 +245,11 @@ def test_automorphisms_and_orbits(moebius):
     faces = set(moebius.faces)
     for a in autos[:7]:
         assert all(tuple(sorted(a[v] for v in f)) in faces for f in moebius.faces)
-    assert vertex_orbits(moebius) == [tuple(range(1, 8))]
+    assert oracle_vertex_orbits(moebius, autos) == [tuple(range(1, 8))]
 
 
 def test_automorphisms_match_oracle():
-    """Reference-flag matching against the full-scan oracle, on named tori,
+    """The key scan's tie group against the full-scan oracle, on named tori,
     every census class for n = 7 and 8, and seeded relabelings of each."""
     rng = random.Random(1281)
     tori = [moebius_torus(), minimal_torus_3k(5), tube_complex(4)]
@@ -272,37 +270,24 @@ def test_automorphisms_match_oracle():
             oracle = oracle_automorphisms(T)
             assert len(got) == len(autos)
             assert got == {tuple(sorted(a.items())) for a in oracle}
-            orbits = vertex_orbits(T)
+            orbits = oracle_vertex_orbits(T, autos)
             assert orbits == oracle_vertex_orbits(T, oracle)
             here = (len(autos), sorted(len(o) for o in orbits))
             assert invariants in (None, here)
             invariants = here
 
 
-def test_pruned_group_on_large_tori(monkeypatch):
+def test_pruned_group_on_large_tori():
     """Both k = 40 tori, relabeled, and the torus of the k = 8 cyclic
-    polytope against the full-scan oracle; on the k = 40 tori at most a
-    tenth of the 6F flags are traversed."""
+    polytope against the full-scan oracle."""
     rng = random.Random(4001)
     large = []
     for T in (minimal_torus_3k(40), tube_complex(40)):
         perm = list(range(1, T.n_vertices + 1))
         rng.shuffle(perm)
         large.append(relabeled(T, perm))
-    traversals = []
-    original = surfaces._traverse_flag
-
-    def counting(*args, **kwargs):
-        traversals.append(args[1])
-        return original(*args, **kwargs)
-
     for T in large + [cyclic_polytope_realization(8).complex]:
-        del traversals[:]
-        with monkeypatch.context() as m:
-            m.setattr(surfaces, "_traverse_flag", counting)
-            autos = automorphism_group(T)
-        if T in large:
-            assert len(traversals) <= 6 * len(T.faces) // 10
+        autos = automorphism_group(T)
         assert autos[0] == {v: v for v in range(1, T.n_vertices + 1)}
         faces = set(T.faces)
         for a in autos:
@@ -311,7 +296,7 @@ def test_pruned_group_on_large_tori(monkeypatch):
         oracle = oracle_automorphisms(T)
         assert len(got) == len(autos)
         assert got == {tuple(sorted(a.items())) for a in oracle}
-        assert vertex_orbits(T) == oracle_vertex_orbits(T, oracle)
+        assert oracle_vertex_orbits(T, autos) == oracle_vertex_orbits(T, oracle)
 
 
 @cache
@@ -324,8 +309,9 @@ def _relabeling_bases():
 
 
 def _relabeling_invariants(T):
-    return (canonical_key(T), canonical_form(T), len(automorphism_group(T)),
-            sorted(len(o) for o in vertex_orbits(T)))
+    autos = automorphism_group(T)
+    return (canonical_key(T), canonical_form(T), len(autos),
+            sorted(len(o) for o in oracle_vertex_orbits(T, autos)))
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -339,14 +325,15 @@ def test_invariants_under_random_relabeling(data):
 
 
 def _assert_key_matches_form(tori):
-    """Keys equal exactly when sorted forms are; the tie count is |Aut|."""
+    """Keys equal exactly when sorted forms are; the tie count is |Aut|,
+    counted by the full-scan oracle."""
     key_form, form_key = {}, {}
     for T in tori:
         key, order = canonical_key(T)
         form = canonical_form(T)
         assert key_form.setdefault(key, form) == form
         assert form_key.setdefault(form, key) == key
-        assert order == len(automorphism_group(T))
+        assert order == len(oracle_automorphisms(T))
     return len(key_form)
 
 
