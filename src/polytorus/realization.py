@@ -17,6 +17,11 @@ stay exact:
   checks the property that actually matters (the plane separates the two
   incident edges) exactly.
 
+* Ring frames.  A frame only has to be transverse, since every prism
+  chooses its own corner matching.  Each ring's frame is transported from
+  the previous one through a direction rounded to FRAME_BITS bits, so the
+  coordinates' size does not grow with the number of sticks.
+
 The tube radius is handled as an exact *squared* value, which keeps the
 bound from the clearance computation and every later comparison exact, and
 makes the pre-verification bound exactly scale-covariant.
@@ -74,6 +79,8 @@ from .knots import StickKnot
 from .surfaces import Cycle, SimplicialTorus, parse_int
 
 MAX_EPS_HALVINGS = 16
+# bits of the rounded direction each ring frame is transported from
+FRAME_BITS = 30
 
 
 class ExactRadius:
@@ -215,51 +222,31 @@ def _initial_direction(n: Vec) -> Vec:
     raise DegenerateKnot("zero plane normal")
 
 
-def _angle_in_plane(target: Vec, u: Vec, w: Vec) -> float:
-    x = float(dot(target, u)) / math.sqrt(float(norm2(u)))
-    y = float(dot(target, w)) / math.sqrt(float(norm2(w)))
-    return math.atan2(y, x)
+def _rounded_direction(u: Vec) -> Vec:
+    """Integer vector near the direction of u, its largest entry of
+    magnitude 2**FRAME_BITS."""
+    s = Fraction(2 ** FRAME_BITS) / max(abs(c) for c in u)
+    return tuple(Fraction(round(c * s)) for c in u)
 
 
-def _rotate_in_plane(u: Vec, w: Vec, angle: float) -> Vec:
-    """Rational vector close to u rotated by ``angle`` toward w."""
-    c = Fraction(round(math.cos(angle) * 2 ** 24), 2 ** 24)
-    ratio = math.sqrt(float(norm2(u)) / float(norm2(w)))
-    s = Fraction(round(math.sin(angle) * ratio * 2 ** 24), 2 ** 24)
-    out = add(scale(u, c), scale(w, s))
-    if is_zero(out):
-        return u
-    return out
+def _transported_frames(normals):
+    """Per-ring frames (u, w), u exactly in the ring plane.
 
-
-def _transported_frames(K: StickKnot, normals):
-    """Per-ring frames (u, w) with the closing twist spread over all rings.
-
-    u starts from the x-axis (see ``_initial_direction``) and is carried
-    from ring to ring by projection onto the next ring plane.  At sharp
-    turns consecutive frames may still be twisted far against each other;
-    ``_prism_faces`` absorbs that by choosing each prism's corner matching.
+    u starts from the x-axis (see ``_initial_direction``); each ring takes
+    the previous ring's u rounded to FRAME_BITS bits (``_rounded_direction``)
+    and projected exactly onto its own plane, so every frame has the same
+    bit budget however long the knot.  A frame only has to be transverse:
+    where consecutive frames twist far against each other, at sharp turns
+    or across the closing ring, ``_prism_faces`` absorbs the twist by
+    choosing each prism's corner matching.
     """
-    k = K.k
-    us = []
-    u = _initial_direction(normals[0])
-    for i in range(k):
-        if i > 0:
-            u = reduce_direction(_project_to_plane(u, normals[i]))
-            if is_zero(u):
-                u = _initial_direction(normals[i])
-        us.append(u)
-    closing = _project_to_plane(us[-1], normals[0])
-    if is_zero(closing):
-        closing = us[0]
-    w0 = _balanced_cross(normals[0], us[0])
-    theta = _angle_in_plane(closing, us[0], w0)
     frames = []
-    for i in range(k):
-        base_u = approx_unit(us[i], 30)
-        w = _balanced_cross(normals[i], base_u)
-        ui = _rotate_in_plane(base_u, w, theta * i / k) if theta else base_u
-        frames.append((ui, _balanced_cross(normals[i], ui)))
+    u = _initial_direction(normals[0])
+    for n in normals:
+        u = reduce_direction(_project_to_plane(_rounded_direction(u), n))
+        if is_zero(u):
+            u = _initial_direction(n)
+        frames.append((u, _balanced_cross(n, u)))
     return frames
 
 
@@ -435,7 +422,7 @@ def _tube_at(K: StickKnot, eps: ExactRadius) -> Mesh:
     EpsilonTooLarge with the reason when any of it fails."""
     k = K.k
     normals = _ring_planes(K)
-    frames = _transported_frames(K, normals)
+    frames = _transported_frames(normals)
     coords = {}
     radii = []
     for i in range(k):
@@ -551,17 +538,15 @@ def _build_complement(K: StickKnot, tube: Mesh) -> Mesh:
     n_tube = 3 * k
     all_pts = [tube.coords[i] for i in range(1, n_tube + 1)]
 
-    # hull vertex of the knot: the lexicographic minimum is always extreme
-    i_star = min(range(k), key=lambda i: K.vertices[i])
-    ring = [3 * i_star + 1, 3 * i_star + 2, 3 * i_star + 3]
-    choice = None
-    for v1, v2 in ((ring[0], ring[1]), (ring[0], ring[2]), (ring[1], ring[2])):
-        plane_n = _strict_edge_support(all_pts, v1 - 1, v2 - 1)
-        if plane_n is not None:
-            choice = (v1, v2, plane_n)
-            break
+    # a ring edge on the hull, from the rings in lexicographic order of
+    # their knot vertex: the least vertex is extreme, so its ring comes first
+    edges = ((3 * i + a, 3 * i + b) for i in sorted(range(k), key=lambda i: K.vertices[i])
+             for a, b in ((1, 2), (1, 3), (2, 3)))
+    choice = next(((v1, v2, plane_n) for v1, v2 in edges
+                   if (plane_n := _strict_edge_support(all_pts, v1 - 1, v2 - 1)) is not None),
+                  None)
     if choice is None:
-        raise EnclosureFailure("no ring edge of the hull vertex lies on the hull")
+        raise EnclosureFailure("no ring edge lies on the hull")
     v1, v2, plane_n = choice
 
     p1, p2 = tube.coords[v1], tube.coords[v2]
@@ -610,7 +595,7 @@ def _build_complement(K: StickKnot, tube: Mesh) -> Mesh:
         raise EpsilonTooLarge("no lift of the subdivision vertex certified")
     cand, y, w = sub_mesh
 
-    octa = _enclosing_octahedron(cand, (v1, v2, y_label), plane_n, c)
+    octa = _enclosing_octahedron(cand, (v1, v2, y_label), plane_n)
     z_labels = [n_tube + 2, n_tube + 3, n_tube + 4]
     coords = dict(cand.coords)
     for lbl, pt in zip(z_labels, octa["z_points"]):
@@ -675,26 +660,30 @@ def _strict_edge_support(points, i, j):
     return None
 
 
-def _enclosing_octahedron(mesh: Mesh, top_labels, plane_n, c):
+def _enclosing_octahedron(mesh: Mesh, top_labels, plane_n):
     """Large triangle beyond the mesh joined to the lifted triangle; the six
-    points must span a combinatorial octahedron enclosing the mesh."""
+    points must span a combinatorial octahedron enclosing the mesh.
+
+    The large triangle's centre is the mesh centroid moved below the mesh
+    and rounded to a grid of power-of-two step; its lateral scales are
+    powers of two, so its corners stay coarse whatever the tube's bits.
+    """
     pts = list(mesh.coords.values())
     top = [mesh.coords[v] for v in top_labels]
-    d = plane_n  # outward: mesh strictly below (dot < c)
+    d = plane_n  # outward: the mesh lies strictly below the glued plane
     lows = [dot(d, p) for p in pts]
     spread = max(lows) - min(lows) + 1
-    c_far = min(lows) - spread
-    d = reduce_direction(d)
     e1 = reduce_direction(_initial_direction(d))
     e2 = reduce_direction(cross(d, e1))
-    centroid = scale(pts[0], 0)
-    for p in pts:
-        centroid = add(centroid, p)
-    centroid = scale(centroid, Fraction(1, len(pts)))
-    c0 = add(centroid, scale(d, (c_far - dot(d, centroid)) / norm2(d)))
+    centroid = tuple(sum(p[i] for p in pts) / len(pts) for i in range(3))
+    c0 = add(centroid, scale(d, (min(lows) - spread - dot(d, centroid)) / norm2(d)))
+    # c0 lies spread/|d| below the mesh; a grid step under 0.71 spread/|d|
+    # moves it by less than that
+    step = _coarse_sqrt(spread * spread / norm2(d)) / 2
+    c0 = tuple(step * round(x / step) for x in c0)
     # comparable lateral scales for the two frame vectors
-    s1 = sqrt_floor(spread * spread / norm2(e1), 30) or Fraction(1)
-    s2 = sqrt_floor(spread * spread / norm2(e2), 30) or Fraction(1)
+    s1 = _coarse_sqrt(spread * spread / norm2(e1))
+    s2 = _coarse_sqrt(spread * spread / norm2(e2))
     # the mesh points follow the six in the side table; the glued corners
     # are among the six
     mesh_pts = [homogeneous_point(p) for p in pts]
@@ -712,6 +701,11 @@ def _enclosing_octahedron(mesh: Mesh, top_labels, plane_n, c):
                 return {"z_points": z, "facets": sorted(tuple(sorted(f)) for f in facets)}
         R *= 2
     raise EnclosureFailure("no enclosing octahedron found")
+
+
+def _coarse_sqrt(x: Fraction) -> Fraction:
+    """A power of two within a factor of two of sqrt(x), for rational x > 0."""
+    return Fraction(2) ** ((x.numerator.bit_length() - x.denominator.bit_length()) // 2)
 
 
 def _hull_facets(table):

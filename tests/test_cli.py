@@ -10,7 +10,13 @@ from hypothesis import given, settings, strategies as st
 from polytorus import census, cli, realization
 from polytorus.cli import main
 from polytorus.errors import PolytorusError
-from polytorus.knots import format_stick_knot, parse_stick_knot, trefoil_6stick, triangle_unknot
+from polytorus.knots import (
+    StickKnot,
+    format_stick_knot,
+    parse_stick_knot,
+    trefoil_6stick,
+    triangle_unknot,
+)
 from polytorus.realization import import_off
 from polytorus.surfaces import parse_complex
 
@@ -139,6 +145,20 @@ def test_realize_tube(tri_file, tmp_path, capsys):
     assert out.read_text().splitlines()[1] == "9 18 0"
 
 
+def test_realize_tube_twelve_sticks(tmp_path, capsys):
+    """A 12-stick unknot whose transported frames once overflowed a float:
+    the tube certifies with 36 vertices and determinant 1."""
+    knot = tmp_path / "twelve.txt"
+    knot.write_text(format_stick_knot(StickKnot([
+        (-3, -12, 7), (15, -3, 6), (2, 4, -6), (-11, -15, -9), (-11, -6, -6), (-20, 11, 17),
+        (-9, -4, -2), (-20, -11, 6), (14, 3, 19), (16, 0, -12), (12, 19, -17), (9, 15, 5)])))
+    assert main(["realize", "tube", "--knot", str(knot)]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["embedded"] is True
+    assert cert["determinant"] == 1
+    assert cert["vertices"] == 36
+
+
 @pytest.fixture()
 def proofs(monkeypatch):
     """Every mesh ``verify_embedding`` is called on, as (coords, faces)."""
@@ -168,11 +188,12 @@ def test_realize_complement_proves_each_mesh_once(tri_file, proofs, capsys):
     assert len(set(proofs)) == len(proofs)
 
 
-# sha256 of the OFF files these commands write, recorded from the kernel
-# that scaled the whole mesh by one common denominator
+# sha256 of the OFF files these commands write; the tube and complement
+# digests were recorded from the frames transported through rounded
+# directions and the octahedron at coarse dyadic points
 GOLDEN_OFF = {
-    "tube trefoil": "56e28d19fa330113991f308579e3813487d0e6e0707228e441af4a1c42d446c0",
-    "complement unknot": "b5fff3ae914cf3774f12fd21204205abd4ef82b13cd7f1fd37f45c042ae1f841",
+    "tube trefoil": "444cff4e7040ca3d705304aa08815fd8784fd942e4eacab1626d7f150771740c",
+    "complement unknot": "ed7fb52ca1454c91a1a85d9c833bfe213ac6c32651129e40706775aad24447c8",
     "cyclic 8": "3896fbf344cb42957c0186ff423588236a61a82c9b93959930492d173ef72421",
 }
 
@@ -203,8 +224,8 @@ def test_realize_outputs_match_recorded_digests(tmp_path, monkeypatch, capsys):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, case
         if case == "tube trefoil":
             assert reports[-1].discharged == {
-                "coplanar": 0, "one_side": 287, "shared_edge": 54,
-                "shared_vertex": 164, "orientation": 125}
+                "coplanar": 0, "one_side": 285, "shared_edge": 54,
+                "shared_vertex": 166, "orientation": 125}
 
 
 @pytest.mark.parametrize("eps", ["abc", "nan", "1/0", "0", "-1"])

@@ -446,14 +446,15 @@ def test_tube_rotated_z_onto_x(perm, signs):
     assert knot_determinant(core_curve(mesh)) == 1
 
 
-def _seeded_general_position_knots(count):
-    """Random integer polygons of 4 to 9 sticks in general position with
-    positive clearance, from a fixed seed."""
-    rng = random.Random(21)
+def _seeded_general_position_knots(count, seed=21, sticks=(4, 9), span=8):
+    """Random integer polygons with ``sticks`` sticks (inclusive range) and
+    coordinates in [-span, span], in general position with positive
+    clearance, from a fixed seed."""
+    rng = random.Random(seed)
     out = []
     while len(out) < count:
-        k = rng.randint(4, 9)
-        pts = [tuple(rng.randint(-8, 8) for _ in range(3)) for _ in range(k)]
+        k = rng.randint(*sticks)
+        pts = [tuple(rng.randint(-span, span) for _ in range(3)) for _ in range(k)]
         try:
             K = StickKnot(pts)
             if K.is_general_position():
@@ -465,11 +466,11 @@ def _seeded_general_position_knots(count):
 
 
 def test_tube_certifies_where_transported_frames_twist():
-    """At sharp turns the transported frames twist one ring far against the
-    next, so that corner i of a ring need not face corner i of the next one;
-    each prism then matches its corners to the hull.  A general-position
-    5-stick unknot and ten seeded polygons all certify, with the exact core
-    and its determinant recovered."""
+    """At sharp turns, and across the closing ring, consecutive frames may
+    twist far against each other, so that corner i of a ring need not face
+    corner i of the next one; each prism then matches its corners to the
+    hull.  A general-position 5-stick unknot and ten seeded polygons all
+    certify, with the exact core and its determinant recovered."""
     from polytorus.diagrams import knot_determinant
     five = StickKnot([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
     assert five.is_general_position()
@@ -480,6 +481,43 @@ def test_tube_certifies_where_transported_frames_twist():
         assert core_curve(mesh) == K
         assert knot_determinant(core_curve(mesh)) == knot_determinant(K)
     assert oracle_verify_embedding(meshes[0]) == meshes[0].embedding
+
+
+def _coordinate_bits(mesh):
+    return max(max(c.numerator.bit_length(), c.denominator.bit_length())
+               for p in mesh.coords.values() for c in p)
+
+
+def test_tube_sweep_certifies_with_bounded_bits():
+    """Sixty seeded polygons of 4 to 14 sticks, coordinates in [-20, 20]:
+    every tube certifies with the exact core and its determinant, and the
+    coordinates of the long knots are no larger than those of the short
+    ones, since each ring frame is transported through a direction of
+    FRAME_BITS bits."""
+    from polytorus.diagrams import knot_determinant
+    bits = {}
+    for K in _seeded_general_position_knots(60, seed=7, sticks=(4, 14), span=20):
+        mesh = tube_construction(K)
+        assert mesh.embedding.ok
+        assert core_curve(mesh) == K
+        assert knot_determinant(core_curve(mesh)) == knot_determinant(K)
+        bits.setdefault(K.k, []).append(_coordinate_bits(mesh))
+    short = max(b for k, bs in bits.items() if k <= 5 for b in bs)
+    long = max(b for k, bs in bits.items() if k >= 10 for b in bs)
+    assert long <= short + 32, (short, long)
+
+
+@pytest.mark.parametrize("index", [6, 17, 18, 26])
+def test_complement_tries_further_rings(index):
+    """Seeded polygons where the ring of the least knot vertex once had, or
+    still has, no edge on the hull: a later ring's edge is glued, and the
+    complement certifies."""
+    from polytorus.realization import complement_construction
+    K = _seeded_general_position_knots(40)[index]
+    mesh = complement_construction(K)
+    assert mesh.embedding.ok
+    assert mesh.complex.n_vertices == 3 * K.k + 4
+    assert core_curve(mesh) == K
 
 
 def _rational(p):
@@ -513,6 +551,8 @@ def test_hull_certificates_match_oracle_on_constructions(monkeypatch):
             except EpsilonTooLarge:
                 pass
     tube_construction(trefoil_6stick())
+    with pytest.raises(EpsilonTooLarge, match="^ring point 7 inside prism hull 2$"):
+        tube_construction(trefoil_6stick(), ExactRadius.from_value(2))
     complement_construction(triangle_unknot())
     reasons = set()
     for coords, k, got in prisms:
