@@ -4,8 +4,9 @@ Two independent generation strategies back each other up:
 
 * strategy A (default): depth-first completion of the lexicographically
   smallest open edge, seeded by the link of a minimum-degree vertex labelled
-  (2, 3, ..., d+1), with incremental pseudomanifold bookkeeping (edge
-  multiplicities and per-vertex link paths), first-use label ordering and a
+  (2, 3, ..., d+1), with incremental pseudomanifold bookkeeping (open and
+  full edges, and per vertex its open-edge count and the ends of its link
+  paths, undone through one write log), first-use label ordering and a
   coherent orientation, which prunes Klein bottles before they are built.
   It keeps only completions whose seed flag (1, 2, 3) is a start flag of the
   key, so it builds each class once per Aut-orbit of those flags;
@@ -106,11 +107,17 @@ def _env_budget():
 class _LinkState:
     """Incremental pseudomanifold state for the face DFS.
 
-    Tracks edge multiplicities, per-vertex link paths (through mutual
-    "other endpoint" pointers), open path component counts, and closed
-    vertices.  A face addition is legal when its three link-edge insertions
-    keep every link a disjoint union of paths, closing into a single cycle
-    at most once per vertex.
+    Tracks the open edges (in one face) and the full ones (in two), and per
+    vertex v its degree, its number of open edges ``nopen[v]`` and its link
+    paths.  The ends of v's link paths are the far ends of its open edges,
+    so v has ``nopen[v] / 2`` paths, and it is closed exactly when
+    ``deg[v] > 0`` and ``nopen[v] == 0``.  ``oe[v]`` maps each path end to
+    the path's other end; its keys are v's link vertices, and an interior
+    vertex keeps a stale value.  A face addition is legal when its three
+    link-edge insertions keep every link a disjoint union of paths, closing
+    into a single cycle at most once per vertex.  ``add`` logs each pointer
+    write with the value it replaced, and ``undo`` restores the log in
+    reverse.
 
     ``open_edges`` maps each open edge to the direction its one face runs
     along it, and ``faces`` holds oriented triples.  Each face after the
@@ -123,12 +130,11 @@ class _LinkState:
     def __init__(self, n, min_deg):
         self.n = n
         self.min_deg = min_deg
-        self.ec = {}            # sorted edge -> 1 or 2
-        self.oe = {}            # vertex -> {endpoint -> other endpoint}
-        self.ncomp = [0] * (n + 1)
-        self.closed = [False] * (n + 1)
+        self.oe = {v: {} for v in range(1, n + 1)}  # vertex -> {path end -> other end}
         self.deg = [0] * (n + 1)
+        self.nopen = [0] * (n + 1)
         self.open_edges = {}    # sorted open edge -> (a, b): its face runs a -> b
+        self.full = set()       # sorted edges in two faces
         self.faces = []         # oriented triples
         self.faceset = set()
         self.maxlab = 0
@@ -139,16 +145,18 @@ class _LinkState:
         return (v, u, w) if self.open_edges.get((u, v)) == (u, v) else (u, v, w)
 
     def legal(self, u, v, w):
-        """Check face {u,v,w} without mutating.  (u,v) is an open edge."""
+        """Check face {u,v,w} without mutating.  (u,v) is an open edge.
+
+        Past the full-edge test no edge of the face is full, so each of its
+        vertices sees the other two in its link as path ends or not at all.
+        """
         f = tuple(sorted((u, v, w)))
         if f in self.faceset:
             return False
-        if self.closed[w]:
-            return False
-        ec = self.ec
-        e_uw = (u, w) if u < w else (w, u)
-        e_vw = (v, w) if v < w else (w, v)
-        if ec.get(e_uw, 0) == 2 or ec.get(e_vw, 0) == 2:
+        if self.nopen[w] == 0 and self.deg[w]:
+            return False  # w is closed
+        if ((u, w) if u < w else (w, u)) in self.full \
+                or ((v, w) if v < w else (w, v)) in self.full:
             return False
         a, b, c = self._oriented(u, v, w)
         oe = self.open_edges
@@ -157,116 +165,71 @@ class _LinkState:
             return False  # runs along an open edge the way its face does
         for a, b, c in ((u, v, w), (v, u, w), (w, u, v)):
             # link edge (b, c) at vertex a
-            cb = ec.get((a, b) if a < b else (b, a), 0)
-            cc = ec.get((a, c) if a < c else (c, a), 0)
-            if cb == 1 and cc == 1:
-                if self.oe[a].get(b) == c and self.ncomp[a] != 1:
-                    return False  # would close a cycle besides open paths
+            if self.nopen[a] != 2 and self.oe[a].get(b) == c:
+                return False  # would close a cycle besides open paths
         return True
 
     def add(self, u, v, w):
-        """Apply face {u,v,w}; returns an undo record."""
+        """Apply face {u,v,w}, which ``legal`` accepts; returns an undo record."""
         tri = self._oriented(u, v, w)
         f = tuple(sorted(tri))
-        rec = [f, tri, []]
+        log = []  # (map, key, value before the write, None if absent)
+        rec = (f, tri, log, self.maxlab)
         self.faces.append(tri)
         self.faceset.add(f)
-        if w > self.maxlab:
-            rec.append(self.maxlab)
-            self.maxlab = w
-        else:
-            rec.append(None)
-        changes = rec[2]
+        self.maxlab = max(self.maxlab, w)
         for a, b, c in ((u, v, w), (v, u, w), (w, u, v)):
-            eb = (a, b) if a < b else (b, a)
-            ecn = (a, c) if a < c else (c, a)
-            cb = self.ec.get(eb, 0)
-            cc = self.ec.get(ecn, 0)
-            oea = self.oe.setdefault(a, {})
-            if cb == 1 and cc == 1:
-                if oea.get(b) == c:
-                    changes.append(("close", a))
-                    self.ncomp[a] = 0
-                    self.closed[a] = True
-                else:
-                    x, y = oea[b], oea[c]
-                    changes.append(("join", a, x, oea.get(x), y, oea.get(y)))
-                    oea[x] = y
-                    oea[y] = x
-                    self.ncomp[a] -= 1
-            elif cb == 1:
-                x = oea[b]
-                changes.append(("extend", a, x, oea.get(x), c, oea.get(c)))
-                oea[x] = c
-                oea[c] = x
-            elif cc == 1:
-                x = oea[c]
-                changes.append(("extend", a, x, oea.get(x), b, oea.get(b)))
-                oea[x] = b
-                oea[b] = x
-            else:
-                changes.append(("new", a, b, oea.get(b), c, oea.get(c)))
-                oea[b] = c
-                oea[c] = b
-                self.ncomp[a] += 1
+            # link edge (b, c) at vertex a joins the path from b to x with
+            # the one from c to y; a vertex new to the link is its own path
+            oea = self.oe[a]
+            x = oea.get(b, b)
+            y = oea.get(c, c)
+            if x != c:  # x == c: the edge closes b's path into a cycle
+                log.append((oea, x, oea.get(x)))
+                log.append((oea, y, oea.get(y)))
+                oea[x] = y
+                oea[y] = x
         a, b, c = tri
+        deg, nopen = self.deg, self.nopen
         for x, y in ((a, b), (b, c), (c, a)):
             e = (x, y) if x < y else (y, x)
-            cnt = self.ec.get(e, 0) + 1
-            self.ec[e] = cnt
-            if cnt == 1:
-                self.open_edges[e] = (x, y)
-                self.deg[x] += 1
-                self.deg[y] += 1
-            else:
+            if e in self.open_edges:
                 del self.open_edges[e]
+                self.full.add(e)
+                nopen[x] -= 1
+                nopen[y] -= 1
+            else:
+                self.open_edges[e] = (x, y)
+                deg[x] += 1
+                deg[y] += 1
+                nopen[x] += 1
+                nopen[y] += 1
         return rec
 
     def undo(self, rec):
-        f, tri, changes, old_maxlab = rec
+        f, tri, log, self.maxlab = rec
         self.faces.pop()
         self.faceset.discard(f)
-        if old_maxlab is not None:
-            self.maxlab = old_maxlab
         a, b, c = tri
+        deg, nopen = self.deg, self.nopen
         for x, y in ((a, b), (b, c), (c, a)):
             e = (x, y) if x < y else (y, x)
-            cnt = self.ec[e] - 1
-            if cnt == 0:
-                del self.ec[e]
-                del self.open_edges[e]
-                self.deg[x] -= 1
-                self.deg[y] -= 1
-            else:
-                self.ec[e] = cnt
+            if e in self.full:
+                self.full.remove(e)
                 self.open_edges[e] = (y, x)  # the face left on e runs against tri
-        for ch in reversed(changes):
-            kind, a = ch[0], ch[1]
-            oea = self.oe[a]
-            if kind == "close":
-                self.ncomp[a] = 1
-                self.closed[a] = False
-            elif kind == "join":
-                _, _, x, old_x, y, old_y = ch
-                _restore(oea, x, old_x)
-                _restore(oea, y, old_y)
-                self.ncomp[a] += 1
-            elif kind == "extend":
-                _, _, x, old_x, c, old_c = ch
-                _restore(oea, x, old_x)
-                _restore(oea, c, old_c)
-            else:  # new
-                _, _, b, old_b, c, old_c = ch
-                _restore(oea, b, old_b)
-                _restore(oea, c, old_c)
-                self.ncomp[a] -= 1
-
-
-def _restore(d, key, old):
-    if old is None:
-        d.pop(key, None)
-    else:
-        d[key] = old
+                nopen[x] += 1
+                nopen[y] += 1
+            else:
+                del self.open_edges[e]
+                deg[x] -= 1
+                deg[y] -= 1
+                nopen[x] -= 1
+                nopen[y] -= 1
+        for oea, key, old in reversed(log):
+            if old is None:
+                del oea[key]
+            else:
+                oea[key] = old
 
 
 def _generate_strategy_a(n, budget):
@@ -291,13 +254,14 @@ def _seed_may_start(st, face=None):
     """Whether the seed flag (1, 2, 3) can be a start flag of the key
     (``surfaces._start_pairs``).  Exact on a finished torus, where the keys
     of ``st.oe[v]`` are v's neighbours.  Just after ``face`` was added, by
-    degrees: deg[2] can only grow, so a closed u in 3..d+1 (vertex 1's other
-    neighbours) with deg[u] < deg[2] rules vertex 2 out."""
+    degrees: deg[2] can only grow, so a u in 3..d+1 (vertex 1's other
+    neighbours) with no open edge left, hence closed, and deg[u] < deg[2]
+    rules vertex 2 out."""
     if face is None:
         return (1, 2) in _start_pairs(st.oe)
-    deg, closed = st.deg, st.closed
+    deg, nopen = st.deg, st.nopen
     near = range(3, st.min_deg + 2) if 2 in face else face  # verdicts that can change
-    return not any(closed[u] and deg[u] < deg[2] and 2 < u <= st.min_deg + 1 for u in near)
+    return not any(nopen[u] == 0 and deg[u] < deg[2] and 2 < u <= st.min_deg + 1 for u in near)
 
 
 def _dfs_a(st, n, target_f, budget):
@@ -323,7 +287,7 @@ def _dfs_a(st, n, target_f, budget):
             continue
         rec = st.add(u, v, w)
         # min-degree seed rule: no vertex may close below the seed degree
-        if not any(st.closed[a] and st.deg[a] < st.min_deg for a in (u, v, w)) \
+        if not any(st.nopen[a] == 0 and st.deg[a] < st.min_deg for a in (u, v, w)) \
                 and _seed_may_start(st, (u, v, w)):
             yield from _dfs_a(st, n, target_f, budget)
         st.undo(rec)

@@ -198,8 +198,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "realize" and args.what in ("tube", "complement") and not args.knot:
-        parser.error("realize tube/complement requires --knot")
+    if args.command == "realize":
+        if args.what in ("tube", "complement") and not args.knot:
+            parser.error("realize tube/complement requires --knot")
+        if args.what == "cyclic" and args.knot is not None:
+            parser.error("--knot does not apply to realize cyclic")
+        if args.what != "tube" and args.eps is not None:
+            parser.error(f"--eps does not apply to realize {args.what}")
     if getattr(args, "precision", 0) < 0:
         parser.error("--precision must be >= 0")
     try:

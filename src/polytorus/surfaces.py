@@ -596,7 +596,8 @@ def parse_int(token: str) -> int:
 
 
 def parse_complex(text: str) -> SimplicialTorus:
-    """Parse the text format: first line n, then one face per line.
+    """Parse the text format: first line n, then one face per line, each
+    three labels in 1..n.
 
     Lines starting with '#' (and inline '#' tails) are comments.
     """
@@ -617,9 +618,13 @@ def parse_complex(text: str) -> SimplicialTorus:
         if len(parts) != 3:
             raise PolytorusError(f"line {line_no}: expected 3 vertex labels, got {raw!r}")
         try:
-            faces.append(tuple(parse_int(p) for p in parts))
+            face = tuple(parse_int(p) for p in parts)
         except ValueError:
             raise PolytorusError(f"line {line_no}: expected integers, got {raw!r}") from None
+        for label in face:
+            if not 1 <= label <= n:
+                raise PolytorusError(f"line {line_no}: label {label} is outside 1..{n}")
+        faces.append(face)
     if n is None:
         raise PolytorusError("missing vertex count line")
     T = SimplicialTorus(faces)

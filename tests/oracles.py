@@ -272,6 +272,32 @@ def link_cycle(faces, v):
     return _walk_link(v, _link_edges([f for f in faces if v in f]).get(v, {}))
 
 
+def oracle_link_paths(faces, v):
+    """v's link in ``faces`` (triples in any order), walked from scratch:
+    (its vertex set, the other end of each path end, whether it is one
+    closed cycle).  Fails unless the link is disjoint paths or one cycle."""
+    adj = {}
+    for f in faces:
+        if v in f:
+            b, c = (x for x in f if x != v)
+            adj.setdefault(b, set()).add(c)
+            adj.setdefault(c, set()).add(b)
+    assert all(len(nb) <= 2 for nb in adj.values())
+    mates, covered = {}, set()
+    for end in (b for b, nb in adj.items() if len(nb) == 1):
+        prev, cur = end, next(iter(adj[end]))
+        covered |= {end, cur}
+        while len(adj[cur]) == 2:
+            prev, cur = cur, next(x for x in adj[cur] if x != prev)
+            covered.add(cur)
+        mates[end] = cur
+    closed = bool(adj) and not mates
+    if closed:
+        covered = set(link_cycle(faces, v))  # or BadVertexLink: several cycles
+    assert covered == set(adj), f"link of {v} has a cycle beside its paths"
+    return set(adj), mates, closed
+
+
 def cut_separates(T, cycle_vertices) -> bool:
     return _separates(T, Cycle(cycle_vertices))
 

@@ -1,11 +1,12 @@
 """Census plumbing at fast sizes; the full n=9/10 runs live in acceptance."""
 
+import copy
 import dataclasses
 import hashlib
 import os
 
 import pytest
-from oracles import oracle_automorphisms, oracle_start_flags
+from oracles import oracle_automorphisms, oracle_link_paths, oracle_start_flags
 
 import polytorus.census as census_mod
 from polytorus.census import (
@@ -224,6 +225,37 @@ def _start_flag_formula(records):
         assert rest == 0
         total += flags
     return total
+
+
+def _assert_links_match_faces(st):
+    for v in range(1, st.n + 1):
+        link, mates, closed = oracle_link_paths(st.faces, v)
+        assert set(st.oe[v]) == link  # _start_pairs(st.oe) reads these keys
+        assert (st.deg[v], st.nopen[v]) == (len(link), len(mates))
+        assert (st.deg[v] > 0 and st.nopen[v] == 0) == closed
+        assert {end: st.oe[v][end] for end in mates} == mates
+
+
+def test_link_state_matches_its_faces_and_undo_restores_it(monkeypatch):
+    """Through the whole n=8 strategy-A DFS: after every add, each vertex's
+    degree, open-edge count, path-end pointers and closure match its link
+    walked off the faces, and every undo restores every field to what it
+    was before the matching add."""
+    before = []
+
+    class CheckedLinkState(census_mod._LinkState):
+        def add(self, u, v, w):
+            before.append(copy.deepcopy(vars(self)))
+            rec = super().add(u, v, w)
+            _assert_links_match_faces(self)
+            return rec
+
+        def undo(self, rec):
+            super().undo(rec)
+            assert vars(self) == before.pop()
+    monkeypatch.setattr(census_mod, "_LinkState", CheckedLinkState)
+    found = list(census_mod._generate_strategy_a(8, census_mod._Budget(None)))
+    assert (len(found), before) == (15, [])
 
 
 def test_census_hands_over_the_key_scan_group(monkeypatch):

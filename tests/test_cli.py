@@ -261,6 +261,27 @@ def test_usage_error_exit_2(tri_file):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["realize", "cyclic", "--k", "4", "--eps", "1/2"], "--eps"),
+    (["realize", "cyclic", "--k", "4", "--eps", "abc", "--knot", "nonexistent"], "--knot"),
+    (["realize", "cyclic", "--k", "4", "--knot", "TRI"], "--knot"),
+    (["realize", "complement", "--knot", "TRI", "--eps", "1/2"], "--eps"),
+])
+def test_realize_options_that_do_not_apply_exit_2(argv, option, tri_file, monkeypatch, capsys):
+    """An option the chosen construction would ignore is a usage error
+    naming it, and nothing is built."""
+    built = []
+    monkeypatch.setattr(cli, "complement_construction", built.append)
+    monkeypatch.setattr(cli, "cyclic_polytope_realization", built.append)
+    with pytest.raises(SystemExit) as exc:
+        main([tri_file if a == "TRI" else a for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{option} does not apply to realize" in captured.err
+    assert built == []
+
+
 def test_negative_precision_exit_2(tmp_path):
     out = tmp_path / "c.off"
     with pytest.raises(SystemExit) as exc:

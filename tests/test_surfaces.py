@@ -402,6 +402,15 @@ def test_parse_complex_takes_only_ascii_integers(moebius, old, new, line_no):
         parse_complex(text)
 
 
+@pytest.mark.parametrize("shift, line_no, label", [(1, 5, 8), (-1, 2, 0)])
+def test_parse_complex_rejects_labels_outside_1_to_n(moebius, shift, line_no, label):
+    """A file whose labels run 2..8 or 0..6 is refused at its first label
+    outside 1..7, not compacted: reports would name other vertices."""
+    faces = "".join(f"{a + shift} {b + shift} {c + shift}\n" for a, b, c in moebius.faces)
+    with pytest.raises(PolytorusError, match=f"^line {line_no}: label {label} is outside 1..7$"):
+        parse_complex("7\n" + faces)
+
+
 def test_sparse_labels_compacted():
     T = SimplicialTorus([tuple(v * 10 for v in f) for f in moebius_torus().faces])
     assert T.n_vertices == 7
