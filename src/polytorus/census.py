@@ -8,8 +8,11 @@ Two independent generation strategies back each other up:
   full edges, and per vertex its open-edge count and the ends of its link
   paths, undone through one write log), first-use label ordering and a
   coherent orientation, which prunes Klein bottles before they are built.
-  It keeps only completions whose seed flag (1, 2, 3) is a start flag of the
-  key, so it builds each class once per Aut-orbit of those flags;
+  It also prunes by counting: open edges against the faces left, and the
+  degree sum, which cannot pass 6n once every vertex is held to the seed
+  degree (kept incrementally as ``excess``).  It keeps only completions
+  whose seed flag (1, 2, 3) is a start flag of the key, so it builds each
+  class once per Aut-orbit of those flags;
 
 * strategy B (cross-check): closes the link of the smallest unfinished
   vertex in all admissible cyclic orders, with its own link bookkeeping
@@ -125,6 +128,10 @@ class _LinkState:
     the connected complex stays coherently oriented.  A face running along
     another open edge the same way as the face on it is illegal: it would
     close a Moebius band, which no orientable closed surface contains.
+
+    ``excess`` is the sum over all vertices of max(deg[v] - min_deg, 0).  A
+    degree passes min_deg only by a new edge and falls back only when that
+    edge goes, so ``add`` and ``undo`` keep the sum next to ``deg``.
     """
 
     def __init__(self, n, min_deg):
@@ -133,6 +140,7 @@ class _LinkState:
         self.oe = {v: {} for v in range(1, n + 1)}  # vertex -> {path end -> other end}
         self.deg = [0] * (n + 1)
         self.nopen = [0] * (n + 1)
+        self.excess = 0
         self.open_edges = {}    # sorted open edge -> (a, b): its face runs a -> b
         self.full = set()       # sorted edges in two faces
         self.faces = []         # oriented triples
@@ -190,7 +198,7 @@ class _LinkState:
                 oea[x] = y
                 oea[y] = x
         a, b, c = tri
-        deg, nopen = self.deg, self.nopen
+        deg, nopen, d = self.deg, self.nopen, self.min_deg
         for x, y in ((a, b), (b, c), (c, a)):
             e = (x, y) if x < y else (y, x)
             if e in self.open_edges:
@@ -204,6 +212,7 @@ class _LinkState:
                 deg[y] += 1
                 nopen[x] += 1
                 nopen[y] += 1
+                self.excess += (deg[x] > d) + (deg[y] > d)
         return rec
 
     def undo(self, rec):
@@ -211,7 +220,7 @@ class _LinkState:
         self.faces.pop()
         self.faceset.discard(f)
         a, b, c = tri
-        deg, nopen = self.deg, self.nopen
+        deg, nopen, d = self.deg, self.nopen, self.min_deg
         for x, y in ((a, b), (b, c), (c, a)):
             e = (x, y) if x < y else (y, x)
             if e in self.full:
@@ -221,6 +230,7 @@ class _LinkState:
                 nopen[y] += 1
             else:
                 del self.open_edges[e]
+                self.excess -= (deg[x] > d) + (deg[y] > d)
                 deg[x] -= 1
                 deg[y] -= 1
                 nopen[x] -= 1
@@ -265,6 +275,22 @@ def _seed_may_start(st, face=None):
 
 
 def _dfs_a(st, n, target_f, budget):
+    """Complete ``st`` in every legal way, yielding each accepted torus.
+
+    A node is cut when its open edges or unlabelled vertices outnumber what
+    the faces left can cover, and a child is cut when it can have no
+    accepted completion:
+
+    * min-degree seed rule: a vertex closes below the seed degree d;
+    * degree sum: ``st.excess > n * (6 - d)``.  A torus on n vertices has
+      3n edges, so its degrees sum to 6n.  Degrees only grow below a node,
+      and by the rule above every vertex of a completion ends with degree at
+      least d, so at least max(deg[v], d); an unlabelled vertex has degree
+      0 now and at least d then.  The final sum is therefore at least
+      n * d + excess, which exceeds 6n exactly when excess > n * (6 - d);
+    * the seed flag (1, 2, 3) can no longer be a start flag
+      (``_seed_may_start``).
+    """
     budget.check()
     if not st.open_edges:
         if st.maxlab == n and len(st.faces) == target_f and _seed_may_start(st):
@@ -280,14 +306,15 @@ def _dfs_a(st, n, target_f, budget):
         return
     u, v = min(st.open_edges)
     hi = min(n, st.maxlab + 1)
+    cap = n * (6 - st.min_deg)
     for w in range(2, hi + 1):
         if w == u or w == v:
             continue
         if not st.legal(u, v, w):
             continue
         rec = st.add(u, v, w)
-        # min-degree seed rule: no vertex may close below the seed degree
-        if not any(st.nopen[a] == 0 and st.deg[a] < st.min_deg for a in (u, v, w)) \
+        if st.excess <= cap \
+                and not any(st.nopen[a] == 0 and st.deg[a] < st.min_deg for a in (u, v, w)) \
                 and _seed_may_start(st, (u, v, w)):
             yield from _dfs_a(st, n, target_f, budget)
         st.undo(rec)

@@ -5,8 +5,8 @@ Subcommands:
   analyze COMPLEX                                            -> JSON report
   census --n N [--strategy a|b] [--verify-thm31 K] [--progress]
                                                              -> census + summary
-  realize tube --knot F [--eps E] | complement --knot F | cyclic --k K
-                                                             -> OFF/OBJ + certificate
+  realize tube --knot F [--eps E] | complement --knot F | cyclic [--k K]
+          [-o FILE [--format off|obj] [--precision P]]       -> OFF/OBJ + certificate
   knot det|gauss --knot F                                    -> determinant | Gauss code
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.
@@ -123,7 +123,7 @@ def _cmd_realize(args) -> int:
         K = load_stick_knot(args.knot)
         mesh = complement_construction(K)
     else:
-        mesh = cyclic_polytope_realization(args.k)
+        mesh = cyclic_polytope_realization(3 if args.k is None else args.k)
     cert = {
         "schema": 1,
         "kind": mesh.provenance.get("kind"),
@@ -136,7 +136,8 @@ def _cmd_realize(args) -> int:
     if "core_determinant" in mesh.provenance:
         cert["determinant"] = mesh.provenance["core_determinant"]
     if args.output:
-        export_mesh(mesh, args.output, args.format, args.precision)
+        export_mesh(mesh, args.output, args.format or "off",
+                    12 if args.precision is None else args.precision)
         cert["output"] = args.output
     sys.stdout.write(json.dumps(cert, sort_keys=True) + "\n")
     return 0 if mesh.embedding.ok else 1
@@ -181,11 +182,11 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("realize", help="build an exact geometric realization")
     r.add_argument("what", choices=["tube", "complement", "cyclic"])
     r.add_argument("--knot", help="stick knot file (tube, complement)")
-    r.add_argument("--k", type=parse_int, default=3, help="parameter for cyclic")
+    r.add_argument("--k", type=parse_int, help="parameter for cyclic (default 3)")
     r.add_argument("--eps", help="tube radius override (rational)")
     r.add_argument("-o", "--output", help="mesh output file")
-    r.add_argument("--format", choices=["off", "obj"], default="off")
-    r.add_argument("--precision", type=parse_int, default=12)
+    r.add_argument("--format", choices=["off", "obj"], help="mesh format (default off)")
+    r.add_argument("--precision", type=parse_int, help="mesh decimal digits (default 12)")
     r.set_defaults(func=_cmd_realize)
 
     k = sub.add_parser("knot", help="knot invariants")
@@ -205,8 +206,13 @@ def main(argv=None) -> int:
             parser.error("--knot does not apply to realize cyclic")
         if args.what != "tube" and args.eps is not None:
             parser.error(f"--eps does not apply to realize {args.what}")
-    if getattr(args, "precision", 0) < 0:
-        parser.error("--precision must be >= 0")
+        if args.what != "cyclic" and args.k is not None:
+            parser.error(f"--k does not apply to realize {args.what}")
+        for option in ("format", "precision"):
+            if not args.output and getattr(args, option) is not None:
+                parser.error(f"--{option} does not apply to realize without -o")
+        if (args.precision or 0) < 0:
+            parser.error("--precision must be >= 0")
     try:
         return args.func(args)
     except PolytorusError as exc:

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import hashlib
+import math
 import os
 
 import pytest
@@ -234,13 +235,14 @@ def _assert_links_match_faces(st):
         assert (st.deg[v], st.nopen[v]) == (len(link), len(mates))
         assert (st.deg[v] > 0 and st.nopen[v] == 0) == closed
         assert {end: st.oe[v][end] for end in mates} == mates
+    assert st.excess == sum(max(st.deg[v] - st.min_deg, 0) for v in range(1, st.n + 1))
 
 
 def test_link_state_matches_its_faces_and_undo_restores_it(monkeypatch):
     """Through the whole n=8 strategy-A DFS: after every add, each vertex's
     degree, open-edge count, path-end pointers and closure match its link
-    walked off the faces, and every undo restores every field to what it
-    was before the matching add."""
+    walked off the faces, the degree excess matches the degrees, and every
+    undo restores every field to what it was before the matching add."""
     before = []
 
     class CheckedLinkState(census_mod._LinkState):
@@ -256,6 +258,49 @@ def test_link_state_matches_its_faces_and_undo_restores_it(monkeypatch):
     monkeypatch.setattr(census_mod, "_LinkState", CheckedLinkState)
     found = list(census_mod._generate_strategy_a(8, census_mod._Budget(None)))
     assert (len(found), before) == (15, [])
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_degree_sum_cut_keeps_every_completion(n, monkeypatch):
+    """Every completion ends with its degree excess at the cap n(6 - d),
+    and the DFS with the cut switched off (the excess held at -inf) visits
+    more nodes and finds the same completions, whether or not the seed rule
+    filters them."""
+    states = []
+
+    class RecordedLinkState(census_mod._LinkState):
+        def __init__(self, n, min_deg):
+            super().__init__(n, min_deg)
+            states.append(self)
+
+    class UncutLinkState(census_mod._LinkState):
+        # below any cap, and any count the cut adds to it
+        excess = property(lambda self: -math.inf, lambda self, value: None)
+
+    nodes = []
+    dfs = census_mod._dfs_a
+
+    def counted(st, *args):
+        nodes.append(st)
+        return dfs(st, *args)
+
+    def run(state_class):
+        monkeypatch.setattr(census_mod, "_LinkState", state_class)
+        del nodes[:]
+        found = []
+        for faces in census_mod._generate_strategy_a(n, census_mod._Budget(None)):
+            if state_class is RecordedLinkState:
+                assert states[-1].excess == n * (6 - states[-1].min_deg)
+            found.append(faces)
+        return _digest(found), len(nodes)
+
+    monkeypatch.setattr(census_mod, "_dfs_a", counted)
+    for seed_rule in (census_mod._seed_may_start, lambda st, face=None: True):
+        monkeypatch.setattr(census_mod, "_seed_may_start", seed_rule)
+        cut, cut_nodes = run(RecordedLinkState)
+        uncut, uncut_nodes = run(UncutLinkState)
+        assert cut == uncut
+        assert cut_nodes < uncut_nodes
 
 
 def test_census_hands_over_the_key_scan_group(monkeypatch):

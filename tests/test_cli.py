@@ -266,11 +266,18 @@ def test_usage_error_exit_2(tri_file):
     (["realize", "cyclic", "--k", "4", "--eps", "abc", "--knot", "nonexistent"], "--knot"),
     (["realize", "cyclic", "--k", "4", "--knot", "TRI"], "--knot"),
     (["realize", "complement", "--knot", "TRI", "--eps", "1/2"], "--eps"),
+    (["realize", "tube", "--knot", "TRI", "--k", "3"], "--k"),
+    (["realize", "complement", "--knot", "TRI", "--k", "99"], "--k"),
+    (["realize", "cyclic", "--k", "3", "--format", "obj"], "--format"),
+    (["realize", "cyclic", "--k", "3", "--format", "off"], "--format"),
+    (["realize", "cyclic", "--precision", "12"], "--precision"),
+    (["realize", "tube", "--knot", "TRI", "--precision", "3"], "--precision"),
 ])
 def test_realize_options_that_do_not_apply_exit_2(argv, option, tri_file, monkeypatch, capsys):
-    """An option the chosen construction would ignore is a usage error
-    naming it, and nothing is built."""
+    """An option the chosen construction or output would ignore is a usage
+    error naming it, and nothing is built."""
     built = []
+    monkeypatch.setattr(cli, "tube_construction", lambda *a: built.append(a))
     monkeypatch.setattr(cli, "complement_construction", built.append)
     monkeypatch.setattr(cli, "cyclic_polytope_realization", built.append)
     with pytest.raises(SystemExit) as exc:
@@ -312,6 +319,15 @@ def test_integer_options_take_ascii_literals_only(argv, option, monkeypatch, cap
     assert captured.out == ""
     assert f"argument {option}: invalid" in captured.err
     assert built == []
+
+
+def test_realize_defaults_apply_when_options_are_omitted(tmp_path):
+    """Omitted --k, --format and --precision mean k = 3, OFF and 12 digits."""
+    given, omitted = tmp_path / "given.off", tmp_path / "omitted.off"
+    assert main(["realize", "cyclic", "--k", "3", "--format", "off", "--precision", "12",
+                 "-o", str(given)]) == 0
+    assert main(["realize", "cyclic", "-o", str(omitted)]) == 0
+    assert omitted.read_bytes() == given.read_bytes()
 
 
 def test_integer_options_take_plain_literals(tmp_path, capsys):
