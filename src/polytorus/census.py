@@ -129,6 +129,14 @@ class _LinkState:
     another open edge the same way as the face on it is illegal: it would
     close a Moebius band, which no orientable closed surface contains.
 
+    ``legal`` refuses a face the complex already has with no test of its
+    own.  Such a face {u, v, x} is the one face on the open edge (u, v).
+    If (u, x) or (v, x) is full, the full-edge rule refuses it.  Else at u
+    the link edge v-x is a whole path, ``oe[u][v] == x``, and the link rule
+    refuses it unless ``nopen[u] == 2``; likewise at v and x.  All three at
+    2 put each in that face alone, then the whole connected complex; and a
+    lone face is asked only about the second seed face, a new one.
+
     ``excess`` is the sum over all vertices of max(deg[v] - min_deg, 0).  A
     degree passes min_deg only by a new edge and falls back only when that
     edge goes, so ``add`` and ``undo`` keep the sum next to ``deg``.
@@ -144,7 +152,6 @@ class _LinkState:
         self.open_edges = {}    # sorted open edge -> (a, b): its face runs a -> b
         self.full = set()       # sorted edges in two faces
         self.faces = []         # oriented triples
-        self.faceset = set()
         self.maxlab = 0
 
     def _oriented(self, u, v, w):
@@ -158,9 +165,6 @@ class _LinkState:
         Past the full-edge test no edge of the face is full, so each of its
         vertices sees the other two in its link as path ends or not at all.
         """
-        f = tuple(sorted((u, v, w)))
-        if f in self.faceset:
-            return False
         if self.nopen[w] == 0 and self.deg[w]:
             return False  # w is closed
         if ((u, w) if u < w else (w, u)) in self.full \
@@ -180,11 +184,9 @@ class _LinkState:
     def add(self, u, v, w):
         """Apply face {u,v,w}, which ``legal`` accepts; returns an undo record."""
         tri = self._oriented(u, v, w)
-        f = tuple(sorted(tri))
         log = []  # (map, key, value before the write, None if absent)
-        rec = (f, tri, log, self.maxlab)
+        rec = (tri, log, self.maxlab)
         self.faces.append(tri)
-        self.faceset.add(f)
         self.maxlab = max(self.maxlab, w)
         for a, b, c in ((u, v, w), (v, u, w), (w, u, v)):
             # link edge (b, c) at vertex a joins the path from b to x with
@@ -216,9 +218,8 @@ class _LinkState:
         return rec
 
     def undo(self, rec):
-        f, tri, log, self.maxlab = rec
+        tri, log, self.maxlab = rec
         self.faces.pop()
-        self.faceset.discard(f)
         a, b, c = tri
         deg, nopen, d = self.deg, self.nopen, self.min_deg
         for x, y in ((a, b), (b, c), (c, a)):

@@ -46,12 +46,13 @@ def _write(text: str, path):
 
 
 def _cmd_generate(args) -> int:
+    k = 3 if args.k is None else args.k
     if args.kind == "moebius":
         T = moebius_torus()
     elif args.kind == "minimal3k":
-        T = minimal_torus_3k(args.k)
+        T = minimal_torus_3k(k)
     else:
-        T = tube_complex(args.k)
+        T = tube_complex(k)
     _write(format_complex(T), args.output)
     return 0
 
@@ -161,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="write a named triangulation")
     g.add_argument("kind", choices=["moebius", "minimal3k", "tube-complex"])
-    g.add_argument("--k", type=parse_int, default=3)
+    g.add_argument("--k", type=parse_int, help="parameter for minimal3k, tube-complex (default 3)")
     g.add_argument("-o", "--output", default="-")
     g.set_defaults(func=_cmd_generate)
 
@@ -199,6 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "generate" and args.kind == "moebius" and args.k is not None:
+        parser.error("--k does not apply to generate moebius")
     if args.command == "realize":
         if args.what in ("tube", "complement") and not args.knot:
             parser.error("realize tube/complement requires --knot")

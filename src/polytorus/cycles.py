@@ -27,12 +27,27 @@ of a walk's edges telescope to its class, so the loop of some edge uv, say
 edge i (from 0) of a walk of length L, is outside H; and d(u) <= i,
 d(v) <= L - i - 1, so that loop is no longer than the walk.  Edges between
 vertices of depth >= D close loops of length >= 2D + 1, which ends the BFS.
+The proof uses only that labels add along walks and that a BFS depth grows
+by at most one per edge, so it holds in any graph labelled in Z^2.
 
-States (vertex, p, q) of the signature-labelled covering graph remain for
-the witness walk, from one root, and for the proportional search of
-``marked_type``: the nonzero multiples of [M] are not the complement of a
-subgroup.  Walks not proportional to c meet every cycle realizing c (their
-intersection number is nonzero), so the k_M search roots at M only.
+m_M wants the shortest closed walk whose class is a nonzero multiple of c:
+no complement of a subgroup of Z^2, but one in a cyclic cover.  c is
+primitive, as the class of the simple cycle M, so phi(x) = det(c, x) has
+kernel Zc.  The cover has vertices (v, t), t an integer, and an edge
+(u, t) -> (v, t + phi(sig(u, v))) labelled sig(u, v) per directed edge uv.
+A walk from r lifts to one walk from (r, 0), ending at (v, phi(x)) for x its
+label sum.  So the closed walks at r whose class is a nonzero multiple of c
+are the images of the closed walks at (r, 0) of nonzero label sum: the
+cover's first homology is Zc, and H = 0 there.  By the lemma in the cover,
+the least BFS-tree loop of nonzero class from (r, 0) is the least such walk
+at r.  The BFS stops at half the bound, so it visits finitely many cover
+vertices.  This walk need not be simple; a simple one has class +-c, as a
+simple cycle's nonzero class is primitive.
+
+The witness is walked in states (vertex, p, q) of the signature-labelled
+covering graph, from one root.  Walks not proportional to c meet every
+cycle realizing c (their intersection number is nonzero), so the k_M
+search roots at M only.
 
 Cutting
 -------
@@ -86,7 +101,6 @@ class HomologySignature(tuple):
 class HomologyBasis:
     """Per-directed-edge signature assignment for one torus."""
 
-    torus: SimplicialTorus
     edge_sig: dict  # (u, v) directed -> (p, q), antisymmetric
     tree_edges: frozenset
     leftover_edges: tuple
@@ -153,7 +167,6 @@ def homology_basis(T: SimplicialTorus) -> HomologyBasis:
 
     edge_sig = {k: tuple(v) for k, v in sig.items()}
     basis = HomologyBasis(
-        torus=T,
         edge_sig=edge_sig,
         tree_edges=frozenset(tree),
         leftover_edges=tuple(leftover),
@@ -290,76 +303,77 @@ def _separates(T: SimplicialTorus, C: Cycle) -> bool:
 # -- shortest essential cycles ---------------------------------------------------
 
 
-def _closed_walk_search(T, basis, roots, allowed, best_len, best_witness):
-    """Minimum-length closed walk whose signature satisfies ``allowed``.
-
-    BFS over (vertex, p, q) states from each root; only walks closing at
-    their own root are candidates, which suffices because minimal admissible
-    walks are simple.
-    """
-    sig = basis.edge_sig
-    nbrs = T.neighbors
-    for r in roots:
-        start = (r, 0, 0)
-        parent = {start: None}
-        frontier = deque([(start, 0)])
-        while frontier:
-            state, d = frontier.popleft()
-            if d + 1 >= best_len:
-                continue
-            u, p, q = state
-            for v in nbrs[u]:
-                sp, sq = sig[(u, v)]
-                np_, nq = p + sp, q + sq
-                if v == r:
-                    if (np_ or nq) and allowed(np_, nq) and d + 1 < best_len:
-                        walk = []
-                        s = state
-                        while s is not None:
-                            walk.append(s[0])
-                            s = parent[s]
-                        best_len = d + 1
-                        best_witness = tuple(reversed(walk))
-                    continue
-                ns = (v, np_, nq)
-                if ns not in parent and abs(np_) < best_len and abs(nq) < best_len:
-                    parent[ns] = state
-                    frontier.append((ns, d + 1))
-    return best_len, best_witness
-
-
-def _shortest_admissible(T, basis, roots, allowed, best_len, best_witness):
-    """``_closed_walk_search`` for an ``allowed`` rejecting exactly a subgroup
-    of Z^2, with its result.  Each root's minimum is its least admissible
-    BFS-tree loop (module docstring), the bound passed on from root to root.
-    Only the first root attaining the least minimum L < ``best_len`` runs the
-    state BFS, with bound L + 1: its order to depth L does not depend on the
-    bound, so it finds the same witness."""
+def _closed_walk_search(T, basis, r, allowed, bound, cover=(0, 0)):
+    """The first closed walk at r shorter than ``bound``, in BFS order over
+    the (vertex, p, q) states of the signature-labelled covering graph, whose
+    class is nonzero, closes in the cover of the form ``cover`` and passes
+    ``allowed``; None when there is none."""
     sig, nbrs = basis.edge_sig, T.neighbors
+    a, b = cover
+    start = (r, 0, 0)
+    parent = {start: None}
+    frontier = deque([(start, 0)])
+    while frontier:
+        state, d = frontier.popleft()
+        if d + 1 >= bound:
+            break
+        u, p, q = state
+        for v in nbrs[u]:
+            sp, sq = sig[u, v]
+            np_, nq = p + sp, q + sq
+            if v == r:
+                if (np_ or nq) and a * np_ + b * nq == 0 and allowed(np_, nq):
+                    walk = []
+                    while state is not None:
+                        walk.append(state[0])
+                        state = parent[state]
+                    return tuple(reversed(walk))
+                continue
+            ns = (v, np_, nq)
+            if ns not in parent:
+                parent[ns] = state
+                frontier.append((ns, d + 1))
+    return None
+
+
+def _shortest_admissible(T, basis, roots, allowed, best_len, best_witness, cover=(0, 0)):
+    """(length, witness) of the least closed walk at a root, shorter than
+    ``best_len``, in the cover of the form ``cover`` ((0, 0): T itself) and
+    of a class that ``allowed`` accepts; (best_len, best_witness) if none.
+    Each root's minimum is its least admissible BFS-tree loop (module
+    docstring), the bound passed on from root to root.  The first root to
+    attain the least minimum L walks the state BFS, with bound L + 1: its
+    order to depth L does not depend on the bound, so it finds the witness
+    of a state BFS from every root in turn."""
+    sig, nbrs = basis.edge_sig, T.neighbors
+    stride = T.n_vertices + 1  # cover vertex (v, t) is keyed v + stride * t
+    a, b = stride * cover[0], stride * cover[1]
     bound, first = best_len, None
     for r in roots:
-        tree = {r: (0, 0, 0)}  # v -> d(v), S(v)
+        tree = {r: (0, 0, 0)}  # cover vertex (v, t) -> d(v), S(v)
         queue = deque([r])
         while queue:
-            u = queue.popleft()
-            d, p, q = tree[u]
+            x = queue.popleft()
+            d, p, q = tree[x]
             if 2 * d + 1 >= bound:
                 break
+            u = x % stride
             for v in nbrs[u]:
                 sp, sq = sig[u, v]
-                if v not in tree:
-                    tree[v] = (d + 1, p + sp, q + sq)
-                    queue.append(v)
+                np_, nq = p + sp, q + sq
+                y = v + a * np_ + b * nq
+                if y not in tree:
+                    tree[y] = (d + 1, np_, nq)
+                    queue.append(y)
                     continue
-                dv, pv, qv = tree[v]
-                lp, lq = p + sp - pv, q + sq - qv
-                if (lp or lq) and d + 1 + dv < bound and allowed(lp, lq):
+                dv, pv, qv = tree[y]
+                if (np_ != pv or nq != qv) and d + 1 + dv < bound and allowed(np_ - pv, nq - qv):
                     bound, first = d + 1 + dv, r
     if first is None:
         return best_len, best_witness
-    found = _closed_walk_search(T, basis, [first], allowed, bound + 1, best_witness)
-    assert found[0] == bound
-    return found
+    witness = _closed_walk_search(T, basis, first, allowed, bound + 1, cover)
+    assert len(witness) == bound
+    return bound, witness
 
 
 def shortest_nonseparating(T: SimplicialTorus, basis: HomologyBasis | None = None):
@@ -381,7 +395,10 @@ def marked_type(T: SimplicialTorus, M: Cycle, basis: HomologyBasis | None = None
     """(m_M, k_M) for the marked torus (T, M).
 
     m_M: shortest cycle in the class +-[M]; k_M: shortest non-separating
-    cycle in a class not proportional to [M].
+    cycle in a class not proportional to [M].  m_M is read off BFS-tree
+    loops in the cyclic cover of det([M], x) (module docstring); when the
+    least such walk is not simple, a bounded search of the simple cycles of
+    class +-[M] decides it.
     """
     if basis is None:
         basis = homology_basis(T)
@@ -389,23 +406,16 @@ def marked_type(T: SimplicialTorus, M: Cycle, basis: HomologyBasis | None = None
     if c.is_zero():
         raise SeparatingMark(M.vertices)
 
-    # proportional search: admissible classes are the nonzero multiples of c
-    best_len, witness = _closed_walk_search(
-        T, basis, range(1, T.n_vertices + 1),
-        lambda p, q: (p * c.q - q * c.p == 0),
-        len(M), tuple(M.vertices))
-    wit_cycle = None
+    # proportional search: the nonzero classes of the cover of det(c, x)
+    m_M, witness = _shortest_admissible(
+        T, basis, range(1, T.n_vertices + 1), lambda p, q: True,
+        len(M), tuple(M.vertices), (-c.q, c.p))
     if len(set(witness)) == len(witness):
-        cand = Cycle(witness)
-        wsig = cycle_signature(T, basis, cand)
-        if wsig == c or wsig == -c:
-            wit_cycle = cand
-            m_M = best_len
-    if wit_cycle is None:
-        # the minimal proportional walk was non-simple or landed in a higher
-        # multiple of [M]; fall back to a bounded exact-class search (M
-        # itself caps the length)
-        m_M, wit_cycle = _shortest_simple_in_class(T, basis, c, best_len, len(M), M)
+        wit_cycle = Cycle(witness)
+    else:
+        # the least proportional walk is not simple: search the simple
+        # cycles of class +-c, which M itself caps
+        m_M, wit_cycle = _shortest_simple_in_class(T, basis, c, m_M, len(M), M)
     k_M, k_wit = _k_search(T, basis, M, c)
     return (m_M, k_M), (wit_cycle.canonical(), k_wit)
 
@@ -417,53 +427,39 @@ def _k_search(T, basis, M, c):
     # proportional to c != 0
     k_best = min((f for f in basis.fundamental_cycles
                   if not cycle_signature(T, basis, f).proportional_to(c)), key=len)
+    cp, cq = c
     k_M, k_wit = _shortest_admissible(
-        T, basis, M.vertices,
-        lambda p, q: (p * c.q - q * c.p != 0),
+        T, basis, M.vertices, lambda p, q: p * cq - q * cp != 0,
         len(k_best), tuple(k_best.vertices))
     return k_M, Cycle(k_wit).canonical()
 
 
 def _shortest_simple_in_class(T, basis, c, lo, hi, fallback_cycle):
-    """Shortest simple cycle with signature exactly +-c, by bounded DFS."""
-    sig = basis.edge_sig
-    nbrs = T.neighbors
-    for target_len in range(lo, hi):
-        for root in range(1, T.n_vertices + 1):
-            found = _dfs_cycle(T, sig, nbrs, root, target_len, c)
-            if found is not None:
-                return target_len, Cycle(found)
-    return hi, fallback_cycle
+    """(length, cycle): the first simple cycle of class +-c found by
+    depth-first search, shortest first and root by root, over the lengths
+    lo..hi - 1; (hi, fallback_cycle) when there is none."""
+    sig, nbrs = basis.edge_sig, T.neighbors
+    ends = {(c.p, c.q), (-c.p, -c.q)}
 
-
-def _dfs_cycle(T, sig, nbrs, root, target_len, c):
-    path = [root]
-    used = {root}
-
-    def rec(u, p, q, depth):
-        if depth == target_len:
-            return None
+    def extend(path, p, q, left):  # left: edges still to walk
+        u = path[-1]
         for v in nbrs[u]:
-            sp, sq = sig[(u, v)]
-            np_, nq = p + sp, q + sq
-            if v == root and depth + 1 == target_len:
-                if (np_, nq) == (c.p, c.q) or (np_, nq) == (-c.p, -c.q):
-                    return list(path)
-                continue
-            if v in used or depth + 1 >= target_len:
-                continue
-            if abs(np_ - c.p) > target_len - depth - 1 and abs(np_ + c.p) > target_len - depth - 1:
-                continue
-            used.add(v)
-            path.append(v)
-            res = rec(v, np_, nq, depth + 1)
-            path.pop()
-            used.discard(v)
-            if res is not None:
-                return res
+            sp, sq = sig[u, v]
+            if left == 1:
+                if v == path[0] and (p + sp, q + sq) in ends:
+                    return path
+            elif v not in path and min(abs(p + sp - c.p), abs(p + sp + c.p)) < left:
+                found = extend(path + [v], p + sp, q + sq, left - 1)
+                if found:
+                    return found
         return None
 
-    return rec(root, 0, 0, 0)
+    for length in range(lo, hi):
+        for root in range(1, T.n_vertices + 1):
+            found = extend([root], 0, 0, length)
+            if found:
+                return length, Cycle(found)
+    return hi, fallback_cycle
 
 
 @dataclass(frozen=True)

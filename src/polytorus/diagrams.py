@@ -41,7 +41,6 @@ DIRECTION_SEQUENCE = [
     (5, -9, 3), (14, 6, 1), (7, 10, -11), (2, 3, 17), (-6, 5, 8), (9, 4, 7),
     (16, -3, 5), (4, 12, 13),
 ]
-MAX_DIRECTION_RETRIES = 32
 
 
 @dataclass(frozen=True)
@@ -233,7 +232,7 @@ def _with_retries(fn, direction=None):
     if direction is not None:
         return fn(direction)
     last = None
-    for d in DIRECTION_SEQUENCE[:MAX_DIRECTION_RETRIES]:
+    for d in DIRECTION_SEQUENCE:
         try:
             return fn(d)
         except NonGenericDirection as exc:

@@ -238,11 +238,21 @@ def _assert_links_match_faces(st):
     assert st.excess == sum(max(st.deg[v] - st.min_deg, 0) for v in range(1, st.n + 1))
 
 
+def _assert_faces_are_not_legal_again(st):
+    """``legal`` refuses each open edge's own face once the complex is more
+    than that lone face (the proof in the ``_LinkState`` docstring)."""
+    if len(st.faces) > 1:
+        for a, b in st.open_edges:
+            (x,) = {w for f in st.faces if a in f and b in f for w in f} - {a, b}
+            assert not st.legal(a, b, x), (st.faces, (a, b, x))
+
+
 def test_link_state_matches_its_faces_and_undo_restores_it(monkeypatch):
     """Through the whole n=8 strategy-A DFS: after every add, each vertex's
     degree, open-edge count, path-end pointers and closure match its link
-    walked off the faces, the degree excess matches the degrees, and every
-    undo restores every field to what it was before the matching add."""
+    walked off the faces, the degree excess matches the degrees, ``legal``
+    refuses the face on every open edge, and every undo restores every field
+    to what it was before the matching add."""
     before = []
 
     class CheckedLinkState(census_mod._LinkState):
@@ -250,6 +260,7 @@ def test_link_state_matches_its_faces_and_undo_restores_it(monkeypatch):
             before.append(copy.deepcopy(vars(self)))
             rec = super().add(u, v, w)
             _assert_links_match_faces(self)
+            _assert_faces_are_not_legal_again(self)
             return rec
 
         def undo(self, rec):

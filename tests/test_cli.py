@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from polytorus import census, cli, realization
 from polytorus.cli import main
 from polytorus.errors import PolytorusError
+from polytorus.generators import moebius_torus
 from polytorus.knots import (
     StickKnot,
     format_stick_knot,
@@ -18,7 +23,7 @@ from polytorus.knots import (
     triangle_unknot,
 )
 from polytorus.realization import import_off
-from polytorus.surfaces import parse_complex
+from polytorus.surfaces import format_complex, parse_complex
 
 
 @pytest.fixture()
@@ -287,6 +292,40 @@ def test_realize_options_that_do_not_apply_exit_2(argv, option, tri_file, monkey
     assert captured.out == ""
     assert f"{option} does not apply to realize" in captured.err
     assert built == []
+
+
+def test_generate_moebius_refuses_k(tmp_path, capsys):
+    """The Moebius torus takes no parameter: --k with it is a usage error
+    naming the option, and nothing is written."""
+    out = tmp_path / "m.txt"
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "moebius", "--k", "99", "-o", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--k does not apply to generate moebius" in captured.err
+    assert not out.exists()
+
+
+def test_generate_default_k_is_3(capsys):
+    for kind in ("minimal3k", "tube-complex"):
+        assert main(["generate", kind]) == 0
+        omitted = capsys.readouterr().out
+        assert main(["generate", kind, "--k", "3"]) == 0
+        assert capsys.readouterr().out == omitted
+
+
+def test_python_m_entry_point():
+    """``python -m polytorus`` runs the CLI and exits with its code."""
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "polytorus", *argv],
+                              cwd=Path(__file__).resolve().parents[1],
+                              env=dict(os.environ, PYTHONPATH="src"),
+                              capture_output=True, text=True, timeout=120)
+    generated = run("generate", "moebius")
+    assert generated.returncode == 0
+    assert generated.stdout == format_complex(moebius_torus())
+    assert run("realize", "cyclic", "--eps", "1").returncode == 2
 
 
 def test_negative_precision_exit_2(tmp_path):

@@ -6,11 +6,13 @@ import re
 import pytest
 
 from oracles import (
+    _state_bfs,
     cut_separates,
     oracle_cut,
     oracle_marked,
     oracle_stick_number_and_type,
     oracle_type,
+    signed_cycles,
 )
 
 from polytorus import cycles, surfaces
@@ -241,8 +243,8 @@ def test_type_matches_state_bfs_oracle_on_generators(moebius):
 
 def test_analysis_report_builds_no_group(monkeypatch):
     """The type of a k=40 torus needs no automorphism group, nor the key
-    scan that is its only source, and each of its two searches walks the
-    covering graph from at most one root."""
+    scan that is its only source, and it walks the covering graph at most
+    twice, each time from one root."""
     groups, searches = [], []
     search = cycles._closed_walk_search
 
@@ -252,9 +254,9 @@ def test_analysis_report_builds_no_group(monkeypatch):
             return source(T)
         return counted
 
-    def counting_search(T, basis, roots, *rest):
-        searches.append(list(roots))
-        return search(T, basis, roots, *rest)
+    def counting_search(T, basis, r, *rest):
+        searches.append(r)
+        return search(T, basis, r, *rest)
 
     for name in ("automorphism_group", "_key_scan"):
         monkeypatch.setattr(surfaces, name, counting_group(getattr(surfaces, name)))
@@ -262,9 +264,10 @@ def test_analysis_report_builds_no_group(monkeypatch):
     rng = random.Random(1712)
     for T in (minimal_torus_3k(40), tube_complex(40)):
         searches.clear()
-        report = analysis_report(_relabeled(T, rng))
+        X = _relabeled(T, rng)
+        report = analysis_report(X)
         assert report["type"] == "3x40"
-        assert len(searches) <= 2 and all(len(roots) <= 1 for roots in searches)
+        assert len(searches) <= 2 and all(1 <= r <= X.n_vertices for r in searches)
     assert groups == []
 
 
@@ -368,6 +371,49 @@ def test_marked_type_arbitrary_marks_vs_oracle(census8, moebius):
             got, _ = marked_type(T, M, basis)
             want = oracle_marked(T, basis, M)
             assert got == want, (T, M.vertices, got, want)
+
+
+# its least proportional walk is not simple, so marked_type falls back to
+# the simple cycles of its class
+FALLBACK_MARK = (1, 2, 7, 3, 5, 4, 8, 6)
+
+
+def test_proportional_search_matches_state_bfs_from_every_root(moebius, census8):
+    """The proportional search of marked_type, BFS-tree loops in the cyclic
+    cover of det(c, x) and one witness walk, returns the length and witness
+    of the state BFS run from every root in turn, and (m_M, k_M) match brute
+    force.  Marks: the first simple cycle of each class and length on the
+    Moebius torus (the n = 7 class) and the n = 8 classes, and
+    FALLBACK_MARK on the second n = 8 class."""
+    for i, T in enumerate([moebius] + [r.torus() for r in census8]):
+        basis = homology_basis(T)
+        signed = signed_cycles(T, basis)
+        marks, keys = [], set()
+        for cyc, sig in sorted(signed, key=lambda cs: len(cs[0])):
+            key = (max(sig, -sig), len(cyc))
+            if not sig.is_zero() and key not in keys:
+                keys.add(key)
+                marks.append(Cycle(cyc))
+        if i == 2:
+            marks.append(Cycle(FALLBACK_MARK))
+        roots = range(1, T.n_vertices + 1)
+        for M in marks:
+            c = cycle_signature(T, basis, M)
+            got = cycles._shortest_admissible(T, basis, roots, lambda p, q: True,
+                                              len(M), M.vertices, (-c.q, c.p))
+            want = _state_bfs(T, basis, roots, lambda p, q: p * c.q - q * c.p == 0,
+                              len(M), M.vertices)
+            assert got == want, (T.faces, M.vertices)
+            if M.vertices == FALLBACK_MARK:
+                assert len(set(got[1])) < got[0] < len(M)
+            assert marked_type(T, M, basis)[0] == oracle_marked(T, basis, M, signed)
+
+
+def test_marked_type_of_a_long_mark():
+    T = minimal_torus_3k(40)
+    basis = homology_basis(T)
+    (m_M, k_M), _ = marked_type(T, stick_number_and_type(T, basis).witness_s, basis)
+    assert (m_M, k_M) == (40, 3)
 
 
 def test_shortest_simple_in_class_direct(moebius):
