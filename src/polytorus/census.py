@@ -297,10 +297,7 @@ def _dfs_a(st, n, target_f, budget):
         if st.maxlab == n and len(st.faces) == target_f and _seed_may_start(st):
             yield list(st.faces)
         return
-    nf = len(st.faces)
-    if nf >= target_f:
-        return
-    remaining = target_f - nf
+    remaining = target_f - len(st.faces)
     if len(st.open_edges) > 3 * remaining:
         return
     if n - st.maxlab > remaining:
@@ -474,7 +471,7 @@ def _completions(n, strategy, budget):
             T = SimplicialTorus(faces)  # the full validator
         else:
             # the seed face (1, 2, 3) runs 1 -> 2 -> 3 and is the least face,
-            # which is how _orient_faces orients it, so no flip is needed
+            # which the validator's face walk keeps as given, so no flip is needed
             T = SimplicialTorus(faces, _skip_validation=True)
             T._oriented = sorted(faces, key=sorted)
         yield T

@@ -544,46 +544,40 @@ def distance_layers(T: SimplicialTorus, M: Cycle, v: int,
     half_ceil = (m + 1) // 2
     split_max = (k - 1) // 2
 
-    right = {i: set() for i in range(split_max + 1)}
-    left = {i: set() for i in range(split_max + 1)}
-    for w in range(1, T.n_vertices + 1):
-        i = dist[w]
-        if i is None or i > split_max:
-            continue
-        if w in on_cycle:
-            right[i].add(w)
-        else:
-            dr = dist_r.get(w)
-            if dr is not None and dr == i:
-                right[i].add(w)
+    right = [0] * (split_max + 1)
+    left = [0] * (split_max + 1)
+    for w, i in dist.items():
+        if i <= split_max:
+            if w in on_cycle or dist_r.get(w) == i:
+                right[i] += 1
             else:
-                left[i].add(w)
+                left[i] += 1
 
     rep = DistanceLayerReport(m=m, k=k)
     for i in range(0, min(half_ceil - 1, split_max) + 1):
-        rep.a_sizes[i] = len(right[i])
-        if len(right[i]) < 2 * i + 1:
-            rep.violated.append(f"|A_{i}| = {len(right[i])} < {2 * i + 1}")
+        rep.a_sizes[i] = right[i]
+        if right[i] < 2 * i + 1:
+            rep.violated.append(f"|A_{i}| = {right[i]} < {2 * i + 1}")
     for i in range(half_ceil, split_max + 1):
-        rep.b_sizes[i] = len(right[i])
-        if len(right[i]) < m:
-            rep.violated.append(f"|B_{i}| = {len(right[i])} < {m}")
+        rep.b_sizes[i] = right[i]
+        if right[i] < m:
+            rep.violated.append(f"|B_{i}| = {right[i]} < {m}")
     for i in range(1, min(half_ceil, split_max) + 1):
-        rep.e_sizes[i] = len(left[i])
-        if len(left[i]) < 2 * i - 1:
-            rep.violated.append(f"|E_{i}| = {len(left[i])} < {2 * i - 1}")
+        rep.e_sizes[i] = left[i]
+        if left[i] < 2 * i - 1:
+            rep.violated.append(f"|E_{i}| = {left[i]} < {2 * i - 1}")
     for i in range(half_ceil + 1, split_max + 1):
-        rep.d_sizes[i] = len(left[i])
-        if len(left[i]) < m:
-            rep.violated.append(f"|D_{i}| = {len(left[i])} < {m}")
+        rep.d_sizes[i] = left[i]
+        if left[i] < m:
+            rep.violated.append(f"|D_{i}| = {left[i]} < {m}")
     if k % 2 == 0:
-        vk = sum(1 for w in range(1, T.n_vertices + 1) if dist[w] == k // 2)
+        vk = sum(i == k // 2 for i in dist.values())
         rep.c_size = vk
         if vk < m:
             rep.violated.append(f"|C_{k // 2}| = {vk} < {m}")
-    for i in range(0, k // 2 + 1):
-        if not any(dist[w] == i for w in range(1, T.n_vertices + 1)):
-            rep.violated.append(f"V_{i} empty")
+    # BFS distance classes are contiguous: V_i is empty exactly past the last
+    for i in range(max(dist.values()) + 1, k // 2 + 1):
+        rep.violated.append(f"V_{i} empty")
     return rep
 
 

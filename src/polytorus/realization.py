@@ -811,33 +811,24 @@ def cyclic_polytope_realization(k: int) -> Mesh:
     if any(_dot4(N, pts4[v]) - c >= 0 for v in inside):
         raise PolytorusError("facet hyperplane did not support the polytope")
 
-    centroid4 = tuple(Fraction(sum(_moment_point(t)[i] for t in range(1, n + 1)), n)
-                      for i in range(4))
-    # each other facet's plane, with the centroid's side of it
+    # x = facet centre + N / 4^j is beyond the facet (N.x - c = |N|^2 / 4^j)
+    # and, for j large enough, beneath every other facet, on the centroid's
+    # side; both sides are read in integers, from n * centroid = the sum of
+    # the moment points and 4^(j+1) x = 4^j sum(fp) + 4N
+    total = [sum(col) for col in zip(*pts4.values())]
     planes = []
     for g in facets:
         if g != facet_pos:
             Ng, cg = _facet_plane(g)
-            planes.append((Ng, cg, _dot4(Ng, centroid4) - cg))
-    facet_center = [Fraction(sum(p[i] for p in fp), 4) for i in range(4)]
-    delta = Fraction(1)
-    viewpoint = None
-    for _ in range(80):
-        x = tuple(f + delta * nn for f, nn in zip(facet_center, N))
-        if _dot4(N, x) <= c:
-            delta *= 2
-            continue
-        ok = True
-        for Ng, cg, sc in planes:
-            sx = _dot4(Ng, x) - cg
-            if sc == 0 or (sc > 0) != (sx > 0):
-                ok = False
-                break
-        if ok:
-            viewpoint = x
+            planes.append((Ng, cg, _dot4(Ng, total) - n * cg))
+    sum_fp = [sum(col) for col in zip(*fp)]
+    for j in range(80):
+        x4 = [4 ** j * f + 4 * nn for f, nn in zip(sum_fp, N)]
+        if all(sc != 0 and (sc > 0) == (_dot4(Ng, x4) > 4 ** (j + 1) * cg)
+               for Ng, cg, sc in planes):
+            viewpoint = tuple(Fraction(x, 4 ** (j + 1)) for x in x4)
             break
-        delta /= 4
-    if viewpoint is None:
+    else:
         raise PolytorusError("no Schlegel viewpoint certified")
 
     # project through the facet hyperplane, then express in a 3D frame

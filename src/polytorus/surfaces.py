@@ -2,8 +2,10 @@
 
 A surface is a list of vertex triples on labels 1..n.  Validation enforces
 the closed-pseudomanifold conditions (every edge in exactly two faces, every
-vertex link a single cycle), computes the Euler characteristic and checks
-orientability by propagating face orientations.
+vertex link a single cycle), computes the Euler characteristic, and then
+walks the faces once from face 0 (``_face_walk``): each face entered across
+an edge runs against the face it was entered from, which orients the surface
+when no face is entered both ways, and the faces reached are its component.
 
 Isomorphism machinery works through a canonical labeling: a traversal of the
 face-adjacency structure started from a *flag* (an ordered face) relabels the
@@ -123,8 +125,10 @@ def validate_surface(faces) -> SurfaceReport:
     """Check the closed-pseudomanifold conditions and report counts.
 
     Raises DuplicateFace / NonManifoldEdge / BadVertexLink with the offending
-    simplex.  Accepts any closed surface (sphere, torus, Klein bottle, ...);
-    callers wanting a torus check the report.
+    simplex, in that order, then PolytorusError if the faces reached by the
+    walk from face 0 are not all of them.  Accepts any closed surface
+    (sphere, torus, Klein bottle, ...); orientability is reported, not
+    raised, and callers wanting a torus check the report.
     """
     if not faces:
         raise PolytorusError("empty face list")
@@ -148,12 +152,12 @@ def validate_surface(faces) -> SurfaceReport:
     vertices = sorted(links)
     for v in vertices:
         _walk_link(v, links[v])
-    if _face_components(norm, edge_faces) != 1:
+    oriented, reached = _face_walk(norm, edge_faces)
+    if reached < len(norm):
         raise PolytorusError("face complex is not connected")
 
     V, E, F = len(vertices), len(edge_faces), len(norm)
     euler = V - E + F
-    oriented = _orient_faces(norm, edge_faces)
     orientable = oriented is not None
     genus = (2 - euler) // 2 if orientable else 2 - euler
     return SurfaceReport(V, E, F, euler, orientable, genus, edge_faces, oriented)
@@ -166,25 +170,6 @@ def _edge_map(faces) -> dict[Edge, list[int]]:
         for e in _face_edges(f):
             edge_faces.setdefault(e, []).append(i)
     return edge_faces
-
-
-def _face_components(faces, edge_faces) -> int:
-    """Number of components of the faces, adjacent when they share an edge."""
-    seen = [False] * len(faces)
-    comps = 0
-    for i in range(len(faces)):
-        if seen[i]:
-            continue
-        comps += 1
-        seen[i] = True
-        queue = deque([i])
-        while queue:
-            for e in _face_edges(faces[queue.popleft()]):
-                for j in edge_faces[e]:
-                    if not seen[j]:
-                        seen[j] = True
-                        queue.append(j)
-    return comps
 
 
 def _link_edges(faces):
@@ -223,39 +208,34 @@ def _walk_link(v, adj):
     return cycle
 
 
-def _orient_faces(faces, edge_faces):
-    """Globally consistent face orientations, or None if non-orientable.
+def _face_walk(faces, edge_faces):
+    """Breadth-first walk from face 0 across every edge, each edge in exactly
+    two faces: (oriented triples or None, number of faces reached).
 
-    Returns a list of oriented triples: adjacent faces induce opposite
-    directions on their shared edge.
+    Face 0 runs as given; a face entered across {u, v} from a face running
+    u -> v runs v -> u -> w, crossing edge first.  A face reached again the
+    other way makes the surface non-orientable, and the walk goes on, so the
+    count is the whole component of face 0 either way.
     """
-    oriented: list[tuple[int, int, int] | None] = [None] * len(faces)
+    oriented = [None] * len(faces)
     oriented[0] = faces[0]
-    queue = deque([0])
-
-    def directed(tri):
-        a, b, c = tri
-        return {(a, b), (b, c), (c, a)}
-
-    while queue:
-        i = queue.popleft()
-        di = directed(oriented[i])
-        for e in _face_edges(faces[i]):
-            j = next(x for x in edge_faces[e] if x != i) if len(edge_faces[e]) == 2 else None
-            if j is None:
-                continue
-            u, v = e
-            # the neighbor must carry e in the opposite direction
-            want = (u, v) if (v, u) in di else (v, u)
-            a, b, c = faces[j]
-            w = next(x for x in (a, b, c) if x not in e)
-            tri = (want[0], want[1], w)
+    queue = [0]
+    coherent = True
+    for i in queue:  # breadth-first: the loop reaches appended faces
+        x, y, z = oriented[i]
+        for u, v in _face_edges(faces[i]):
+            f, g = edge_faces[u, v]
+            j = g if f == i else f
+            if (u, v) in ((x, y), (y, z), (z, x)):
+                u, v = v, u  # now face i runs v -> u, and face j must run u -> v
             if oriented[j] is None:
-                oriented[j] = tri
+                a, b, c = faces[j]
+                oriented[j] = (u, v, a + b + c - u - v)
                 queue.append(j)
-            elif directed(oriented[j]) != directed(tri):
-                return None
-    return oriented
+            else:
+                a, b, c = oriented[j]
+                coherent &= (u, v) in ((a, b), (b, c), (c, a))
+    return oriented if coherent else None, len(queue)
 
 
 class SimplicialTorus:
@@ -311,7 +291,7 @@ class SimplicialTorus:
     def oriented_faces(self):
         """Face triples oriented consistently, or None if not orientable."""
         if self._oriented is None:
-            self._oriented = _orient_faces(self.faces, self.edge_faces)
+            self._oriented = _face_walk(self.faces, self.edge_faces)[0]
         return self._oriented
 
     @property

@@ -20,7 +20,6 @@ from polytorus.cycles import stick_number_and_type
 from polytorus.errors import OutOfRange, PolytorusError
 from polytorus.surfaces import (
     SimplicialTorus,
-    _orient_faces,
     canonical_form,
     validate_surface,
 )
@@ -172,7 +171,7 @@ def _completion_faces(n):
 def test_pruned_dfs_yields_exactly_the_orientable_completions(n, monkeypatch):
     """With the seed rule accepting every flag, the orientation-pruned DFS
     against the unpruned one (recorded digest) and the full validator; its
-    orientation is _orient_faces's."""
+    orientation is the validator's."""
     monkeypatch.setattr(census_mod, "_seed_may_start", lambda st, face=None: True)
     tori = list(census_mod._completions(n, "a", census_mod._Budget(None)))
     assert _digest(T.faces for T in tori) == ORIENTABLE_COMPLETIONS[n]
@@ -181,14 +180,14 @@ def test_pruned_dfs_yields_exactly_the_orientable_completions(n, monkeypatch):
         assert (report.euler, report.orientable, report.n_vertices) == (0, True, n)
         assert T._oriented is not None
         handed = T.oriented_faces
-        oracle = _orient_faces(T.faces, T.edge_faces)
+        oracle = validate_surface(T.faces).oriented_faces
         assert [_directed(t) for t in handed] == [_directed(t) for t in oracle]
 
 
 @pytest.mark.parametrize("n, strategy", [(7, "a"), (8, "a"), (9, "a"), (7, "b"), (8, "b")])
 def test_class_torus_carries_the_completion_orientation(n, strategy, monkeypatch):
     """Every completion the census types reaches the type computation with
-    an orientation equal, face by face, to the one _orient_faces finds on
+    an orientation equal, face by face, to the one the validator finds on
     its faces."""
     typed = []
     original = census_mod.stick_number_and_type
@@ -202,7 +201,7 @@ def test_class_torus_carries_the_completion_orientation(n, strategy, monkeypatch
     assert len(typed) == len(records)
     for T, handed in typed:
         assert handed is not None
-        oracle = _orient_faces(T.faces, T.edge_faces)
+        oracle = validate_surface(T.faces).oriented_faces
         assert [_directed(t) for t in handed] == [_directed(t) for t in oracle]
 
 

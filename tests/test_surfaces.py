@@ -15,7 +15,7 @@ from oracles import (
     oracle_cut,
     oracle_vertex_orbits,
 )
-from polytorus.census import _Budget, _completions, enumerate_tori
+from polytorus.census import _Budget, _completions, _generate_strategy_b, enumerate_tori
 from polytorus.cycles import cut_along_cycle, homology_basis
 from polytorus.errors import BadVertexLink, NonManifoldEdge, ParseError, PolytorusError
 from polytorus.generators import minimal_torus_3k, moebius_torus, tube_complex
@@ -33,6 +33,7 @@ from polytorus.surfaces import (
     validate_surface,
     vertex_link,
 )
+from test_cycles import RP2_6
 
 TETRA = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
 
@@ -85,6 +86,64 @@ def test_load_complex_rejects_non_utf8(tmp_path):
 def test_duplicate_face_rejected():
     with pytest.raises(PolytorusError):
         validate_surface(TETRA + [(2, 1, 3)])
+
+
+def _shifted(faces, by):
+    return [tuple(v + by for v in f) for f in faces]
+
+
+@pytest.mark.parametrize("faces", [
+    RP2_6 + _shifted(TETRA, 6),
+    _shifted(TETRA, 6) + RP2_6,
+    TETRA + _shifted(TETRA, 4),
+], ids=["rp2-then-tetra", "tetra-then-rp2", "two-tetrahedra"])
+def test_disconnected_union_rejected(faces):
+    with pytest.raises(PolytorusError, match="^face complex is not connected$"):
+        validate_surface(faces)
+
+
+def _klein_bottle(a, b):
+    """An a x b grid of squares, each cut by a diagonal, its rows glued into
+    cycles and its first and last columns glued with the rows flipped."""
+    def label(i, j):
+        if i == a:
+            i, j = 0, -j
+        return 1 + i * b + j % b
+    faces = []
+    for i in range(a):
+        for j in range(b):
+            p, q, r, s = label(i, j), label(i + 1, j), label(i + 1, j + 1), label(i, j + 1)
+            faces += [(p, q, r), (p, r, s)]
+    return faces
+
+
+@pytest.mark.parametrize("faces, euler", [(RP2_6, 1), (_klein_bottle(3, 12), 0)],
+                         ids=["projective-plane", "klein-bottle"])
+def test_nonorientable_surface_is_reported_not_raised(faces, euler):
+    """The face walk goes on past the first face entered both ways.  On the
+    long Klein bottle that face comes before the far faces are reached, so
+    a walk that returned there would call it disconnected."""
+    rep = validate_surface(faces)
+    assert (rep.euler, rep.orientable, rep.genus) == (euler, False, 2 - euler)
+    assert rep.oriented_faces is None
+
+
+def test_face_walk_orients_coherently():
+    """Every census class for n <= 9 and every strategy-B completion at
+    n = 8: each directed edge lies in exactly one oriented face, each face
+    keeps its vertices, face 0 runs as given, and a torus built without
+    validation orients its faces the same way."""
+    face_lists = [r.canonical_faces for n in (7, 8, 9) for r in enumerate_tori(n)]
+    face_lists += list(_generate_strategy_b(8, _Budget(None)))
+    for faces in face_lists:
+        oriented = validate_surface(faces).oriented_faces
+        assert oriented[0] == tuple(sorted(faces[0]))
+        assert [sorted(t) for t in oriented] == [sorted(f) for f in faces]
+        directed = {(u, v) for a, b, c in oriented for u, v in ((a, b), (b, c), (c, a))}
+        assert len(directed) == 3 * len(oriented)
+        assert all((v, u) in directed for u, v in directed)
+        lazy = SimplicialTorus(faces, _skip_validation=True)
+        assert lazy.oriented_faces == validate_surface(lazy.faces).oriented_faces
 
 
 def test_torus_simplex_counts():
