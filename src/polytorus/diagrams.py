@@ -25,10 +25,10 @@ from .geometry import (
     dot,
     is_zero,
     orient2d,
+    perpendicular,
     point_on_segment_2d,
     segment_segment_dist2,
     sub,
-    vec,
 )
 from .knots import StickKnot
 
@@ -63,10 +63,7 @@ def _projection_frame(direction: Vec):
     d = tuple(Fraction(c) for c in direction)
     if is_zero(d):
         raise NonGenericDirection("zero direction")
-    for axis in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-        u = cross(d, vec(*axis))
-        if not is_zero(u):
-            break
+    u = perpendicular(d)
     w = cross(d, u)
     return d, u, w
 

@@ -81,6 +81,15 @@ def is_zero(a: Vec) -> bool:
     return a[0] == 0 and a[1] == 0 and a[2] == 0
 
 
+def perpendicular(n: Vec) -> Vec:
+    """cross(n, e) for the first coordinate axis e (x, then y, then z) that
+    is not parallel to n; n must be nonzero."""
+    for axis in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+        u = cross(n, vec(*axis))
+        if not is_zero(u):
+            return u
+
+
 def collinear(a: Vec, b: Vec, c: Vec) -> bool:
     return is_zero(cross(sub(b, a), sub(c, a)))
 

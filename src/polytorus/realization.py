@@ -67,13 +67,13 @@ from .geometry import (
     is_zero,
     norm2,
     parse_rational,
+    perpendicular,
     rational_to_decimal,
     reduce_direction,
     scale,
     sqrt_floor,
     sub,
     triangles_conflict,
-    vec,
 )
 from .knots import StickKnot
 from .surfaces import Cycle, SimplicialTorus, parse_int
@@ -212,16 +212,6 @@ def _project_to_plane(u: Vec, n: Vec) -> Vec:
     return sub(u, scale(n, dot(u, n) / norm2(n)))
 
 
-def _initial_direction(n: Vec) -> Vec:
-    """cross(n, e) for the first coordinate axis e (x, then y, then z) that
-    is not parallel to n."""
-    for axis in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-        u = cross(n, vec(*axis))
-        if not is_zero(u):
-            return u
-    raise DegenerateKnot("zero plane normal")
-
-
 def _rounded_direction(u: Vec) -> Vec:
     """Integer vector near the direction of u, its largest entry of
     magnitude 2**FRAME_BITS."""
@@ -232,7 +222,7 @@ def _rounded_direction(u: Vec) -> Vec:
 def _transported_frames(normals):
     """Per-ring frames (u, w), u exactly in the ring plane.
 
-    u starts from the x-axis (see ``_initial_direction``); each ring takes
+    u starts from the x-axis (see ``geometry.perpendicular``); each ring takes
     the previous ring's u rounded to FRAME_BITS bits (``_rounded_direction``)
     and projected exactly onto its own plane, so every frame has the same
     bit budget however long the knot.  A frame only has to be transverse:
@@ -241,11 +231,11 @@ def _transported_frames(normals):
     choosing each prism's corner matching.
     """
     frames = []
-    u = _initial_direction(normals[0])
+    u = perpendicular(normals[0])
     for n in normals:
         u = reduce_direction(_project_to_plane(_rounded_direction(u), n))
         if is_zero(u):
-            u = _initial_direction(n)
+            u = perpendicular(n)
         frames.append((u, _balanced_cross(n, u)))
     return frames
 
@@ -433,11 +423,9 @@ def _tube_at(K: StickKnot, eps: ExactRadius) -> Mesh:
     faces, reason = _prism_faces(coords, k)
     if faces is None:
         raise EpsilonTooLarge(reason)
-    try:
-        complex_ = SimplicialTorus(faces)
-    except PolytorusError as exc:
-        raise EpsilonTooLarge(f"mantle not a torus: {exc}") from None
-    mesh = Mesh(coords, complex_, {
+    # the k prism mantles are annuli glued ring to ring by cyclic rotations
+    # of the corners, so they always validate as a torus on 3k vertices
+    mesh = Mesh(coords, SimplicialTorus(faces), {
         "kind": "tube",
         "knot": K,
         "epsilon_sq": eps.sq,
@@ -573,10 +561,9 @@ def _build_complement(K: StickKnot, tube: Mesh) -> Mesh:
         new_faces = [f for f in tube.complex.faces if f != f_old]
         new_faces += [tuple(sorted(tr)) for tr in
                       ((v1, v2, y_label), (v1, y_label, w), (v2, y_label, w))]
-        try:
-            torus2 = SimplicialTorus(new_faces)
-        except PolytorusError as exc:
-            raise EnclosureFailure(f"subdivision broke the torus: {exc}")
+        # one face split into three at a new vertex (a stellar subdivision)
+        # keeps the torus a torus
+        torus2 = SimplicialTorus(new_faces)
         t = Fraction(1, 4)
         for _ in range(60):
             h = -t * slope / denom
@@ -608,10 +595,9 @@ def _build_complement(K: StickKnot, tube: Mesh) -> Mesh:
         if lbl == top:
             continue
         faces.append(lbl)
-    torus3 = SimplicialTorus(faces)
-    if torus3.n_vertices != 3 * k + 4 or len(torus3.faces) != 2 * (3 * k + 4):
-        raise EnclosureFailure("complement face count off")
-    mesh = Mesh(coords, torus3, {
+    # a validated torus has F = 2V (Euler), and V = 3k + 4: each z label
+    # lies in an octahedron facet other than the glued one
+    mesh = Mesh(coords, SimplicialTorus(faces), {
         "kind": "complement",
         "knot": K,
         "epsilon_sq": tube.provenance["epsilon_sq"],
@@ -673,7 +659,7 @@ def _enclosing_octahedron(mesh: Mesh, top_labels, plane_n):
     d = plane_n  # outward: the mesh lies strictly below the glued plane
     lows = [dot(d, p) for p in pts]
     spread = max(lows) - min(lows) + 1
-    e1 = reduce_direction(_initial_direction(d))
+    e1 = reduce_direction(perpendicular(d))
     e2 = reduce_direction(cross(d, e1))
     centroid = tuple(sum(p[i] for p in pts) / len(pts) for i in range(3))
     c0 = add(centroid, scale(d, (min(lows) - spread - dot(d, centroid)) / norm2(d)))
@@ -803,11 +789,9 @@ def cyclic_polytope_realization(k: int) -> Mesh:
     assert gale_evenness(facet_pos, n)
     fp = [_moment_point(t) for t in facet_pos]
     N, c = _facet_plane(facet_pos)
+    # N = (600, -420, 120, -12) and c = 288, so N.m(t) - c is
+    # -12(t-1)(t-2)(t-3)(t-4) < 0 at every other position t >= 5
     inside = [v for v in pts4 if pos[v] not in facet_pos]
-    s0 = _dot4(N, pts4[inside[0]]) - c
-    if s0 > 0:
-        N = tuple(-x for x in N)
-        c = -c
     if any(_dot4(N, pts4[v]) - c >= 0 for v in inside):
         raise PolytorusError("facet hyperplane did not support the polytope")
 

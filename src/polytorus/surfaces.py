@@ -1,11 +1,12 @@
 """Triangulated closed surfaces as pure combinatorics.
 
-A surface is a list of vertex triples on labels 1..n.  Validation enforces
-the closed-pseudomanifold conditions (every edge in exactly two faces, every
-vertex link a single cycle), computes the Euler characteristic, and then
-walks the faces once from face 0 (``_face_walk``): each face entered across
-an edge runs against the face it was entered from, which orients the surface
-when no face is entered both ways, and the faces reached are its component.
+A surface is a list of vertex triples on labels 1..n.  Validation builds
+one edge map and reads it three times: every edge must lie in exactly two
+faces; the faces at each vertex must form one fan (``_check_fans`` walks
+around each vertex across its edges, so the link is a single cycle); and
+one walk from face 0 (``_face_walk``) enters each face across an edge
+against the face it was entered from, which orients the surface when no
+face is entered both ways, and the faces reached are its component.
 
 Isomorphism machinery works through a canonical labeling: a traversal of the
 face-adjacency structure started from a *flag* (an ordered face) relabels the
@@ -125,8 +126,9 @@ def validate_surface(faces) -> SurfaceReport:
     """Check the closed-pseudomanifold conditions and report counts.
 
     Raises DuplicateFace / NonManifoldEdge / BadVertexLink with the offending
-    simplex, in that order, then PolytorusError if the faces reached by the
-    walk from face 0 are not all of them.  Accepts any closed surface
+    simplex, in that order (BadVertexLink at the least vertex whose faces are
+    not one fan), then PolytorusError if the faces reached by the walk from
+    face 0 are not all of them.  Accepts any closed surface
     (sphere, torus, Klein bottle, ...); orientability is reported, not
     raised, and callers wanting a torus check the report.
     """
@@ -148,15 +150,12 @@ def validate_surface(faces) -> SurfaceReport:
         if len(fs) != 2:
             raise NonManifoldEdge(e, len(fs))
 
-    links = _link_edges(norm)
-    vertices = sorted(links)
-    for v in vertices:
-        _walk_link(v, links[v])
+    V = _check_fans(norm, edge_faces)
     oriented, reached = _face_walk(norm, edge_faces)
     if reached < len(norm):
         raise PolytorusError("face complex is not connected")
 
-    V, E, F = len(vertices), len(edge_faces), len(norm)
+    E, F = len(edge_faces), len(norm)
     euler = V - E + F
     orientable = oriented is not None
     genus = (2 - euler) // 2 if orientable else 2 - euler
@@ -172,40 +171,37 @@ def _edge_map(faces) -> dict[Edge, list[int]]:
     return edge_faces
 
 
-def _link_edges(faces):
-    """Vertex -> its link edges (link vertex -> the link vertices joined to
-    it), from one pass over the faces."""
-    links: dict[int, dict[int, list[int]]] = {}
-    for a, b, c in faces:
-        for v, x, y in ((a, b, c), (b, a, c), (c, a, b)):
-            adj = links.setdefault(v, {})
-            adj.setdefault(x, []).append(y)
-            adj.setdefault(y, []).append(x)
-    return links
+def _check_fans(faces, edge_faces) -> int:
+    """Raise BadVertexLink at the least vertex whose faces are not one fan;
+    return the number of vertices.
 
-
-def _walk_link(v, adj):
-    """The link of v as one cycle, from its edges ``adj``, or raise BadVertexLink."""
-    if not adj:
-        raise BadVertexLink(v, "isolated vertex")
-    for w, nbrs in adj.items():
-        if len(nbrs) != 2:
-            raise BadVertexLink(v, f"link vertex {w} has degree {len(nbrs)}")
-    start = min(adj)
-    cycle = [start]
-    prev, cur = None, start
-    while True:
-        a, b = adj[cur]
-        nxt = b if a == prev else a
-        if nxt == start:
-            break
-        cycle.append(nxt)
-        prev, cur = cur, nxt
-        if len(cycle) > len(adj):
-            raise BadVertexLink(v, "link not a single cycle")
-    if len(cycle) != len(adj):
-        raise BadVertexLink(v, "link has several components")
-    return cycle
+    From the first face at v, cross the edge {v, x} into its other face and
+    take that face's third vertex as the next x, until back at the first
+    face, at most one step per face at v.  Past the edge check each edge lies in exactly two distinct faces,
+    so every link vertex has two link neighbours: no vertex is isolated (it
+    comes from a face), no link vertex has another degree, and the link is
+    a disjoint union of cycles, so the walk returns within its own cycle.
+    The link is one cycle iff the walk crosses every face at v.
+    """
+    first, count = {}, {}
+    for i, f in enumerate(faces):
+        for v in f:
+            first.setdefault(v, i)
+            count[v] = count.get(v, 0) + 1
+    for v in sorted(first):
+        i = start = first[v]
+        a, b, c = faces[i]
+        x = b if a == v else a
+        for walked in range(1, count[v] + 1):
+            f, g = edge_faces[(v, x) if v < x else (x, v)]
+            i = g if f == i else f
+            if i == start:
+                break
+            a, b, c = faces[i]
+            x = a + b + c - v - x
+        if walked < count[v]:
+            raise BadVertexLink(v, "link has several components")
+    return len(first)
 
 
 def _face_walk(faces, edge_faces):
@@ -344,7 +340,7 @@ def vertex_link(T: SimplicialTorus, v: int) -> Cycle:
     """Cyclically ordered neighbors of v; length equals deg(v).
 
     The link starts at the least neighbor s and runs towards the third
-    vertex of the first face on edge {v, s}, as the validator walks it.
+    vertex of the first face on edge {v, s}.
     """
     if not 1 <= v <= T.n_vertices:
         raise PolytorusError(f"vertex {v} out of range 1..{T.n_vertices}")

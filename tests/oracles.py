@@ -20,6 +20,9 @@ before it read per-root minima off BFS trees: a state BFS over
 with one root per automorphism orbit for m.  Those orbits are
 ``oracle_vertex_orbits`` of ``automorphism_group``, the group read off the
 canonical key's ties, which ``oracle_automorphisms`` checks separately.
+``link_cycle`` walks one vertex link on its own link-edge lists
+(``_link_edges``, ``_walk_link``), with a reason for each way a link can
+fail, apart from the validator's fan walk on the edge map.
 ``canonical_labeling`` and ``supporting_plane_of_edge`` are test-only
 certificates.
 """
@@ -30,7 +33,7 @@ from itertools import combinations
 from math import lcm
 
 from polytorus.cycles import _separates, cycle_signature, enumerate_simple_cycles, homology_basis
-from polytorus.errors import DegenerateFace
+from polytorus.errors import BadVertexLink, DegenerateFace
 from polytorus.geometry import (
     collinear,
     cross,
@@ -48,9 +51,7 @@ from polytorus.realization import EmbeddingReport
 from polytorus.surfaces import (
     Cycle,
     _flags,
-    _link_edges,
     _traverse_flag,
-    _walk_link,
     automorphism_group,
 )
 from polytorus.diagrams import _Projection
@@ -264,6 +265,42 @@ def oracle_canonical_scan(T):
 def canonical_labeling(T):
     """One labeling old->new realizing canonical_form(T)."""
     return oracle_canonical_scan(T)[1]
+
+
+def _link_edges(faces):
+    """Vertex -> its link edges (link vertex -> the link vertices joined to
+    it), from one pass over the faces."""
+    links: dict[int, dict[int, list[int]]] = {}
+    for a, b, c in faces:
+        for v, x, y in ((a, b, c), (b, a, c), (c, a, b)):
+            adj = links.setdefault(v, {})
+            adj.setdefault(x, []).append(y)
+            adj.setdefault(y, []).append(x)
+    return links
+
+
+def _walk_link(v, adj):
+    """The link of v as one cycle, from its edges ``adj``, or raise BadVertexLink."""
+    if not adj:
+        raise BadVertexLink(v, "isolated vertex")
+    for w, nbrs in adj.items():
+        if len(nbrs) != 2:
+            raise BadVertexLink(v, f"link vertex {w} has degree {len(nbrs)}")
+    start = min(adj)
+    cycle = [start]
+    prev, cur = None, start
+    while True:
+        a, b = adj[cur]
+        nxt = b if a == prev else a
+        if nxt == start:
+            break
+        cycle.append(nxt)
+        prev, cur = cur, nxt
+        if len(cycle) > len(adj):
+            raise BadVertexLink(v, "link not a single cycle")
+    if len(cycle) != len(adj):
+        raise BadVertexLink(v, "link has several components")
+    return cycle
 
 
 def link_cycle(faces, v):

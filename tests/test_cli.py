@@ -93,6 +93,7 @@ CENSUS_STDOUT = {
     "--n 9": "0c26dbf292e5017177c567601a9373968d212a6a2a608dad6be29bf29eefa01f",
     "--n 9 --strategy b": "0c26dbf292e5017177c567601a9373968d212a6a2a608dad6be29bf29eefa01f",
     "--n 10": "d2967fa5ecc5a0967f9ea585bb937d1fdafade271952dbd872d536edecbafc59",
+    "--n 8 --verify-thm31 3": "030d47fe19294bda055c4ee8bdaa804bf7280e513ba986f6f37c8f31ac101cc5",
 }
 
 

@@ -62,8 +62,13 @@ def test_open_surface_rejected():
 
 
 def test_pinched_links_rejected_in_vertex_order():
-    """Three tetrahedra pinched at vertices 2 and 3: the one-pass link check
-    reports the least bad vertex with the per-vertex face scan's reason."""
+    """Three tetrahedra pinched at vertices 2 and 3: the fan walk reports the
+    least bad vertex with the oracle link walk's reason.  Then a
+    differential against that walk on the faces at each vertex alone: on
+    every census class for n <= 9, strategy B's completions at n = 8, RP2_6,
+    the 3 x 12 Klein bottle and seeded pinches of each (copies glued to it
+    at one or two vertices), validate_surface raises BadVertexLink exactly
+    when some link fails, at the least such vertex and with the same text."""
     faces = TETRA + [(3, 5, 6), (3, 5, 7), (3, 6, 7), (5, 6, 7),
                      (2, 8, 9), (2, 8, 10), (2, 9, 10), (8, 9, 10)]
     with pytest.raises(BadVertexLink) as exc:
@@ -73,6 +78,36 @@ def test_pinched_links_rejected_in_vertex_order():
     assert exc.value.vertex == 2
     assert str(exc.value) == str(scan.value) == (
         "link of vertex 2 is not a single cycle (link has several components)")
+
+    rng = random.Random(24)
+    bases = [r.canonical_faces for n in (7, 8, 9) for r in enumerate_tori(n)]
+    bases += list(_generate_strategy_b(8, _Budget(None)))
+    bases += [RP2_6, _klein_bottle(3, 12)]
+    pinched = []
+    for faces in bases:
+        n = max(map(max, faces))
+        out = list(faces)
+        for copy, v in enumerate(rng.sample(range(1, n + 1), rng.choice((1, 2))), start=1):
+            out += [tuple(x if x == v else x + copy * n for x in f) for f in faces]
+        rng.shuffle(out)
+        pinched.append(out)
+    rejected = 0
+    for faces in bases + pinched:
+        bad = None
+        for v in sorted({x for f in faces for x in f}):
+            try:
+                link_cycle(faces, v)
+            except BadVertexLink as err:
+                bad = err
+                break
+        try:
+            validate_surface(faces)
+        except BadVertexLink as err:
+            assert bad is not None and (err.vertex, str(err)) == (bad.vertex, str(bad))
+            rejected += 1
+        else:
+            assert bad is None
+    assert rejected == len(pinched)
 
 
 def test_load_complex_rejects_non_utf8(tmp_path):
