@@ -3,8 +3,9 @@
 A projection direction is *generic* when no two vertices coincide in the
 image, no vertex lands on another strand, all strand crossings are proper
 interior crossings, and no two crossings share a point.  All of this is
-checked exactly, so over/under decisions and crossing signs are never
-subject to rounding.
+checked exactly, on the polygons and the projection frame scaled to
+integers, so over/under decisions and crossing signs are integer signs,
+never subject to rounding.
 
 The knot determinant |Delta(-1)| is read off the Gauss code alone: the
 arcs between consecutive under-passages are the columns of the
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import DegenerateKnot, IntersectingCurves, NonGenericDirection
 from .geometry import (
@@ -59,15 +61,6 @@ class KnotDiagram:
     n_segments: int
 
 
-def _projection_frame(direction: Vec):
-    d = tuple(Fraction(c) for c in direction)
-    if is_zero(d):
-        raise NonGenericDirection("zero direction")
-    u = perpendicular(d)
-    w = cross(d, u)
-    return d, u, w
-
-
 def _simplify(points):
     """Drop vertices whose neighbors are collinear with them (3D)."""
     pts = [tuple(Fraction(c) for c in p) for p in points]
@@ -86,15 +79,28 @@ def _simplify(points):
 
 
 class _Projection:
-    """Exact planar image of one or more closed polygons."""
+    """Exact planar image of one or more closed polygons, in integers: the
+    points are scaled by D, the lcm of their denominators, and the frame
+    (d, u, w) of ``direction`` by positive integers that clear its
+    denominators, one factor for u and w together and one for d.  Crossing
+    parameters are exact fractions of these integers; crossing points are
+    divided back by ``scale`` into the image of the given frame."""
 
     def __init__(self, polys, direction):
-        d, u, w = _projection_frame(direction)
+        d = tuple(Fraction(c) for c in direction)
+        if is_zero(d):
+            raise NonGenericDirection("zero direction")
         self.direction = d
-        self.polys = polys
-        self.img = []     # per component: list of (x, y)
-        self.height = []  # per component: list of heights along d
+        g = lcm(*(c.denominator for c in d))
+        d = tuple(c.numerator * (g // c.denominator) for c in d)
+        u = perpendicular(d)
+        u, w = tuple(g * c for c in u), cross(d, u)  # g^2 times the given u, w
+        D = lcm(*(c.denominator for pts in polys for p in pts for c in p))
+        self.scale = D * g * g
+        self.img = []     # per component: list of (x, y), scale times the image
+        self.height = []  # per component: list of heights along d, times D g
         for pts in polys:
+            pts = [tuple(c.numerator * (D // c.denominator) for c in p) for p in pts]
             self.img.append([(dot(p, u), dot(p, w)) for p in pts])
             self.height.append([dot(p, d) for p in pts])
         self._check_vertices()
@@ -163,19 +169,22 @@ class _Projection:
         if 0 in (o1, o2, o3, o4):
             raise NonGenericDirection(
                 f"segments {ci}:{si} and {cj}:{sj} touch non-transversally")
-        # proper interior crossing: solve for parameters
+        # proper interior crossing: s = sn / denom and t = tn / denom
         dx1 = (p2[0] - p1[0], p2[1] - p1[1])
         dx2 = (q2[0] - q1[0], q2[1] - q1[1])
         denom = dx1[0] * dx2[1] - dx1[1] * dx2[0]
         rx, ry = q1[0] - p1[0], q1[1] - p1[1]
-        s = (rx * dx2[1] - ry * dx2[0]) / denom
-        t = (rx * dx1[1] - ry * dx1[0]) / denom
-        h1 = self._height_at(ci, si, s)
-        h2 = self._height_at(cj, sj, t)
+        sn = rx * dx2[1] - ry * dx2[0]
+        tn = rx * dx1[1] - ry * dx1[0]
+        h1 = self._height_at(ci, si, sn, denom)
+        h2 = self._height_at(cj, sj, tn, denom)
         if h1 == h2:
             raise DegenerateKnot("curves intersect in space")
-        point = (p1[0] + s * dx1[0], p1[1] + s * dx1[1])
-        if h1 > h2:
+        s, t = Fraction(sn, denom), Fraction(tn, denom)
+        den = denom * self.scale
+        point = (Fraction(p1[0] * denom + sn * dx1[0], den),
+                 Fraction(p1[1] * denom + sn * dx1[1], den))
+        if (h1 > h2) == (denom > 0):
             over, under = (ci, si, s), (cj, sj, t)
             d_over, d_under = dx1, dx2
         else:
@@ -184,10 +193,11 @@ class _Projection:
         sign_ = d_over[0] * d_under[1] - d_over[1] * d_under[0]
         return Crossing(over, under, 1 if sign_ > 0 else -1, point)
 
-    def _height_at(self, ci, si, t):
+    def _height_at(self, ci, si, num, den):
+        """den times the height at parameter num / den along segment si."""
         hs = self.height[ci]
         k = len(hs)
-        return hs[si] + t * (hs[(si + 1) % k] - hs[si])
+        return hs[si] * den + num * (hs[(si + 1) % k] - hs[si])
 
 
 def project_diagram(K: StickKnot, direction=None) -> KnotDiagram:

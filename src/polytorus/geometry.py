@@ -85,7 +85,7 @@ def perpendicular(n: Vec) -> Vec:
     """cross(n, e) for the first coordinate axis e (x, then y, then z) that
     is not parallel to n; n must be nonzero."""
     for axis in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-        u = cross(n, vec(*axis))
+        u = cross(n, axis)
         if not is_zero(u):
             return u
 

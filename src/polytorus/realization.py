@@ -767,6 +767,30 @@ def _dot4(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
+def _moment_plane(positions):
+    """The facet hyperplane N.x = c of C_4(n) through the moment points at
+    four positions, in closed form (Gale): N = (-e3, e2, -e1, 1) and
+    c = -e4 from their elementary symmetric polynomials e1..e4, so that
+    N.m(t) - c is the product of t - t_i over the four positions t_i."""
+    e = [1, 0, 0, 0, 0]
+    for t in positions:
+        for i in range(4, 0, -1):
+            e[i] += e[i - 1] * t
+    return (-e[3], e[2], -e[1], 1), -e[4]
+
+
+def _schlegel_viewpoint(sum_fp, N, sides):
+    """(x4, w) with x = x4 / w = sum_fp / 4 + N / 4^j for the least j < 80 at
+    which sc * (4^j a + b) > 0 for every (sc, a, b) in ``sides``: positive
+    multiples of the centroid's and of x's side of a facet, so that x lies
+    strictly on the centroid's side, never on the facet hyperplane."""
+    for j in range(80):
+        s = 4 ** j
+        if all(sc * (s * a + b) > 0 for sc, a, b in sides):
+            return [s * f + 4 * nn for f, nn in zip(sum_fp, N)], 4 * s
+    raise PolytorusError("no Schlegel viewpoint certified")
+
+
 def cyclic_polytope_realization(k: int) -> Mesh:
     """Embed the minimal 3xk torus in the boundary of C_4(3k-2) and project
     it to rational 3D coordinates through one facet (Schlegel diagram)."""
@@ -782,8 +806,8 @@ def cyclic_polytope_realization(k: int) -> Mesh:
         if tuple(sorted(pos[v] for v in face)) not in in_facet:
             raise FaceNotInPolytope(face)
 
-    # moment points and facet planes are integers; Fraction enters only
-    # where something is divided
+    # moment points, facet planes and the viewpoint are integers; Fraction
+    # enters only in the 3D coordinates, one division each
     pts4 = {v: _moment_point(pos[v]) for v in pos}
     facet_pos = (1, 2, 3, 4)
     assert gale_evenness(facet_pos, n)
@@ -796,40 +820,33 @@ def cyclic_polytope_realization(k: int) -> Mesh:
         raise PolytorusError("facet hyperplane did not support the polytope")
 
     # x = facet centre + N / 4^j is beyond the facet (N.x - c = |N|^2 / 4^j)
-    # and, for j large enough, beneath every other facet, on the centroid's
-    # side; both sides are read in integers, from n * centroid = the sum of
-    # the moment points and 4^(j+1) x = 4^j sum(fp) + 4N
+    # and, for j large enough, beneath every other facet g, on the
+    # centroid's side.  With g's closed-form plane, n times the centroid's
+    # side is N_g.total - n c_g (total: the power sums of the positions) and
+    # 4^(j+1) times x's side is 4^j (N_g.sum(fp) - 4 c_g) + 4 N_g.N
     total = [sum(col) for col in zip(*pts4.values())]
-    planes = []
-    for g in facets:
-        if g != facet_pos:
-            Ng, cg = _facet_plane(g)
-            planes.append((Ng, cg, _dot4(Ng, total) - n * cg))
     sum_fp = [sum(col) for col in zip(*fp)]
-    for j in range(80):
-        x4 = [4 ** j * f + 4 * nn for f, nn in zip(sum_fp, N)]
-        if all(sc != 0 and (sc > 0) == (_dot4(Ng, x4) > 4 ** (j + 1) * cg)
-               for Ng, cg, sc in planes):
-            viewpoint = tuple(Fraction(x, 4 ** (j + 1)) for x in x4)
-            break
-    else:
-        raise PolytorusError("no Schlegel viewpoint certified")
+    planes = [_moment_plane(g) for g in facets if g != facet_pos]
+    sides = [(_dot4(Ng, total) - n * cg, _dot4(Ng, sum_fp) - 4 * cg, 4 * _dot4(Ng, N))
+             for Ng, cg in planes]
+    x4, w = _schlegel_viewpoint(sum_fp, N, sides)
 
-    # project through the facet hyperplane, then express in a 3D frame
-    def project(p4):
-        t = (c - _dot4(N, viewpoint)) / (_dot4(N, p4) - _dot4(N, viewpoint))
-        return tuple(vx + t * (px - vx) for vx, px in zip(viewpoint, p4))
-
+    # p projects through the facet hyperplane to x + (c - N.x) / (N.p - N.x)
+    # (p - x): the integer vector (N.p - c) x4 + (c w - N.x4) p over
+    # w N.p - N.x4, which is p itself on the facet; its 3D frame coordinates
+    # come from the frame's integer adjugate (Cramer's rule)
+    nx = _dot4(N, x4)
     basis = [tuple(p - q for p, q in zip(fp[i], fp[0])) for i in (1, 2, 3)]
-    rows, frame = _independent_rows(basis)
-
-    def to3d(q4):
-        return tuple(_solve3(frame, [q4[r] - fp[0][r] for r in rows]))
-
+    rows, (f0, f1, f2) = _independent_rows(basis)
+    adj = (cross(f1, f2), cross(f2, f0), cross(f0, f1))
+    det = dot(adj[2], f2)
     coords = {}
-    for v in pos:
-        q4 = pts4[v] if pos[v] in facet_pos else project(pts4[v])
-        coords[v] = to3d(q4)
+    for v, p4 in pts4.items():
+        np4 = _dot4(N, p4)
+        den = w * np4 - nx
+        q4 = [(np4 - c) * xi + (c * w - nx) * pi for xi, pi in zip(x4, p4)]
+        rhs = [q4[r] - den * fp[0][r] for r in rows]
+        coords[v] = tuple(Fraction(dot(a, rhs), det * den) for a in adj)
 
     mesh = Mesh(coords, T, {
         "kind": "cyclic",
@@ -853,13 +870,6 @@ def _independent_rows(basis):
         if dot(cross(frame[0], frame[1]), frame[2]) != 0:
             return rows, frame
     raise PolytorusError("degenerate facet frame")
-
-
-def _solve3(cols, rhs):
-    """x with x[0] cols[0] + x[1] cols[1] + x[2] cols[2] = rhs, by Cramer's rule."""
-    c0, c1, c2 = cols
-    d = dot(cross(c0, c1), c2)
-    return [Fraction(dot(cross(a, b), rhs), d) for a, b in ((c1, c2), (c2, c0), (c0, c1))]
 
 
 # -- mesh I/O --------------------------------------------------------------------

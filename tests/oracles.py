@@ -11,9 +11,11 @@ Convex-hull certificates come from Carathéodory subset tests and
 brute-force rational facet loops (no integer side table).  Knot
 determinants are recomputed from the Alexander relation at t = -1, the
 relation ``src/`` uses as well, but with their own walk over the crossing
-events and their own ``Fraction`` elimination; the values of the
-region-colouring Goeritz matrix that ``src/`` computed before are pinned in
-``test_diagrams.py``.
+events and their own ``Fraction`` elimination, on the crossings of
+``FractionProjection``: the projection ``src/`` ran before it scaled the
+polygons and the frame to integers, every test in ``Fraction`` arithmetic.
+The values of the region-colouring Goeritz matrix that ``src/`` computed
+before are pinned in ``test_diagrams.py``.
 ``oracle_stick_number_and_type`` is the type search that ``src/`` ran
 before it read per-root minima off BFS trees: a state BFS over
 (vertex, p, q) in the signature-labelled covering graph from every root,
@@ -33,8 +35,9 @@ from itertools import combinations
 from math import lcm
 
 from polytorus.cycles import _separates, cycle_signature, enumerate_simple_cycles, homology_basis
-from polytorus.errors import BadVertexLink, DegenerateFace
+from polytorus.errors import BadVertexLink, DegenerateFace, DegenerateKnot, NonGenericDirection
 from polytorus.geometry import (
+    Vec,
     collinear,
     cross,
     dominant_axis,
@@ -42,8 +45,11 @@ from polytorus.geometry import (
     drop_axis,
     is_zero,
     norm2,
+    orient2d,
     orient3d,
+    perpendicular,
     point_in_triangle_2d,
+    point_on_segment_2d,
     sub,
     triangles_conflict,
 )
@@ -54,7 +60,7 @@ from polytorus.surfaces import (
     _traverse_flag,
     automorphism_group,
 )
-from polytorus.diagrams import _Projection
+from polytorus.diagrams import Crossing
 
 
 def oracle_verify_embedding(mesh):
@@ -547,6 +553,122 @@ def oracle_vertex_orbits(T, autos):
     return orbits
 
 
+def _projection_frame(direction: Vec):
+    d = tuple(Fraction(c) for c in direction)
+    if is_zero(d):
+        raise NonGenericDirection("zero direction")
+    u = perpendicular(d)
+    w = cross(d, u)
+    return d, u, w
+
+
+class FractionProjection:
+    """Exact planar image of one or more closed polygons, in ``Fraction``
+    arithmetic throughout: the diagram layer's projection before it moved
+    to integers."""
+
+    def __init__(self, polys, direction):
+        d, u, w = _projection_frame(direction)
+        self.direction = d
+        self.polys = polys
+        self.img = []     # per component: list of (x, y)
+        self.height = []  # per component: list of heights along d
+        for pts in polys:
+            self.img.append([(dot(p, u), dot(p, w)) for p in pts])
+            self.height.append([dot(p, d) for p in pts])
+        self._check_vertices()
+        self.crossings = self._find_crossings()
+
+    def seg(self, comp, i):
+        pts = self.img[comp]
+        return pts[i], pts[(i + 1) % len(pts)]
+
+    def _check_vertices(self):
+        allv = [(p, ci) for ci, pts in enumerate(self.img) for p in pts]
+        for i in range(len(allv)):
+            for j in range(i + 1, len(allv)):
+                if allv[i][0] == allv[j][0]:
+                    raise NonGenericDirection("two vertices project together")
+        for ci, pts in enumerate(self.img):
+            k = len(pts)
+            for i in range(k):
+                if pts[i] == pts[(i + 1) % k]:
+                    raise NonGenericDirection(f"segment {ci}:{i} projects to a point")
+        # no vertex on the open image of a non-incident segment
+        for ci, pts in enumerate(self.img):
+            for vi, p in enumerate(pts):
+                for cj, qts in enumerate(self.img):
+                    k = len(qts)
+                    for sj in range(k):
+                        if ci == cj and vi in (sj, (sj + 1) % k):
+                            continue
+                        a, b = qts[sj], qts[(sj + 1) % k]
+                        if point_on_segment_2d(p, a, b):
+                            raise NonGenericDirection(
+                                f"vertex {ci}:{vi} projects onto segment {cj}:{sj}")
+
+    def _find_crossings(self):
+        crossings = []
+        segs = [(ci, si) for ci, pts in enumerate(self.img) for si in range(len(pts))]
+        for a in range(len(segs)):
+            for b in range(a + 1, len(segs)):
+                ci, si = segs[a]
+                cj, sj = segs[b]
+                if ci == cj:
+                    k = len(self.img[ci])
+                    if si == (sj + 1) % k or sj == (si + 1) % k:
+                        continue  # adjacent segments share only their vertex
+                got = self._segment_crossing(ci, si, cj, sj)
+                if got is not None:
+                    crossings.append(got)
+        pts = [c.point for c in crossings]
+        if len(set(pts)) != len(pts):
+            raise NonGenericDirection("two crossings share an image point")
+        return crossings
+
+    def _segment_crossing(self, ci, si, cj, sj):
+        p1, p2 = self.seg(ci, si)
+        q1, q2 = self.seg(cj, sj)
+        o1 = orient2d(p1, p2, q1)
+        o2 = orient2d(p1, p2, q2)
+        o3 = orient2d(q1, q2, p1)
+        o4 = orient2d(q1, q2, p2)
+        if o1 == 0 and o2 == 0:
+            # collinear images: overlap would have tripped the vertex checks
+            # unless the segments are disjoint on the line
+            return None
+        if o1 * o2 > 0 or o3 * o4 > 0:
+            return None
+        if 0 in (o1, o2, o3, o4):
+            raise NonGenericDirection(
+                f"segments {ci}:{si} and {cj}:{sj} touch non-transversally")
+        # proper interior crossing: solve for parameters
+        dx1 = (p2[0] - p1[0], p2[1] - p1[1])
+        dx2 = (q2[0] - q1[0], q2[1] - q1[1])
+        denom = dx1[0] * dx2[1] - dx1[1] * dx2[0]
+        rx, ry = q1[0] - p1[0], q1[1] - p1[1]
+        s = (rx * dx2[1] - ry * dx2[0]) / denom
+        t = (rx * dx1[1] - ry * dx1[0]) / denom
+        h1 = self._height_at(ci, si, s)
+        h2 = self._height_at(cj, sj, t)
+        if h1 == h2:
+            raise DegenerateKnot("curves intersect in space")
+        point = (p1[0] + s * dx1[0], p1[1] + s * dx1[1])
+        if h1 > h2:
+            over, under = (ci, si, s), (cj, sj, t)
+            d_over, d_under = dx1, dx2
+        else:
+            over, under = (cj, sj, t), (ci, si, s)
+            d_over, d_under = dx2, dx1
+        sign_ = d_over[0] * d_under[1] - d_over[1] * d_under[0]
+        return Crossing(over, under, 1 if sign_ > 0 else -1, point)
+
+    def _height_at(self, ci, si, t):
+        hs = self.height[ci]
+        k = len(hs)
+        return hs[si] + t * (hs[(si + 1) % k] - hs[si])
+
+
 def alexander_determinant(points, direction):
     """|Alexander polynomial at -1| from a generic projection.
 
@@ -554,7 +676,7 @@ def alexander_determinant(points, direction):
     relation 2*over - in - out = 0 at t = -1; any maximal minor's absolute
     determinant is the knot determinant.
     """
-    proj = _Projection([list(points)], direction)
+    proj = FractionProjection([list(points)], direction)
     crossings = proj.crossings
     if not crossings:
         return 1

@@ -201,6 +201,8 @@ GOLDEN_OFF = {
     "tube trefoil": "444cff4e7040ca3d705304aa08815fd8784fd942e4eacab1626d7f150771740c",
     "complement unknot": "ed7fb52ca1454c91a1a85d9c833bfe213ac6c32651129e40706775aad24447c8",
     "cyclic 8": "3896fbf344cb42957c0186ff423588236a61a82c9b93959930492d173ef72421",
+    "cyclic 10": "091426cdb24a3c26dd79854ad803326f3f7a052f21126ef70a7fef6d842eece6",
+    "cyclic 12": "4ad38b95bc4138f8314eb69839c127b8bc4060d67bd4906d6b5da5cdea32c93e",
     "cyclic 14": "20af4ffbb25dbd8bf3e633ac36208aa8945b607e62c57b5b0d24f456b8ea71fb",
 }
 

@@ -4,13 +4,20 @@ import hashlib
 import json
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from oracles import alexander_determinant
+from oracles import FractionProjection, alexander_determinant
+from test_realization import _seeded_general_position_knots
 
+from polytorus.cycles import stick_number_and_type
 from polytorus.diagrams import (
     DIRECTION_SEQUENCE,
+    _colouring_determinant,
+    _gauss_code,
+    _Projection,
+    _simplify,
     knot_determinant,
     linking_number,
     polygon_determinant,
@@ -18,6 +25,7 @@ from polytorus.diagrams import (
 )
 from polytorus.errors import DegenerateKnot, IntersectingCurves, NonGenericDirection
 from polytorus.knots import StickKnot, trefoil_6stick, triangle_unknot
+from polytorus.realization import cyclic_polytope_realization
 
 # star-shaped about the z-axis (strictly monotone angle, winding once),
 # hence unknotted, but wildly non-planar: projections carry crossings of
@@ -155,6 +163,53 @@ def test_linking_hopf_squares():
     lk = linking_number(a, b)
     assert abs(lk) == 1
     assert linking_number(b, a) == lk
+
+
+def _diagram(projection, polys, d):
+    """Crossings, the first component's Gauss code and, for a knot, the
+    determinant of one projection, or the type and text of the exception it
+    raises."""
+    try:
+        proj = projection(polys, d)
+    except (NonGenericDirection, DegenerateKnot) as exc:
+        return type(exc), str(exc)
+    det = _colouring_determinant(proj) if len(polys) == 1 else None
+    return proj.crossings, _gauss_code(proj, 0), det
+
+
+def test_integer_projection_matches_fraction_oracle():
+    """The integer projection finds the Fraction oracle's crossings (over,
+    under, sign and point) and Gauss code, or raises the same exception
+    with the same text, in every direction of DIRECTION_SEQUENCE, a
+    rational direction and one along an edge of the triangle; determinants
+    and Hopf linking numbers agree.  The cyclic cores and the rational
+    direction scale the image by more than 1, so a crossing point not
+    divided back, or a direction cut to integers, differs."""
+    directions = DIRECTION_SEQUENCE + [(Fraction(3, 4), Fraction(-5, 6), Fraction(7, 10))]
+    knots = [K.vertices for K in [trefoil_6stick(), triangle_unknot(), WIGGLY_UNKNOT]
+             + _seeded_general_position_knots(40)]
+    for k in range(3, 15):
+        mesh = cyclic_polytope_realization(k)
+        knots.append(mesh.cycle_points(stick_number_and_type(mesh.complex).witness_s))
+    seen = Counter()
+    for pts in knots:
+        pts = _simplify(pts)
+        for d in directions + ([(1, 0, 0)] if len(pts) == 3 else []):
+            got = _diagram(_Projection, [pts], d)
+            assert got == _diagram(FractionProjection, [pts], d), (pts, d)
+            if isinstance(got[0], list):
+                seen["crossings"] += len(got[0])
+            else:
+                seen[got[0].__name__] += 1
+    assert seen["crossings"] > 0 and seen["NonGenericDirection"] > 0, seen
+    a = [(-1, -1, 0), (1, -1, 0), (1, 1, 0), (-1, 1, 0)]
+    b = [(0, 0, -1), (2, 0, -1), (2, 0, 1), (0, 0, 1)]
+    for d in directions:
+        want = _diagram(FractionProjection, [a, b], d)
+        assert _diagram(_Projection, [a, b], d) == want
+        if isinstance(want[0], list):
+            assert linking_number(a, b, d) == sum(
+                c.sign for c in want[0] if c.over[0] != c.under[0]) // 2
 
 
 def test_linking_rejects_touching_curves():

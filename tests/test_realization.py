@@ -3,6 +3,7 @@ mesh I/O.  The expensive trefoil constructions live in the acceptance suite;
 apart from one trefoil tube, everything here sticks to the triangle unknot
 and small k."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -280,6 +281,45 @@ def test_cyclic_realization_small():
     assert mesh.embedding.ok
     assert verify_embedding(mesh).ok
     assert mesh.provenance["core_determinant"] == 1
+
+
+def test_closed_form_facet_planes(monkeypatch):
+    """For every facet of C_4(n), 7 <= n <= 40, the closed-form plane
+    (N, c) is a nonzero multiple of the Plücker plane through the four
+    moment points, N.m(t) - c is the product of t - t_i at every position t,
+    and the side of the centroid read from the power sums is the sum of the
+    sides of the moment points.  The realization computes one Plücker plane,
+    the projection facet's."""
+    for n in range(7, 41):
+        total = [sum(t ** i for t in range(1, n + 1)) for i in range(1, 5)]
+        for g in cyclic_facets(n):
+            N, c = realization._moment_plane(g)
+            plucker, c_plucker = realization._facet_plane(g)
+            lam = plucker[3]
+            assert lam != 0
+            assert plucker == tuple(lam * x for x in N) and c_plucker == lam * c
+            sides = [realization._dot4(N, realization._moment_point(t)) - c
+                     for t in range(1, n + 1)]
+            assert sides == [math.prod(t - ti for ti in g) for t in range(1, n + 1)]
+            assert realization._dot4(N, total) - n * c == sum(sides)
+    calls = []
+    plane = realization._facet_plane
+    monkeypatch.setattr(realization, "_facet_plane", lambda g: calls.append(g) or plane(g))
+    cyclic_polytope_realization(5)
+    assert calls == [(1, 2, 3, 4)]
+
+
+def test_schlegel_viewpoint_strictly_beneath_every_facet():
+    """A viewpoint on a facet hyperplane is refused, whichever side of it
+    the centroid lies: here x's side 4^j (-1) + 4 is 0 at j = 1 and the
+    centroid's side is negative, so j = 2 is the first viewpoint."""
+    sum_fp, N = (10, 30, 100, 354), (600, -420, 120, -12)
+    x4, w = realization._schlegel_viewpoint(sum_fp, N, [(-1, -1, 4)])
+    assert w == 4 ** 3
+    assert x4 == [16 * f + 4 * nn for f, nn in zip(sum_fp, N)]
+    for sides in ([(-1, 0, 0)], [(1, 0, 0)], [(0, 1, 1)]):
+        with pytest.raises(PolytorusError, match="no Schlegel viewpoint"):
+            realization._schlegel_viewpoint(sum_fp, N, sides)
 
 
 def test_cyclic_realization_face_membership():
