@@ -18,7 +18,10 @@ Two independent generation strategies back each other up:
   vertex in all admissible cyclic orders, with its own link bookkeeping
   (per-vertex link adjacency kept as faces come and go), its own coherent
   orientation rule, which never builds a Klein bottle, and a screen that
-  drops a link with a closed cycle beside its open paths.  It shares no
+  drops a link with a closed cycle beside its open paths.  It keeps only
+  completions where vertex 1 has the maximum degree and vertex 2 the
+  maximum degree among vertex 1's neighbours, a rule A does not use, so
+  it builds each class once per Aut-orbit of those flags.  It shares no
   code with A, and every completion still goes through the full surface
   validator.
 
@@ -336,6 +339,23 @@ def _generate_strategy_b(n, budget):
     it is never added.  A link holding a closed cycle beside open paths can
     never become one cycle, and is dropped.  The caller still runs the full
     surface validator on every completion.
+
+    Maximum-degree rule (``_b_may_keep``).  The search labels a torus from
+    its first face (1, 2, 3): vertex 1's link is closed from the flag
+    (1, 2, 3) on, and each later face is fixed by the smallest unfinished
+    vertex, the least path end of its link, and an old label or the next
+    fresh one.  So the labeled completion is a function of the torus and
+    its first flag, and the search yields exactly one completion per
+    Aut-orbit of flags.  The rule keeps a completion exactly when its flag
+    (1, 2, 3) = (a, b, c) has deg a = the maximum degree and deg b = the
+    maximum degree over a's neighbours: once vertex 1 closes, its degree
+    d1 is final, so d1 < 6 (below the average degree 6 of a torus) or a
+    vertex of degree over d1 rules vertex 1 out; once vertex 2 closes, a
+    neighbour of vertex 1 of degree over d2 rules vertex 2 out.  Degrees
+    only grow below a node, so each cut is final and a completion meeting
+    both conditions is never cut.  Such flags form whole Aut-orbits, since
+    automorphisms keep degrees, and every torus has one, so every class
+    survives, once per orbit of those flags.
     """
     target_f = 2 * n
     link = {v: {} for v in range(1, n + 1)}  # vertex -> link vertex -> its link neighbours
@@ -411,7 +431,8 @@ def _generate_strategy_b(n, budget):
             tri = glue(v, start, mate)
             if tri is not None:
                 add_face(tri)
-                advance(v, maxlab)
+                if _b_may_keep(link, v - 1, tri):
+                    advance(v, maxlab)
                 pop_face(tri)
         # extension moves: endpoint of another path, an open vertex not yet
         # in the link, or one fresh label
@@ -423,10 +444,14 @@ def _generate_strategy_b(n, budget):
             if tri is None:
                 continue
             add_face(tri)
-            grow(v, max(maxlab, b), ncomp if nb is None else ncomp - 1)
+            if _b_may_keep(link, v - 1, tri):
+                grow(v, max(maxlab, b), ncomp if nb is None else ncomp - 1)
             pop_face(tri)
 
     def advance(v, maxlab):
+        # vertex v has just closed: d1 or d2 is now fixed, so check everyone
+        if v <= 2 and not _b_may_keep(link, v, link):
+            return
         if v + 1 <= maxlab:
             close_vertex(v + 1, maxlab)
         elif maxlab == n and len(faces) == target_f and v == n:
@@ -437,6 +462,27 @@ def _generate_strategy_b(n, budget):
     close_vertex(1, 3)
     pop_face((1, 2, 3))
     yield from results
+
+
+def _b_may_keep(link, closed, touched):
+    """Whether a completion can still give vertex 1 the maximum degree and
+    vertex 2 the maximum degree among vertex 1's neighbours, with vertices
+    1..``closed`` closed and only the vertices in ``touched`` grown since
+    the last check.  Once vertex 1 is closed its degree d1 is final: it is
+    at least 6, the average degree of a torus, and no vertex may pass it.
+    Once vertex 2 is closed, no neighbour of vertex 1 may pass its degree
+    d2, which the check on its closing left at most d1.  Degrees only grow,
+    so a vertex over its cap stays over it."""
+    if closed == 0:
+        return True
+    d1 = len(link[1])
+    if d1 < 6:
+        return False
+    if closed == 1:
+        return all(len(link[u]) <= d1 for u in touched)
+    d2 = len(link[2])
+    near = link[1]
+    return all(len(link[u]) <= (d2 if u in near else d1) for u in touched)
 
 
 def _link_walk(adj, start):

@@ -62,17 +62,21 @@ class KnotDiagram:
 
 
 def _simplify(points):
-    """Drop vertices whose neighbors are collinear with them (3D)."""
+    """Drop vertices whose neighbors are collinear with them (3D), testing
+    the points scaled to integers by the lcm of their denominators."""
     pts = [tuple(Fraction(c) for c in p) for p in points]
+    D = lcm(*(c.denominator for p in pts for c in p))
+    ints = [tuple(c.numerator * (D // c.denominator) for c in p) for p in pts]
     changed = True
     while changed and len(pts) > 3:
         changed = False
-        for i in range(len(pts)):
-            a = pts[i - 1]
-            b = pts[i]
-            c = pts[(i + 1) % len(pts)]
+        for i in range(len(ints)):
+            a = ints[i - 1]
+            b = ints[i]
+            c = ints[(i + 1) % len(ints)]
             if is_zero(cross(sub(b, a), sub(c, b))):
                 pts.pop(i)
+                ints.pop(i)
                 changed = True
                 break
     return pts

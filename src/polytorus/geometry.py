@@ -42,10 +42,6 @@ from .errors import DegenerateFace
 Vec = tuple[Fraction, Fraction, Fraction]
 
 
-def vec(x, y, z) -> Vec:
-    return (Fraction(x), Fraction(y), Fraction(z))
-
-
 def add(a: Vec, b: Vec) -> Vec:
     return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 

@@ -13,7 +13,8 @@ determinants are recomputed from the Alexander relation at t = -1, the
 relation ``src/`` uses as well, but with their own walk over the crossing
 events and their own ``Fraction`` elimination, on the crossings of
 ``FractionProjection``: the projection ``src/`` ran before it scaled the
-polygons and the frame to integers, every test in ``Fraction`` arithmetic.
+polygons and the frame to integers, every test in ``Fraction`` arithmetic;
+``oracle_simplify`` is the collinear-vertex removal of that time.
 The values of the region-colouring Goeritz matrix that ``src/`` computed
 before are pinned in ``test_diagrams.py``.
 ``oracle_stick_number_and_type`` is the type search that ``src/`` ran
@@ -413,18 +414,22 @@ def oracle_type(T, basis, signed=None):
     s: max over realized non-separating classes c of the shortest simple
     cycle in a class not proportional to c.  ``signed`` is
     ``signed_cycles(T, basis)``, computed here when not given.
+
+    The cycles are walked shortest first, so the first non-separating cycle
+    of a class is its shortest, and a cycle is cut only while its class has
+    none yet: a longer one could not change either minimum.
     """
     if signed is None:
         signed = signed_cycles(T, basis)
-    nonsep = [(cyc, sig) for cyc, sig in signed if not cut_separates(T, cyc)]
-    m = min(len(cyc) for cyc, _ in nonsep)
-    classes = {}
-    for cyc, sig in nonsep:
+    shortest = {}  # class -> length of its shortest non-separating cycle
+    for cyc, sig in sorted(signed, key=lambda item: len(item[0])):
         key = _class_key(sig)
-        classes.setdefault(key, []).append(len(cyc))
+        if key not in shortest and not cut_separates(T, cyc):
+            shortest[key] = len(cyc)
+    m = min(shortest.values())
     s = 0
-    for key in classes:
-        k_c = min(min(lens) for other, lens in classes.items() if not _proportional(key, other))
+    for key in shortest:
+        k_c = min(k for other, k in shortest.items() if not _proportional(key, other))
         s = max(s, k_c)
     return m, s
 
@@ -541,6 +546,16 @@ def oracle_start_flags(T):
             if invariant(a) == low and invariant(b) == min(invariant(u) for u in nb[a])]
 
 
+def oracle_max_degree_flags(T):
+    """The flags (a, b, c) of T, in flag order, where a has the maximum
+    degree and b the maximum degree among a's neighbours: the flags strategy
+    B keeps, from ``T.neighbors`` alone."""
+    nb = T.neighbors
+    top = max(len(nb[v]) for v in nb)
+    return [(a, b, c) for f in T.faces for a, b, c in _flags(f)
+            if len(nb[a]) == top and len(nb[b]) == max(len(nb[u]) for u in nb[a])]
+
+
 def oracle_vertex_orbits(T, autos):
     """Vertex orbits of the group ``autos``, each sorted, ordered by least vertex."""
     orbits = []
@@ -551,6 +566,25 @@ def oracle_vertex_orbits(T, autos):
             seen.update(orbit)
             orbits.append(orbit)
     return orbits
+
+
+def oracle_simplify(points):
+    """Drop vertices whose neighbors are collinear with them (3D): the
+    ``diagrams._simplify`` that ran before it scaled the points to integers,
+    with ``Fraction`` cross products."""
+    pts = [tuple(Fraction(c) for c in p) for p in points]
+    changed = True
+    while changed and len(pts) > 3:
+        changed = False
+        for i in range(len(pts)):
+            a = pts[i - 1]
+            b = pts[i]
+            c = pts[(i + 1) % len(pts)]
+            if is_zero(cross(sub(b, a), sub(c, b))):
+                pts.pop(i)
+                changed = True
+                break
+    return pts
 
 
 def _projection_frame(direction: Vec):

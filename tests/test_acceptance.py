@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, exact tolerances, a printed
 pass line each.
 
-The heavy runs are the n=10 census (criterion 2, a few minutes) and the
-exact trefoil constructions (criteria 5 and 6).  Everything asserts exact
-equalities; there are no numeric tolerances anywhere.
+The heavy runs are the n=10 census under both strategies (criterion 2)
+and the exact trefoil constructions (criteria 5 and 6).  Everything
+asserts exact equalities; there are no numeric tolerances anywhere.
 """
 
 import time
@@ -60,12 +60,14 @@ def test_criterion_1_moebius_census():
 
 def test_criterion_2_theorem31_k4():
     """No type-3x4 torus on 9 vertices; exactly one on 10, the generator
-    output; dual-strategy counts agree at n=8 and n=9."""
+    output; dual-strategy counts agree at n=8, 9 and 10."""
     t0 = time.time()
     ca8 = census_counts_agree(8)
     ca9 = census_counts_agree(9)
+    ca10 = census_counts_agree(10)
     assert ca8[0] == ca8[1]
     assert ca9[0] == ca9[1]
+    assert ca10 == (2109, 2109)
 
     records9 = enumerate_tori(9, "a")
     assert sum(1 for r in records9 if (r.m, r.s) == (3, 4)) == 0
@@ -80,7 +82,8 @@ def test_criterion_2_theorem31_k4():
     elapsed = time.time() - t0
     assert elapsed < 1800
     _report("2 (Theorem 3.1 at k=4)",
-            f"n=8: {ca8[0]} classes, n=9: {ca9[0]} classes (strategies agree), "
+            f"n=8: {ca8[0]} classes, n=9: {ca9[0]} classes, n=10: {ca10[0]} classes "
+            "(strategies agree), "
             f"n=9 has no 3x4, n=10 has exactly one = generator, {elapsed:.0f}s")
 
 

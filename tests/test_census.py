@@ -2,12 +2,18 @@
 
 import copy
 import dataclasses
+import functools
 import hashlib
 import math
 import os
 
 import pytest
-from oracles import oracle_automorphisms, oracle_link_paths, oracle_start_flags
+from oracles import (
+    oracle_automorphisms,
+    oracle_link_paths,
+    oracle_max_degree_flags,
+    oracle_start_flags,
+)
 
 import polytorus.census as census_mod
 from polytorus.census import (
@@ -87,13 +93,13 @@ def test_theorem31_k3(moebius):
     assert rep.matches_generator
 
 
-def test_time_budget():
-    import polytorus.census as census_mod
+@pytest.mark.parametrize("strategy", ["a", "b"])
+def test_time_budget(strategy):
     saved = dict(census_mod._CENSUS_CACHE)
     census_mod._CENSUS_CACHE.clear()
     try:
         with pytest.raises(TimeBudgetExceeded):
-            enumerate_tori(10, "a", time_budget=0.05)
+            enumerate_tori(10, strategy, time_budget=0.05)
     finally:
         census_mod._CENSUS_CACHE.update(saved)
 
@@ -111,12 +117,20 @@ ORIENTABLE_COMPLETIONS = {
 
 # Strategy B's completions that pass the full validator, as recorded from the
 # search that built every completion, Klein bottles and several-component
-# links included, before its orientation rule and link screen: count and
-# sha256 of the sorted face lists, one per line.
+# links included, before its orientation rule, link screen and maximum-degree
+# rule: count and sha256 of the sorted face lists, one per line.
 STRATEGY_B_COMPLETIONS = {
     7: (2, "ecb3dabbbda97b23b99d6f7fcf5aff1ade29c9f75a4a760559c48a9e29313d9e"),
     8: (195, "227b1ffbb09719108c3eaec5be2c0ba0467a722a34cae93949e6bb68500cd0b8"),
     9: (8386, "a8614d19e33348a4a04f804408d2886be6922a9092e9af62378b612bd5e5cb82"),
+}
+
+# The same for the completions strategy B keeps under its maximum-degree
+# rule (``_b_may_keep``).
+STRATEGY_B_PRUNED = {
+    7: (2, "ecb3dabbbda97b23b99d6f7fcf5aff1ade29c9f75a4a760559c48a9e29313d9e"),
+    8: (20, "7342cd0a5f992cef3b521837852db11d4ad5abeab85e75793e86a3b7e6178c44"),
+    9: (724, "5f749778edbb4ad79bdf6931f8e92ae876db3081e5cff5a7df66f99f93d9cda0"),
 }
 
 
@@ -126,15 +140,53 @@ def _digest(face_lists):
     return len(forms), hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("n", sorted(STRATEGY_B_COMPLETIONS))
-def test_strategy_b_yields_exactly_the_validated_completions(n):
-    """Every raw completion of strategy B passes the full validator, and
-    they are exactly the validated completions of the unscreened search."""
-    raw = list(census_mod._generate_strategy_b(n, census_mod._Budget(None)))
-    assert _digest(raw) == STRATEGY_B_COMPLETIONS[n]
+def _strategy_b_faces(n):
+    return list(census_mod._generate_strategy_b(n, census_mod._Budget(None)))
+
+
+@functools.cache
+def _unpruned_strategy_b_faces(n):
+    """Strategy B's completions with the maximum-degree rule switched off,
+    searched once per n for the tests that read them."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(census_mod, "_b_may_keep", lambda link, closed, touched: True)
+        return tuple(_strategy_b_faces(n))
+
+
+def _assert_validated(raw, n, pin):
+    assert _digest(raw) == pin
     for faces in raw:
         report = validate_surface(faces)
         assert (report.euler, report.orientable, report.n_vertices) == (0, True, n)
+
+
+@pytest.mark.parametrize("n", sorted(STRATEGY_B_COMPLETIONS))
+def test_strategy_b_yields_exactly_the_validated_completions(n):
+    """With the maximum-degree rule switched off, every raw completion of
+    strategy B passes the full validator, and they are exactly the
+    validated completions of the unscreened search."""
+    _assert_validated(_unpruned_strategy_b_faces(n), n, STRATEGY_B_COMPLETIONS[n])
+
+
+@pytest.mark.parametrize("n", sorted(STRATEGY_B_PRUNED))
+def test_strategy_b_keeps_the_recorded_pruned_completions(n):
+    """Under the maximum-degree rule, every raw completion of strategy B
+    passes the full validator, and they are the recorded ones."""
+    _assert_validated(_strategy_b_faces(n), n, STRATEGY_B_PRUNED[n])
+
+
+@pytest.mark.parametrize("n, count", [(7, 2), (8, 20), (9, 724)])
+def test_max_degree_rule_yields_exactly_the_max_degree_flag_completions(n, count):
+    """Strategy B's maximum-degree rule keeps exactly the unpruned
+    completions whose flag (1, 2, 3) has vertex 1 of maximum degree and
+    vertex 2 of maximum degree among vertex 1's neighbours, and as many as
+    the classes' such flags divided by their automorphism orders."""
+    def tori(face_lists):
+        return [SimplicialTorus(faces, _skip_validation=True) for faces in face_lists]
+    kept = sorted(T.faces for T in tori(_strategy_b_faces(n)))
+    every = tori(_unpruned_strategy_b_faces(n))
+    assert kept == sorted(T.faces for T in every if (1, 2, 3) in oracle_max_degree_flags(T))
+    assert len(kept) == count == _flag_formula(enumerate_tori(n), oracle_max_degree_flags)
 
 
 @pytest.mark.parametrize("index, change", [
@@ -214,14 +266,14 @@ def test_seed_rule_yields_exactly_the_start_flag_completions(n, count, monkeypat
     monkeypatch.setattr(census_mod, "_seed_may_start", lambda st, face=None: True)
     every = [SimplicialTorus(faces, _skip_validation=True) for faces in _completion_faces(n)]
     assert kept == [T.faces for T in every if (1, 2, 3) in oracle_start_flags(T)]
-    assert len(kept) == count == _start_flag_formula(enumerate_tori(n))
+    assert len(kept) == count == _flag_formula(enumerate_tori(n), oracle_start_flags)
 
 
-def _start_flag_formula(records):
-    """The sum over classes of |start flags| / |Aut|."""
+def _flag_formula(records, flags_of):
+    """The sum over classes of |flags_of(torus)| / |Aut|."""
     total = 0
     for rec in records:
-        flags, rest = divmod(len(oracle_start_flags(rec.torus())), rec.automorphism_order)
+        flags, rest = divmod(len(flags_of(rec.torus())), rec.automorphism_order)
         assert rest == 0
         total += flags
     return total
@@ -358,7 +410,8 @@ def test_records_match_their_form_torus(n, strategy, monkeypatch):
                     reason="the n=11 census takes minutes; set POLYTORUS_SLOW=1")
 def test_census_published_counts_through_n11(monkeypatch):
     """Strategy A against the published counts for n = 7..11 (Lutz,
-    arXiv:math/0506316), under TORUS_TIME_BUDGET_SECS (default one hour)."""
+    arXiv:math/0506316), and strategy B against A at n = 11, under
+    TORUS_TIME_BUDGET_SECS (default one hour) per run."""
     if not os.environ.get(census_mod.TIME_BUDGET_ENV):
         monkeypatch.setenv(census_mod.TIME_BUDGET_ENV, "3600")
     for n, count in zip(range(7, 11), (1, 7, 112, 2109)):
@@ -368,4 +421,5 @@ def test_census_published_counts_through_n11(monkeypatch):
     records = enumerate_tori(11, progress=calls.append)
     assert len(records) == 37867
     # one progress call per completion
-    assert len(calls) == _start_flag_formula(records)
+    assert len(calls) == _flag_formula(records, oracle_start_flags)
+    assert census_mod.census_counts_agree(11) == (37867, 37867)

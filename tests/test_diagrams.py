@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import FractionProjection, alexander_determinant
+from oracles import FractionProjection, alexander_determinant, oracle_simplify
 from test_realization import _seeded_general_position_knots
 
 from polytorus.cycles import stick_number_and_type
@@ -177,6 +177,37 @@ def _diagram(projection, polys, d):
     return proj.crossings, _gauss_code(proj, 0), det
 
 
+def _projection_inputs():
+    """The trefoil, the triangle unknot, ``WIGGLY_UNKNOT``, 40 seeded
+    general-position polygons and the cyclic cores for k = 3..14."""
+    knots = [K.vertices for K in [trefoil_6stick(), triangle_unknot(), WIGGLY_UNKNOT]
+             + _seeded_general_position_knots(40)]
+    for k in range(3, 15):
+        mesh = cyclic_polytope_realization(k)
+        knots.append(mesh.cycle_points(stick_number_and_type(mesh.complex).witness_s))
+    return knots
+
+
+def test_integer_simplify_matches_fraction_oracle():
+    """``_simplify`` returns the Fraction oracle's points in its order on the
+    projection inputs, on each with a point at 1/3 of every stick and a
+    repeated vertex put in, and on each scaled by 2/7 with a midpoint at
+    the closing stick."""
+    removed = 0
+    for pts in _projection_inputs():
+        pts = [tuple(Fraction(c) for c in p) for p in pts]
+        third = [q for a, b in zip(pts, pts[1:] + pts[:1])
+                 for q in (a, tuple(x + (y - x) / 3 for x, y in zip(a, b)))]
+        scaled = [tuple(c * Fraction(2, 7) for c in p) for p in pts]
+        mid = tuple((x + y) / 2 for x, y in zip(scaled[-1], scaled[0]))
+        for variant in (pts, third + [third[-1]], scaled + [mid]):
+            got = _simplify(variant)
+            assert got == oracle_simplify(variant), variant
+            assert all(type(c) is Fraction for p in got for c in p)
+            removed += len(variant) - len(got)
+    assert removed > 0
+
+
 def test_integer_projection_matches_fraction_oracle():
     """The integer projection finds the Fraction oracle's crossings (over,
     under, sign and point) and Gauss code, or raises the same exception
@@ -186,13 +217,8 @@ def test_integer_projection_matches_fraction_oracle():
     direction scale the image by more than 1, so a crossing point not
     divided back, or a direction cut to integers, differs."""
     directions = DIRECTION_SEQUENCE + [(Fraction(3, 4), Fraction(-5, 6), Fraction(7, 10))]
-    knots = [K.vertices for K in [trefoil_6stick(), triangle_unknot(), WIGGLY_UNKNOT]
-             + _seeded_general_position_knots(40)]
-    for k in range(3, 15):
-        mesh = cyclic_polytope_realization(k)
-        knots.append(mesh.cycle_points(stick_number_and_type(mesh.complex).witness_s))
     seen = Counter()
-    for pts in knots:
+    for pts in _projection_inputs():
         pts = _simplify(pts)
         for d in directions + ([(1, 0, 0)] if len(pts) == 3 else []):
             got = _diagram(_Projection, [pts], d)

@@ -21,10 +21,14 @@ from polytorus.geometry import (
     segments_intersect_2d,
     sqrt_floor,
     triangles_conflict,
-    vec,
 )
 
 F = Fraction
+
+
+def vec(x, y, z):
+    """An exact test point."""
+    return (F(x), F(y), F(z))
 
 
 def test_segment_distances_exact():
