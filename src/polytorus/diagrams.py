@@ -63,22 +63,28 @@ class KnotDiagram:
 
 def _simplify(points):
     """Drop vertices whose neighbors are collinear with them (3D), testing
-    the points scaled to integers by the lcm of their denominators."""
+    the points scaled to integers by the lcm of their denominators; the
+    lowest-indexed one goes first, while more than three are left.  A
+    removal changes only its two neighbours' tests, so one forward scan
+    steps back to the previous vertex, or after the last one goes, tests
+    vertex 0 and then the new last vertex."""
     pts = [tuple(Fraction(c) for c in p) for p in points]
     D = lcm(*(c.denominator for p in pts for c in p))
     ints = [tuple(c.numerator * (D // c.denominator) for c in p) for p in pts]
-    changed = True
-    while changed and len(pts) > 3:
-        changed = False
-        for i in range(len(ints)):
-            a = ints[i - 1]
-            b = ints[i]
-            c = ints[(i + 1) % len(ints)]
-            if is_zero(cross(sub(b, a), sub(c, b))):
-                pts.pop(i)
-                ints.pop(i)
-                changed = True
-                break
+    i, wrapped = 0, False  # wrapped: testing vertex 0 after the last vertex went
+    while i < len(ints) and len(ints) > 3:
+        a, b, c = ints[i - 1], ints[i], ints[(i + 1) % len(ints)]
+        if is_zero(cross(sub(b, a), sub(c, b))):
+            pts.pop(i)
+            ints.pop(i)
+            if i == len(ints):
+                i, wrapped = 0, True
+            elif not wrapped:
+                i = max(i - 1, 0)
+        elif wrapped:
+            i, wrapped = len(ints) - 1, False
+        else:
+            i += 1
     return pts
 
 

@@ -15,21 +15,23 @@ from ints with no division and no gcd.  One integer side table,
 ``_side_table``, gives the plane of each index triple as a cofactor
 4-vector and the side of every point against it.  The realization's prism
 and octahedron certificates read it for the triples of six points.
-``first_conflict`` reads it for the faces of a mesh, computes each directed
-edge's Plücker line once, and decides each face pair from the table where
-it can:
+``first_conflict`` reads it for the faces of a mesh, computes each
+directed edge's Plücker line once, and builds bit masks over the faces: the
+faces holding each point, and the faces whose plane has the point strictly
+above or below.  A few ORs and ANDs of these give, for row i, the faces
+j > i coplanar with face i, and the ``one_side`` faces, where one triangle
+lies strictly on one side of the other's plane (disjoint); those are
+counted in bulk.  The other pairs are visited in increasing j:
 
-* one triangle strictly on one side of the other's plane: disjoint;
+* a coplanar pair goes to ``_coplanar_conflict`` on its points times the
+  least common multiple of their W, a positive factor that keeps every
+  sign it reads;
 * a shared edge, not coplanar: they meet exactly in that edge;
-* a shared vertex, and the other two corners of either triangle strictly
-  on one side of the other's plane: they meet exactly in that vertex.
-
-The pairs left are decided by orientation signs alone, each the permuted
-inner product of two edge lines.  Two non-coplanar triangles meet iff an
-edge of one meets the other.  When they share a vertex, they meet beyond
-it iff the edge opposite it in one of them meets the other.  A coplanar
-pair goes to ``_coplanar_conflict`` on its points times the least common
-multiple of their W, a positive factor that keeps every sign it reads.
+* a shared vertex: they meet exactly in it if the other two corners of
+  either triangle are strictly on one side of the other's plane, else
+  iff the edge opposite it in one of them meets the other, by orientation
+  signs, each the permuted inner product of two edge lines;
+* no shared corner: the two-sign test of Guigue and Devillers (2003).
 """
 
 from __future__ import annotations
@@ -386,6 +388,11 @@ def first_conflict(points, faces):
     indices into them.  A face whose corners are collinear has the zero
     plane vector; the first such face in face order raises DegenerateFace,
     with its index triple, before any pair is decided.
+
+    Row i is decided with bit masks over the faces (see the module
+    docstring); its ``one_side`` pairs are counted by popcount, and only
+    those below j when the row conflicts at j, so that ``discharged``
+    counts exactly the pairs up to the first conflict.
     """
     discharged = dict.fromkeys(PAIR_RULES, 0)
     table = _side_table(points, faces)
@@ -399,15 +406,40 @@ def first_conflict(points, faces):
                 lines[uv] = _line(points[uv[0]], points[uv[1]])
         edges.append((lines[f[0], f[1]], lines[f[1], f[2]], lines[f[2], f[0]]))
     vsets = [set(f) for f in faces]
+    # bit j of a mask is face j
+    holds, above, below = [0] * len(points), [0] * len(points), [0] * len(points)
+    for j, f in enumerate(faces):
+        for v in f:
+            holds[v] |= 1 << j
+    flat, apart = [], []  # per face i: the faces all on plane i, all strictly on one side
+    for i, (_, signs) in enumerate(table):
+        pos = neg = zero = 0  # the faces with a corner above, below, on plane i
+        for v, s in enumerate(signs):
+            if s > 0:
+                pos |= holds[v]
+                above[v] |= 1 << i
+            elif s < 0:
+                neg |= holds[v]
+                below[v] |= 1 << i
+            else:
+                zero |= holds[v]
+        flat.append(~(pos | neg))
+        apart.append(~(zero | neg) | ~(zero | pos))
+    full = (1 << len(faces)) - 1
     for i, fi in enumerate(faces):
+        p, q, r = fi
+        later = full ^ ((2 << i) - 1)
+        one_side = later & (apart[i] | above[p] & above[q] & above[r]
+                            | below[p] & below[q] & below[r])
         si = table[i][1]
-        for j in range(i + 1, len(faces)):
+        rest = later & ~one_side
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = low.bit_length() - 1
             fj = faces[j]
-            sj = table[j][1]
-            on_i = (si[fj[0]], si[fj[1]], si[fj[2]])  # corners of j against plane i
-            on_j = (sj[fi[0]], sj[fi[1]], sj[fi[2]])
             common = sorted(vsets[i] & vsets[j])
-            if on_i == (0, 0, 0):
+            if flat[i] & low:
                 rule = "coplanar"
                 # just this pair's points, scaled to integers by their W
                 vs = vsets[i] | vsets[j]
@@ -416,29 +448,32 @@ def first_conflict(points, faces):
                 conflict = _coplanar_conflict(
                     tuple(at[v] for v in fi), tuple(at[v] for v in fj),
                     tuple(at[v] for v in common), table[i][0][:3]) is not None
-            elif _one_side(on_i) or _one_side(on_j):
-                rule, conflict = "one_side", False
             elif len(common) == 2:
                 rule, conflict = "shared_edge", False
-            elif len(common) == 1:
-                # the edge opposite the shared corner k runs from corner
-                # k + 1 to k + 2; these are its side signs
-                ki, kj = fi.index(common[0]), fj.index(common[0])
-                si_opp = (on_i[(kj + 1) % 3], on_i[(kj + 2) % 3])
-                sj_opp = (on_j[(ki + 1) % 3], on_j[(ki + 2) % 3])
-                if _one_side(sj_opp) or _one_side(si_opp):
-                    rule, conflict = "shared_vertex", False
-                else:
-                    rule = "orientation"
-                    conflict = (_segment_meets(edges[i][(ki + 1) % 3], *sj_opp, edges[j])
-                                or _segment_meets(edges[j][(kj + 1) % 3], *si_opp, edges[i]))
             else:
-                rule = "orientation"
-                conflict = (_edge_meets(edges[i], on_j, edges[j])
-                            or _edge_meets(edges[j], on_i, edges[i]))
+                sj = table[j][1]
+                on_i = (si[fj[0]], si[fj[1]], si[fj[2]])  # corners of j against plane i
+                on_j = (sj[p], sj[q], sj[r])
+                if not common:
+                    rule = "orientation"
+                    conflict = _triangles_meet(edges[i], on_j, edges[j], on_i)
+                else:
+                    # the edge opposite the shared corner k runs from corner
+                    # k + 1 to k + 2; these are its side signs
+                    ki, kj = fi.index(common[0]), fj.index(common[0])
+                    si_opp = (on_i[(kj + 1) % 3], on_i[(kj + 2) % 3])
+                    sj_opp = (on_j[(ki + 1) % 3], on_j[(ki + 2) % 3])
+                    if _one_side(sj_opp) or _one_side(si_opp):
+                        rule, conflict = "shared_vertex", False
+                    else:
+                        rule = "orientation"
+                        conflict = (_segment_meets(edges[i][(ki + 1) % 3], *sj_opp, edges[j])
+                                    or _segment_meets(edges[j][(kj + 1) % 3], *si_opp, edges[i]))
             discharged[rule] += 1
             if conflict:
+                discharged["one_side"] += (one_side & (low - 1)).bit_count()
                 return (i, j), discharged
+        discharged["one_side"] += one_side.bit_count()
     return None, discharged
 
 
@@ -489,17 +524,42 @@ def _orient(pq, ab) -> int:
     return _sign(l02 * m13 - l01 * m23 - l03 * m12 - l12 * m03 + l13 * m02 - l23 * m01)
 
 
-def _edge_meets(edges, sides, other) -> bool:
-    """Some edge of a triangle not contained in the plane of ``other``
-    meets ``other``; ``edges`` are the triangle's lines ab, bc, ca and
-    ``sides`` its corners' side signs against that plane.
+def _lone_corner(signs):
+    """(k, s) for side signs against a plane, not all equal: s * signs[k]
+    >= 0 >= s times each other sign, and s * signs[k] = 0 only when both
+    others are nonzero, so corner k is alone on its side."""
+    for k in range(3):
+        sk, o, p = signs[k], signs[k - 2], signs[k - 1]
+        if sk and o != sk and p != sk:
+            return k, sk
+        if not sk and o == p:
+            return k, -o
 
-    For non-coplanar triangles this is exactly "the triangles meet": each
-    end of the contact interval on the planes' common line lies on an edge
-    of one triangle that crosses the other's plane in that point.
+
+_LONE = {(x, y, z): _lone_corner((x, y, z)) for x in (-1, 0, 1) for y in (-1, 0, 1)
+         for z in (-1, 0, 1) if not x == y == z}
+
+
+def _triangles_meet(ei, on_j, ej, on_i) -> bool:
+    """Triangles i and j, not coplanar, with no common corner and neither
+    strictly on one side of the other's plane, meet: the two-sign test of
+    Guigue and Devillers (J. Graphics Tools 8(1), 2003).  ``ei``, ``ej``
+    are their lines ab, bc, ca; ``on_j`` gives i's corners' sides of plane
+    j, ``on_i`` j's of plane i.
+
+    Each triangle is rotated to put its lone corner p first, and the other
+    has q and r swapped where that puts p on the + side of its plane.
+    They meet iff orient3d(p1, q1, p2, q2) <= 0 and orient3d(r1, p1, p2,
+    r2) <= 0; the edges p1 q1, r1 p1, p2 q2 and p2 r2 are face edge lines,
+    negated when reversed, so the signs are t * _orient(a, b) and
+    -t * _orient(a2, b2) with t = s1 s2.
     """
-    return any(_segment_meets(edges[k], sides[k], sides[(k + 1) % 3], other)
-               for k in range(3))
+    k1, s1 = _LONE[on_j]
+    k2, s2 = _LONE[on_i]
+    a, a2 = (ei[k1], ei[k1 - 1]) if s2 > 0 else (ei[k1 - 1], ei[k1])
+    b, b2 = (ej[k2], ej[k2 - 1]) if s1 > 0 else (ej[k2 - 1], ej[k2])
+    t = s1 * s2
+    return not (t * _orient(a, b) > 0 or t * _orient(a2, b2) < 0)
 
 
 def _segment_meets(pq, sp, sq, tri) -> bool:

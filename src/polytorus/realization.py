@@ -163,13 +163,13 @@ def verify_embedding(mesh: Mesh) -> EmbeddingReport:
     Each point is written once as homogeneous ints (X, Y, Z, W) over its
     own denominator W > 0, which keeps every sign the test reads.
     ``geometry.first_conflict`` then decides the face pairs in (i, j)
-    order from one plane per face and one vertex-side table.  Pairs with
-    one triangle strictly on one side of the other's plane, non-coplanar
-    pairs sharing an edge, and pairs sharing a vertex whose other two
-    corners in one triangle lie strictly on one side of the other's plane
-    are settled by the table; coplanar pairs by the 2D test; the rest by
-    orientation signs from one Plücker line per edge.  Only a conflicting
-    pair goes to the rational ``triangles_conflict``, for the witness text.
+    order from one plane per face and one vertex-side table.  Row masks
+    over the faces settle the pairs with one triangle strictly on one side
+    of the other's plane in bulk.  Of the pairs left, coplanar ones go to
+    the 2D test, the ones sharing a corner to the table or to orientation
+    signs from one Plücker line per edge, and disjoint ones to the
+    two-sign test of Guigue and Devillers.  Only a conflicting pair goes
+    to the rational ``triangles_conflict``, for the witness text.
     Coincident vertices raise first, then DegenerateFace for the first face
     whose corners are collinear (a zero plane), before any pair is decided.
     """
@@ -393,16 +393,22 @@ def tube_construction(K: StickKnot, eps: ExactRadius | None = None) -> Mesh:
     that radius or EpsilonTooLarge is raised.  Without one, the radius
     starts at the bound of ``choose_epsilon`` and is halved up to
     MAX_EPS_HALVINGS times; the first certified tube is returned, its
-    radius in ``provenance["epsilon_sq"]`` and its proof in ``embedding``.
+    radius in ``provenance["epsilon_sq"]``, the reason each larger radius
+    failed in ``provenance["halvings"]`` and its proof in ``embedding``.
     """
     if eps is not None:
         return _tube_at(K, eps)
     eps = choose_epsilon(K)
+    halvings = []
     for _ in range(MAX_EPS_HALVINGS):
         try:
-            return _tube_at(K, eps)
-        except EpsilonTooLarge:
+            mesh = _tube_at(K, eps)
+        except EpsilonTooLarge as exc:
+            halvings.append(str(exc))
             eps = eps.halved()
+        else:
+            mesh.provenance["halvings"] = halvings
+            return mesh
     raise EpsilonTooLarge("no radius certified after repeated halving")
 
 
@@ -432,6 +438,7 @@ def _tube_at(K: StickKnot, eps: ExactRadius) -> Mesh:
         "ring_radius_sq": radii,
         "ring_normals": normals,
         "meridian": ring_cycle(k),
+        "halvings": [],
     })
     mesh.embedding = verify_embedding(mesh)
     if not mesh.embedding.ok:
@@ -506,19 +513,24 @@ def classify_cycle_in_tube(mesh: Mesh, C: Cycle, certificate: bool = True):
 
 def complement_construction(K: StickKnot) -> Mesh:
     """Torus of complement knot type with 3k+4 vertices: the tube with one
-    subdivided hull triangle, glued to an enclosing octahedron boundary."""
+    subdivided hull triangle, glued to an enclosing octahedron boundary.
+    The radius is halved while the complement fails; ``provenance["halvings"]``
+    holds the tube's halvings, then the reason for each of these."""
     tube = tube_construction(K)
     eps = ExactRadius(tube.provenance["epsilon_sq"])
-    last = None
+    halvings = list(tube.provenance["halvings"])
     for _ in range(MAX_EPS_HALVINGS):
         try:
             if tube is None:
                 tube = tube_construction(K, eps)
-            return _build_complement(K, tube)
+            mesh = _build_complement(K, tube)
         except (EnclosureFailure, EpsilonTooLarge) as exc:
-            last = exc
+            halvings.append(str(exc))
             tube, eps = None, eps.halved()
-    raise EnclosureFailure(f"complement failed after radius halvings ({last})")
+        else:
+            mesh.provenance["halvings"] = halvings
+            return mesh
+    raise EnclosureFailure(f"complement failed after radius halvings ({halvings[-1]})")
 
 
 def _build_complement(K: StickKnot, tube: Mesh) -> Mesh:

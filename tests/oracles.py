@@ -38,7 +38,13 @@ from math import lcm
 from polytorus.cycles import _separates, cycle_signature, enumerate_simple_cycles, homology_basis
 from polytorus.errors import BadVertexLink, DegenerateFace, DegenerateKnot, NonGenericDirection
 from polytorus.geometry import (
+    PAIR_RULES,
     Vec,
+    _coplanar_conflict,
+    _line,
+    _one_side,
+    _segment_meets,
+    _side_table,
     collinear,
     cross,
     dominant_axis,
@@ -83,6 +89,85 @@ def oracle_verify_embedding(mesh):
             if msg is not None:
                 return EmbeddingReport(False, (faces[i], faces[j], msg))
     return EmbeddingReport(True)
+
+
+def oracle_first_conflict(points, faces):
+    """``geometry.first_conflict`` as it ran before the row masks and the
+    two-sign test, one pair at a time: the first face pair (i, j), i < j,
+    in row order whose triangles meet outside their shared simplex, or
+    None; and the number of pairs each rule of PAIR_RULES decided up to it.
+
+    ``points`` are distinct ``homogeneous_point``s and ``faces`` triples of
+    indices into them.  A face whose corners are collinear has the zero
+    plane vector; the first such face in face order raises DegenerateFace,
+    with its index triple, before any pair is decided.
+    """
+    discharged = dict.fromkeys(PAIR_RULES, 0)
+    table = _side_table(points, faces)
+    for f, (plane, _) in zip(faces, table):
+        if not any(plane):
+            raise DegenerateFace(f)
+    lines, edges = {}, []
+    for f in faces:
+        for uv in ((f[0], f[1]), (f[1], f[2]), (f[2], f[0])):
+            if uv not in lines:
+                lines[uv] = _line(points[uv[0]], points[uv[1]])
+        edges.append((lines[f[0], f[1]], lines[f[1], f[2]], lines[f[2], f[0]]))
+    vsets = [set(f) for f in faces]
+    for i, fi in enumerate(faces):
+        si = table[i][1]
+        for j in range(i + 1, len(faces)):
+            fj = faces[j]
+            sj = table[j][1]
+            on_i = (si[fj[0]], si[fj[1]], si[fj[2]])  # corners of j against plane i
+            on_j = (sj[fi[0]], sj[fi[1]], sj[fi[2]])
+            common = sorted(vsets[i] & vsets[j])
+            if on_i == (0, 0, 0):
+                rule = "coplanar"
+                # just this pair's points, scaled to integers by their W
+                vs = vsets[i] | vsets[j]
+                m = lcm(*(points[v][3] for v in vs))
+                at = {v: tuple(c * (m // points[v][3]) for c in points[v][:3]) for v in vs}
+                conflict = _coplanar_conflict(
+                    tuple(at[v] for v in fi), tuple(at[v] for v in fj),
+                    tuple(at[v] for v in common), table[i][0][:3]) is not None
+            elif _one_side(on_i) or _one_side(on_j):
+                rule, conflict = "one_side", False
+            elif len(common) == 2:
+                rule, conflict = "shared_edge", False
+            elif len(common) == 1:
+                # the edge opposite the shared corner k runs from corner
+                # k + 1 to k + 2; these are its side signs
+                ki, kj = fi.index(common[0]), fj.index(common[0])
+                si_opp = (on_i[(kj + 1) % 3], on_i[(kj + 2) % 3])
+                sj_opp = (on_j[(ki + 1) % 3], on_j[(ki + 2) % 3])
+                if _one_side(sj_opp) or _one_side(si_opp):
+                    rule, conflict = "shared_vertex", False
+                else:
+                    rule = "orientation"
+                    conflict = (_segment_meets(edges[i][(ki + 1) % 3], *sj_opp, edges[j])
+                                or _segment_meets(edges[j][(kj + 1) % 3], *si_opp, edges[i]))
+            else:
+                rule = "orientation"
+                conflict = (_edge_meets(edges[i], on_j, edges[j])
+                            or _edge_meets(edges[j], on_i, edges[i]))
+            discharged[rule] += 1
+            if conflict:
+                return (i, j), discharged
+    return None, discharged
+
+
+def _edge_meets(edges, sides, other) -> bool:
+    """Some edge of a triangle not contained in the plane of ``other``
+    meets ``other``; ``edges`` are the triangle's lines ab, bc, ca and
+    ``sides`` its corners' side signs against that plane.
+
+    For non-coplanar triangles this is exactly "the triangles meet": each
+    end of the contact interval on the planes' common line lies on an edge
+    of one triangle that crosses the other's plane in that point.
+    """
+    return any(_segment_meets(edges[k], sides[k], sides[(k + 1) % 3], other)
+               for k in range(3))
 
 
 def supporting_plane_of_edge(points, i, j):

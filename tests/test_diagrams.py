@@ -208,6 +208,31 @@ def test_integer_simplify_matches_fraction_oracle():
     assert removed > 0
 
 
+
+@pytest.mark.parametrize("points, kept", [
+    # fold-backs: a, b, a' on one line, the path reversing at b
+    ([(0, 0, 0), (4, 0, 0), (2, 0, 0), (2, 3, 0), (0, 3, 0)], [0, 2, 3, 4]),
+    ([(1, 0, 0), (3, 0, 0), (0, 0, 0), (0, 2, 0), (2, 2, 1)], [0, 2, 3, 4]),
+    ([(4, 0, 0), (1, 0, 0), (1, 3, 0), (0, 3, 0), (2, 0, 0)], [1, 2, 3, 4]),
+    # a run of five collinear points across the index 0 wrap
+    ([(2, 0, 0), (3, 0, 0), (4, 0, 0), (4, 4, 0), (0, 4, 0), (0, 0, 0), (1, 0, 0)],
+     [2, 3, 4, 5]),
+    # a run of five across the wrap, reversing at two of its points
+    ([(0, 0, 0), (3, 0, 0), (3, 3, 0), (0, 3, 1), (-1, 0, 0), (2, 0, 0), (1, 0, 0)],
+     [1, 2, 3, 4]),
+    # once the last point goes, a repeated point makes point 0 go too
+    ([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 1), (0, 0, 0), (5, 5, 5)], [1, 2, 3, 4]),
+    # every point on one line: the first ones go until three are left
+    ([(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (4, 0, 0)], [2, 3, 4]),
+])
+def test_simplify_fold_backs_and_runs_across_the_wrap(points, kept):
+    """The one-pass scan removes the Fraction oracle's vertices, the
+    lowest-indexed first, where collinear runs and fold-backs cross the
+    index 0 wrap."""
+    got = _simplify(points)
+    assert got == [tuple(Fraction(c) for c in points[i]) for i in kept]
+    assert got == oracle_simplify(points)
+
 def test_integer_projection_matches_fraction_oracle():
     """The integer projection finds the Fraction oracle's crossings (over,
     under, sign and point) and Gauss code, or raises the same exception

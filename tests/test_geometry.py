@@ -1,5 +1,6 @@
 """Exact predicates: distances, intersections, hull certificates."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -9,6 +10,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from oracles import is_hull_vertex, plane_supports, point_in_hull, point_in_tetra
 from polytorus.geometry import (
     PAIR_RULES,
+    _one_side,
     _side_table,
     collinear,
     first_conflict,
@@ -246,3 +248,35 @@ def test_kernel_matches_triangles_conflict_on_rational_points(case):
     expected = triangles_conflict(pts[:3], tuple(pts[v] for v in face), shared) is not None
     pair, _ = first_conflict([homogeneous_point(p) for p in pts], [(0, 1, 2), face])
     assert (pair is not None) == expected
+
+
+def test_two_sign_test_reaches_every_side_sign_triple():
+    """Seeded pairs of disjoint triangles on the 3x3x3 or the 5x5x5 grid,
+    some points divided by 2 or 3 so that their W exceed 1, not coplanar and
+    neither strictly on one side of the other's plane: each of the 24 side
+    sign triples that reach the two-sign test occurs for each triangle, and
+    every verdict is the rational test's."""
+    rng = random.Random(2003)
+    seen_i, seen_j = set(), set()
+    met = 0
+    for _ in range(2500):
+        while True:
+            r = rng.choice((1, 2))
+            pts = [tuple(F(rng.randint(-r, r), rng.choice((1, 1, 2, 3))) for _ in range(3))
+                   for _ in range(6)]
+            if len(set(pts)) < 6 or collinear(*pts[:3]) or collinear(*pts[3:]):
+                continue
+            points = [homogeneous_point(p) for p in pts]
+            (_, si), (_, sj) = _side_table(points, [(0, 1, 2), (3, 4, 5)])
+            on_i, on_j = tuple(si[3:]), tuple(sj[:3])
+            if on_i != (0, 0, 0) and not _one_side(on_i) and not _one_side(on_j):
+                break
+        pair, discharged = first_conflict(points, [(0, 1, 2), (3, 4, 5)])
+        assert discharged["orientation"] == 1
+        expected = triangles_conflict(pts[:3], pts[3:], ()) is not None
+        assert (pair is not None) == expected, pts
+        met += expected
+        seen_i.add(on_i)
+        seen_j.add(on_j)
+    assert len(seen_i) == len(seen_j) == 24
+    assert 500 <= met <= 2000, met

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from oracles import (
     oracle_encloses,
+    oracle_first_conflict,
     oracle_hull_facets,
     oracle_prism_faces,
     oracle_verify_embedding,
@@ -22,6 +23,7 @@ from polytorus.cycles import homology_basis, cycle_signature, stick_number_and_t
 from polytorus.errors import (
     DegenerateFace,
     DegenerateKnot,
+    EnclosureFailure,
     EpsilonTooLarge,
     FaceNotInPolytope,
     ParseError,
@@ -34,6 +36,7 @@ from polytorus.geometry import (
     add,
     collinear,
     dot,
+    first_conflict,
     homogeneous_point,
     norm2,
     orient3d,
@@ -505,6 +508,49 @@ def _seeded_general_position_knots(count, seed=21, sticks=(4, 9), span=8):
     return out
 
 
+
+def test_radius_halvings_are_recorded(monkeypatch):
+    """``provenance["halvings"]`` keeps the reason each larger radius failed,
+    in order.  At the closed-form bound the trefoil's tube records none.
+    From 64 times the bound, its tube records the prism and
+    self-intersection failures ``_tube_at`` raised; its complement records
+    the tube's, then its own, here two forced enclosure failures."""
+    from polytorus.realization import complement_construction
+    K = trefoil_6stick()
+    assert tube_construction(K).provenance["halvings"] == []
+    bound = choose_epsilon(K).sq
+    monkeypatch.setattr(realization, "choose_epsilon", lambda K: ExactRadius(bound * 64 ** 2))
+    raised = []
+
+    def recording(step):
+        def call(*args):
+            try:
+                return step(*args)
+            except (EnclosureFailure, EpsilonTooLarge) as exc:
+                raised.append(str(exc))
+                raise
+        return call
+    monkeypatch.setattr(realization, "_tube_at", recording(realization._tube_at))
+    tube = tube_construction(K)
+    assert tube.provenance["halvings"] == raised
+    assert any(r.startswith("self-intersection: ") for r in raised)
+    assert tube.provenance["epsilon_sq"] == bound * 64 ** 2 / 4 ** len(raised)
+
+    raised.clear()
+    build, built = realization._build_complement, []
+
+    def failing_twice(K, tube):
+        built.append(tube)
+        if len(built) <= 2:
+            raise EnclosureFailure(f"forced failure {len(built)}")
+        return build(K, tube)
+    monkeypatch.setattr(realization, "_build_complement", recording(failing_twice))
+    mesh = complement_construction(K)
+    assert mesh.embedding.ok
+    assert mesh.provenance["halvings"] == raised
+    assert raised[-2:] == ["forced failure 1", "forced failure 2"]
+    assert mesh.provenance["epsilon_sq"] == tube.provenance["epsilon_sq"] / 16
+
 def test_tube_certifies_where_transported_frames_twist():
     """At sharp turns, and across the closing ring, consecutive frames may
     twist far against each other, so that corner i of a ring need not face
@@ -558,6 +604,73 @@ def test_complement_tries_further_rings(index):
     assert mesh.embedding.ok
     assert mesh.complex.n_vertices == 3 * K.k + 4
     assert core_curve(mesh) == K
+
+
+# the 8 signed axis permutations of determinant +1 that fix the x-axis
+ROTATIONS_ABOUT_X = [(perm, signs) for perm in ((0, 1, 2), (0, 2, 1))
+                     for signs in product((1, -1), repeat=3)
+                     if (1 if perm == (0, 1, 2) else -1) * signs[0] * signs[1] * signs[2] == 1]
+
+
+def _kernel_matches_oracle(points, faces):
+    """``first_conflict`` returns the pair loop oracle's (pair, discharged),
+    or raises the same DegenerateFace; returns the pair, or "degenerate"."""
+    try:
+        want = oracle_first_conflict(points, faces)
+    except DegenerateFace as exc:
+        with pytest.raises(DegenerateFace) as got:
+            first_conflict(points, faces)
+        assert got.value.face == exc.face
+        return "degenerate"
+    assert first_conflict(points, faces) == want
+    return want[0]
+
+
+def test_kernel_matches_pair_loop_oracle_on_constructions(monkeypatch):
+    """Every proof of ``realize cyclic --k 3..14``; the tube and complement
+    proofs of the triangle unknot and the trefoil under the 8 rotations
+    about the x-axis; and every lift candidate and the final mesh of seeded
+    polygon 15, whose failed lifts end in conflicts: the row-mask kernel
+    returns the one-pair-at-a-time loop's first pair and per-rule counts."""
+    from polytorus.realization import complement_construction
+    calls = []
+    kernel = realization.first_conflict
+
+    def recording(points, faces):
+        calls.append((points, faces))
+        return kernel(points, faces)
+    monkeypatch.setattr(realization, "first_conflict", recording)
+    for k in range(3, 15):
+        cyclic_polytope_realization(k)
+    assert len(calls) == 12
+    for K in (triangle_unknot(), trefoil_6stick()):
+        for perm, signs in ROTATIONS_ABOUT_X:
+            complement_construction(StickKnot([tuple(signs[i] * v[perm[i]] for i in range(3))
+                                               for v in K.vertices]))
+    complement_construction(_seeded_general_position_knots(40)[15])
+    pairs = [_kernel_matches_oracle(points, faces) for points, faces in calls]
+    assert sum(pair is not None for pair in pairs) >= 60
+
+
+def test_kernel_matches_pair_loop_oracle_on_perturbed_cyclic_mesh():
+    """The k = 8 cyclic mesh with one to three points moved, each to a
+    seeded point of its line through another point: at least 100 of the
+    moved meshes conflict, and each gets the oracle's pair and counts."""
+    mesh = cyclic_polytope_realization(8)
+    labels = sorted(mesh.coords)
+    index = {v: i for i, v in enumerate(labels)}
+    faces = [tuple(index[v] for v in f) for f in mesh.complex.faces]
+    rng = random.Random(27)
+    outcomes = []
+    while len(outcomes) < 300:
+        pts = [mesh.coords[v] for v in labels]
+        for _ in range(rng.randint(1, 3)):
+            a, b = rng.sample(range(len(pts)), 2)
+            pts[a] = add(pts[a], scale(sub(pts[b], pts[a]), Fraction(rng.randint(-8, 16), 8)))
+        if len(set(pts)) == len(pts):
+            outcomes.append(_kernel_matches_oracle([homogeneous_point(p) for p in pts], faces))
+    assert sum(o is not None for o in outcomes) >= 100
+    assert sum(o is None for o in outcomes) >= 10
 
 
 def _rational(p):
