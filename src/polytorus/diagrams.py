@@ -29,7 +29,8 @@ from .geometry import (
     orient2d,
     perpendicular,
     point_on_segment_2d,
-    segment_segment_dist2,
+    scaled_to_integers,
+    segment_dist2,
     sub,
 )
 from .knots import StickKnot
@@ -69,8 +70,7 @@ def _simplify(points):
     steps back to the previous vertex, or after the last one goes, tests
     vertex 0 and then the new last vertex."""
     pts = [tuple(Fraction(c) for c in p) for p in points]
-    D = lcm(*(c.denominator for p in pts for c in p))
-    ints = [tuple(c.numerator * (D // c.denominator) for c in p) for p in pts]
+    ints, _ = scaled_to_integers(pts)
     i, wrapped = 0, False  # wrapped: testing vertex 0 after the last vertex went
     while i < len(ints) and len(ints) > 3:
         a, b, c = ints[i - 1], ints[i], ints[(i + 1) % len(ints)]
@@ -105,12 +105,12 @@ class _Projection:
         d = tuple(c.numerator * (g // c.denominator) for c in d)
         u = perpendicular(d)
         u, w = tuple(g * c for c in u), cross(d, u)  # g^2 times the given u, w
-        D = lcm(*(c.denominator for pts in polys for p in pts for c in p))
+        ints, D = scaled_to_integers([p for pts in polys for p in pts])
         self.scale = D * g * g
         self.img = []     # per component: list of (x, y), scale times the image
         self.height = []  # per component: list of heights along d, times D g
-        for pts in polys:
-            pts = [tuple(c.numerator * (D // c.denominator) for c in p) for p in pts]
+        for n in map(len, polys):
+            pts, ints = ints[:n], ints[n:]
             self.img.append([(dot(p, u), dot(p, w)) for p in pts])
             self.height.append([dot(p, d) for p in pts])
         self._check_vertices()
@@ -322,10 +322,11 @@ def linking_number(curve_a, curve_b, direction=None) -> int:
     pa = _simplify(_points_of(curve_a))
     pb = _simplify(_points_of(curve_b))
     ka, kb = len(pa), len(pb)
+    ints, _ = scaled_to_integers(pa + pb)
+    ia, ib = ints[:ka], ints[ka:]
     for i in range(ka):
         for j in range(kb):
-            d = segment_segment_dist2(pa[i], pa[(i + 1) % ka], pb[j], pb[(j + 1) % kb])
-            if d == 0:
+            if segment_dist2(ia[i], ia[(i + 1) % ka], ib[j], ib[(j + 1) % kb])[0] == 0:
                 raise IntersectingCurves(f"curves touch near segments {i},{j}")
 
     def attempt(d):

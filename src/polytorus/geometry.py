@@ -5,7 +5,8 @@ decision-exact.  Square roots never appear: distances are compared through
 their squares, "unit" vectors are replaced by rational approximations whose
 defining inequalities (transversality, containment) are then checked
 exactly, and circle membership is expressed as an equation between squared
-norms.
+norms.  Squared distances between segments are integer quotients (num, den)
+on the points scaled to integers by their common denominator.
 
 The embedding test and the convex-hull certificates run on integers.
 ``homogeneous_point`` writes each point as (X, Y, Z, W) over its own
@@ -37,6 +38,7 @@ counted in bulk.  The other pairs are visited in increasing j:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd, isqrt, lcm
 
 from .errors import DegenerateFace
@@ -71,10 +73,6 @@ def norm2(a: Vec) -> Fraction:
     return dot(a, a)
 
 
-def dist2(a: Vec, b: Vec) -> Fraction:
-    return norm2(sub(a, b))
-
-
 def is_zero(a: Vec) -> bool:
     return a[0] == 0 and a[1] == 0 and a[2] == 0
 
@@ -92,36 +90,24 @@ def collinear(a: Vec, b: Vec, c: Vec) -> bool:
     return is_zero(cross(sub(b, a), sub(c, a)))
 
 
-def orient3d(a: Vec, b: Vec, c: Vec, d: Vec) -> int:
-    """Sign of det[b-a; c-a; d-a]: +1, 0, or -1."""
-    v = dot(cross(sub(b, a), sub(c, a)), sub(d, a))
-    return (v > 0) - (v < 0)
-
-
-def coplanar(a: Vec, b: Vec, c: Vec, d: Vec) -> bool:
-    return orient3d(a, b, c, d) == 0
-
-
 # -- rational approximations -------------------------------------------------
 
 
 def sqrt_floor(x: Fraction, bits: int = 64) -> Fraction:
-    """Rational lower approximation of sqrt(x), ~bits of *relative* precision."""
+    """Rational lower approximation of sqrt(x), ~bits of *relative* precision:
+    2**e isqrt(floor(x 4**(bits - e))) / 2**bits, where 4**e <= x < 4**(e + 1)."""
     if x < 0:
         raise ValueError("negative radicand")
     if x == 0:
         return Fraction(0)
     x = Fraction(x)
-    e = 0
-    while x < 1:
-        x *= 4
-        e -= 1
-    while x >= 4:
-        x /= 4
-        e += 1
-    scaled = (x.numerator << (2 * bits)) // x.denominator
-    root = Fraction(isqrt(scaled), 1 << bits)
-    return root * Fraction(2) ** e
+    p, q = x.numerator, x.denominator
+    # floor(log2 x) is d or d - 1, and it is d exactly when p >= q 2**d
+    d = p.bit_length() - q.bit_length()
+    e = (d - (p < q << d if d >= 0 else p << -d < q)) >> 1
+    s = 2 * (bits - e)
+    root = isqrt((p << s) // q if s >= 0 else p // (q << -s))
+    return Fraction(root << e, 1 << bits) if e >= 0 else Fraction(root, 1 << (bits - e))
 
 
 def approx_unit(a: Vec, bits: int = 48) -> Vec:
@@ -142,58 +128,53 @@ def reduce_direction(a: Vec) -> Vec:
     return tuple(Fraction(v // g) for v in ints)
 
 
-# -- distances between simplices (squared, exact) -------------------------------
+# -- distances between integer simplices (squared, as quotients) ----------------
 
 
-def point_segment_dist2(p: Vec, a: Vec, b: Vec) -> Fraction:
-    ab = sub(b, a)
-    denom = norm2(ab)
-    if denom == 0:
-        return dist2(p, a)
-    t = dot(sub(p, a), ab) / denom
-    t = max(Fraction(0), min(Fraction(1), t))
-    return dist2(p, add(a, scale(ab, t)))
+def point_edge_dist2(p, a, b):
+    """Squared distance (num, den), den > 0, from integer point p to the
+    segment ab."""
+    ab, r = sub(b, a), sub(p, a)
+    t, L = dot(r, ab), dot(ab, ab)
+    if t <= 0:
+        return dot(r, r), 1
+    if t >= L:
+        return dot(r, r) - 2 * t + L, 1
+    return dot(r, r) * L - t * t, L
 
 
-def segment_segment_dist2(p1: Vec, p2: Vec, q1: Vec, q2: Vec) -> Fraction:
-    """Exact squared distance between two closed segments."""
-    d1 = sub(p2, p1)
-    d2 = sub(q2, q1)
-    r = sub(p1, q1)
-    a = norm2(d1)
-    e = norm2(d2)
-    b = dot(d1, d2)
-    c = dot(d1, r)
-    f = dot(d2, r)
-    best = None
+def line_dist2(p1, p2, q1, q2):
+    """Squared distance (num, den) of the lines of two integer segments
+    p1 + s d1 and q1 + t d2, when their closest points lie on both
+    segments, else None.  With r = p1 - q1 and n = d1 x d2, the closest
+    points are at s = (b f - c e) / |n|^2 and t = (a f - b c) / |n|^2,
+    for a = d1.d1, b = d1.d2, e = d2.d2, c = d1.r and f = d2.r, and their
+    squared distance is (r.n)^2 / |n|^2."""
+    d1, d2, r = sub(p2, p1), sub(q2, q1), sub(p1, q1)
+    n = cross(d1, d2)
+    den = dot(n, n)
+    if den == 0:
+        return None
+    a, b, e, c, f = dot(d1, d1), dot(d1, d2), dot(d2, d2), dot(d1, r), dot(d2, r)
+    if not (0 <= b * f - c * e <= den and 0 <= a * f - b * c <= den):
+        return None
+    return dot(r, n) ** 2, den
 
-    def consider(s, t):
-        nonlocal best
-        s = max(Fraction(0), min(Fraction(1), s))
-        t = max(Fraction(0), min(Fraction(1), t))
-        v = dist2(add(p1, scale(d1, s)), add(q1, scale(d2, t)))
-        if best is None or v < best:
-            best = v
 
-    denom = a * e - b * b
-    if denom != 0:
-        s = (b * f - c * e) / denom
-        t = (b * s + f) / e if e != 0 else Fraction(0)
-        consider(s, t)
-    # boundary candidates: clamp each parameter in turn
-    if a != 0:
-        consider(-c / a, Fraction(0))                     # t = 0
-        consider((b - c) / a, Fraction(1))                # t = 1
-    else:
-        consider(Fraction(0), Fraction(0))
-        consider(Fraction(0), Fraction(1))
-    if e != 0:
-        consider(Fraction(0), f / e)                      # s = 0
-        consider(Fraction(1), (b + f) / e)                # s = 1
-    else:
-        consider(Fraction(0), Fraction(0))
-        consider(Fraction(1), Fraction(0))
-    return best
+def segment_dist2(p1, p2, q1, q2):
+    """Squared distance (num, den) between two integer segments: the least
+    of each endpoint's distance to the other segment and, when it applies,
+    the distance of their lines (a convex quadratic over the parameter
+    square has its minimum inside or on an edge of it)."""
+    found = [point_edge_dist2(p1, q1, q2), point_edge_dist2(p2, q1, q2),
+             point_edge_dist2(q1, p1, p2), point_edge_dist2(q2, p1, p2)]
+    line = line_dist2(p1, p2, q1, q2)
+    return least_quotient(found if line is None else found + [line])
+
+
+def least_quotient(quotients):
+    """The least of integer quotients (num, den) with den > 0."""
+    return min(quotients, key=cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1]))
 
 
 # -- 2D helpers (exact, used after projecting away a coordinate) -----------------
@@ -370,6 +351,13 @@ def dot2_sign(v, a, b) -> int:
 
 # the rules that discharge a face pair, in the order first_conflict tries them
 PAIR_RULES = ("coplanar", "one_side", "shared_edge", "shared_vertex", "orientation")
+
+
+def scaled_to_integers(points):
+    """The points times D, the least common multiple of their coordinate
+    denominators, as integer triples; and D."""
+    D = lcm(*(c.denominator for p in points for c in p))
+    return [tuple(c.numerator * (D // c.denominator) for c in p) for p in points], D
 
 
 def homogeneous_point(p: Vec) -> tuple[int, int, int, int]:

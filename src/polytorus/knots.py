@@ -3,18 +3,20 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import DegenerateKnot, ParseError, read_input
 from .geometry import (
     Vec,
-    collinear,
-    coplanar,
     cross,
+    dot,
     is_zero,
+    least_quotient,
+    line_dist2,
     parse_rational,
+    point_edge_dist2,
     format_rational,
-    point_segment_dist2,
-    segment_segment_dist2,
+    scaled_to_integers,
     sub,
 )
 
@@ -38,46 +40,43 @@ class StickKnot:
         self.k = k
 
     def is_general_position(self) -> bool:
-        """No 3 vertices collinear, no 4 coplanar."""
-        v = self.vertices
+        """No 3 vertices collinear, no 4 coplanar: on the vertices scaled to
+        integers, every triple has a nonzero plane normal and no later
+        vertex on its plane."""
+        v, _ = scaled_to_integers(self.vertices)
         k = self.k
-        for i in range(k):
-            for j in range(i + 1, k):
-                for l in range(j + 1, k):
-                    if collinear(v[i], v[j], v[l]):
-                        return False
-        for i in range(k):
-            for j in range(i + 1, k):
-                for l in range(j + 1, k):
-                    for m in range(l + 1, k):
-                        if coplanar(v[i], v[j], v[l], v[m]):
-                            return False
+        for i, j, l in combinations(range(k), 3):
+            n = cross(sub(v[j], v[i]), sub(v[l], v[i]))
+            if is_zero(n):
+                return False
+            c = dot(n, v[i])
+            if any(dot(n, v[m]) == c for m in range(l + 1, k)):
+                return False
         return True
 
     def min_clearance_sq(self) -> Fraction:
         """Squared minimum of: distance between non-adjacent edges, and
         distance from a vertex to a non-incident edge.  Zero means the
-        polygon is self-intersecting or touching."""
-        v = self.vertices
+        polygon is self-intersecting or touching.
+
+        The vertices are scaled to integers by their common denominator D,
+        and each candidate is an integer quotient (num, den).  Two
+        non-adjacent edges are as far apart as their lines when the lines'
+        closest points lie on both edges, else as the nearer of a corner of
+        one and the other edge, a vertex-to-edge candidate."""
+        v, D = scaled_to_integers(self.vertices)
         k = self.k
-        best = None
-        for i in range(k):
-            for j in range(i + 1, k):
-                if j == i + 1 or (i == 0 and j == k - 1):
-                    continue  # adjacent edges share a vertex
-                d = segment_segment_dist2(v[i], v[(i + 1) % k], v[j], v[(j + 1) % k])
-                if best is None or d < best:
-                    best = d
-        for i in range(k):
-            for j in range(k):
-                if j in (i, (i - 1) % k):
-                    continue  # incident edges
-                d = point_segment_dist2(v[i], v[j], v[(j + 1) % k])
-                if best is None or d < best:
-                    best = d
-        if best == 0:
+        edges = [(v[i], v[(i + 1) % k]) for i in range(k)]
+        # each vertex against the edges not incident to it, then the lines of
+        # the non-adjacent edge pairs
+        found = [point_edge_dist2(v[i], *edges[j])
+                 for i in range(k) for j in range(k) if j not in (i, (i - 1) % k)]
+        found += filter(None, (line_dist2(*edges[i], *edges[j])
+                               for i in range(k) for j in range(i + 2, k - (i == 0))))
+        num, den = least_quotient(found)
+        if num == 0:
             raise DegenerateKnot("polygon self-intersects or touches itself")
-        return best
+        return Fraction(num, den * D * D)
 
     def scaled(self, factor) -> "StickKnot":
         f = Fraction(factor)

@@ -28,12 +28,20 @@ canonical key's ties, which ``oracle_automorphisms`` checks separately.
 fail, apart from the validator's fan walk on the edge map.
 ``canonical_labeling`` and ``supporting_plane_of_edge`` are test-only
 certificates.
+The tube path's ``Fraction`` loops, before they ran on integers over a
+common denominator, are kept as they were: ``oracle_sqrt_floor`` finds its
+power-of-4 exponent one factor of 4 at a time, ``oracle_circumcenter``
+solves for the ring centre in ``Fraction``, ``oracle_min_clearance_sq``
+clamps segment parameters in ``segment_segment_dist2`` (also the oracle of
+``geometry.segment_dist2``) and ``point_segment_dist2``, and
+``oracle_is_general_position`` tests every triple and quadruple with
+``collinear`` and ``orient3d``.
 """
 
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import isqrt, lcm
 
 from polytorus.cycles import _separates, cycle_signature, enumerate_simple_cycles, homology_basis
 from polytorus.errors import BadVertexLink, DegenerateFace, DegenerateKnot, NonGenericDirection
@@ -45,6 +53,7 @@ from polytorus.geometry import (
     _one_side,
     _segment_meets,
     _side_table,
+    add,
     collinear,
     cross,
     dominant_axis,
@@ -53,10 +62,10 @@ from polytorus.geometry import (
     is_zero,
     norm2,
     orient2d,
-    orient3d,
     perpendicular,
     point_in_triangle_2d,
     point_on_segment_2d,
+    scale,
     sub,
     triangles_conflict,
 )
@@ -68,6 +77,150 @@ from polytorus.surfaces import (
     automorphism_group,
 )
 from polytorus.diagrams import Crossing
+
+
+def orient3d(a: Vec, b: Vec, c: Vec, d: Vec) -> int:
+    """Sign of det[b-a; c-a; d-a]: +1, 0, or -1."""
+    v = dot(cross(sub(b, a), sub(c, a)), sub(d, a))
+    return (v > 0) - (v < 0)
+
+
+def coplanar(a: Vec, b: Vec, c: Vec, d: Vec) -> bool:
+    return orient3d(a, b, c, d) == 0
+
+
+def dist2(a: Vec, b: Vec) -> Fraction:
+    return norm2(sub(a, b))
+
+
+def point_segment_dist2(p: Vec, a: Vec, b: Vec) -> Fraction:
+    ab = sub(b, a)
+    denom = norm2(ab)
+    if denom == 0:
+        return dist2(p, a)
+    t = dot(sub(p, a), ab) / denom
+    t = max(Fraction(0), min(Fraction(1), t))
+    return dist2(p, add(a, scale(ab, t)))
+
+
+def segment_segment_dist2(p1: Vec, p2: Vec, q1: Vec, q2: Vec) -> Fraction:
+    """Exact squared distance between two closed segments."""
+    d1 = sub(p2, p1)
+    d2 = sub(q2, q1)
+    r = sub(p1, q1)
+    a = norm2(d1)
+    e = norm2(d2)
+    b = dot(d1, d2)
+    c = dot(d1, r)
+    f = dot(d2, r)
+    best = None
+
+    def consider(s, t):
+        nonlocal best
+        s = max(Fraction(0), min(Fraction(1), s))
+        t = max(Fraction(0), min(Fraction(1), t))
+        v = dist2(add(p1, scale(d1, s)), add(q1, scale(d2, t)))
+        if best is None or v < best:
+            best = v
+
+    denom = a * e - b * b
+    if denom != 0:
+        s = (b * f - c * e) / denom
+        t = (b * s + f) / e if e != 0 else Fraction(0)
+        consider(s, t)
+    # boundary candidates: clamp each parameter in turn
+    if a != 0:
+        consider(-c / a, Fraction(0))                     # t = 0
+        consider((b - c) / a, Fraction(1))                # t = 1
+    else:
+        consider(Fraction(0), Fraction(0))
+        consider(Fraction(0), Fraction(1))
+    if e != 0:
+        consider(Fraction(0), f / e)                      # s = 0
+        consider(Fraction(1), (b + f) / e)                # s = 1
+    else:
+        consider(Fraction(0), Fraction(0))
+        consider(Fraction(1), Fraction(0))
+    return best
+
+
+def oracle_sqrt_floor(x: Fraction, bits: int = 64) -> Fraction:
+    """Rational lower approximation of sqrt(x), ~bits of *relative* precision."""
+    if x < 0:
+        raise ValueError("negative radicand")
+    if x == 0:
+        return Fraction(0)
+    x = Fraction(x)
+    e = 0
+    while x < 1:
+        x *= 4
+        e -= 1
+    while x >= 4:
+        x /= 4
+        e += 1
+    scaled = (x.numerator << (2 * bits)) // x.denominator
+    root = Fraction(isqrt(scaled), 1 << bits)
+    return root * Fraction(2) ** e
+
+
+def oracle_circumcenter(a: Vec, b: Vec, c: Vec) -> Vec:
+    """Point in the plane of a,b,c equidistant from all three (exact)."""
+    ab = sub(b, a)
+    ac = sub(c, a)
+    n = cross(ab, ac)
+    # solve: x = a + s*ab + t*ac with |x-a|^2 = |x-b|^2 = |x-c|^2
+    m11, m12 = norm2(ab), dot(ab, ac)
+    m22 = norm2(ac)
+    r1 = m11 / 2
+    r2 = m22 / 2
+    det = m11 * m22 - m12 * m12
+    s = (r1 * m22 - r2 * m12) / det
+    t = (m11 * r2 - m12 * r1) / det
+    return add(a, add(scale(ab, s), scale(ac, t)))
+
+
+def oracle_is_general_position(K) -> bool:
+    """No 3 vertices collinear, no 4 coplanar."""
+    v = K.vertices
+    k = K.k
+    for i in range(k):
+        for j in range(i + 1, k):
+            for l in range(j + 1, k):
+                if collinear(v[i], v[j], v[l]):
+                    return False
+    for i in range(k):
+        for j in range(i + 1, k):
+            for l in range(j + 1, k):
+                for m in range(l + 1, k):
+                    if coplanar(v[i], v[j], v[l], v[m]):
+                        return False
+    return True
+
+
+def oracle_min_clearance_sq(K) -> Fraction:
+    """Squared minimum of: distance between non-adjacent edges, and
+    distance from a vertex to a non-incident edge.  Zero means the
+    polygon is self-intersecting or touching."""
+    v = K.vertices
+    k = K.k
+    best = None
+    for i in range(k):
+        for j in range(i + 1, k):
+            if j == i + 1 or (i == 0 and j == k - 1):
+                continue  # adjacent edges share a vertex
+            d = segment_segment_dist2(v[i], v[(i + 1) % k], v[j], v[(j + 1) % k])
+            if best is None or d < best:
+                best = d
+    for i in range(k):
+        for j in range(k):
+            if j in (i, (i - 1) % k):
+                continue  # incident edges
+            d = point_segment_dist2(v[i], v[j], v[(j + 1) % k])
+            if best is None or d < best:
+                best = d
+    if best == 0:
+        raise DegenerateKnot("polygon self-intersects or touches itself")
+    return best
 
 
 def oracle_verify_embedding(mesh):

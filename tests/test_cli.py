@@ -196,11 +196,12 @@ def test_realize_complement_proves_each_mesh_once(tri_file, proofs, capsys):
 
 
 # sha256 of the OFF files these commands write; the tube and complement
-# digests were recorded from the frames transported through rounded
-# directions and the octahedron at coarse dyadic points
+# digests were recorded from the ring normals summed from 16-bit directions,
+# the frames transported through rounded directions and the octahedron at
+# coarse dyadic points
 GOLDEN_OFF = {
-    "tube trefoil": "444cff4e7040ca3d705304aa08815fd8784fd942e4eacab1626d7f150771740c",
-    "complement unknot": "ed7fb52ca1454c91a1a85d9c833bfe213ac6c32651129e40706775aad24447c8",
+    "tube trefoil": "8bd2f45fccf9d17b22559446e681fa67f2d321b7c84e31991b79ca168204a62c",
+    "complement unknot": "2901e6a5ac8cf59f7e6bc05b92ccf5800986749b18bffeefc3204cf2268ef630",
     "cyclic 8": "3896fbf344cb42957c0186ff423588236a61a82c9b93959930492d173ef72421",
     "cyclic 10": "091426cdb24a3c26dd79854ad803326f3f7a052f21126ef70a7fef6d842eece6",
     "cyclic 12": "4ad38b95bc4138f8314eb69839c127b8bc4060d67bd4906d6b5da5cdea32c93e",

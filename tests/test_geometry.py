@@ -7,7 +7,16 @@ from itertools import combinations
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from oracles import is_hull_vertex, plane_supports, point_in_hull, point_in_tetra
+from oracles import (
+    is_hull_vertex,
+    oracle_sqrt_floor,
+    orient3d,
+    plane_supports,
+    point_in_hull,
+    point_in_tetra,
+    point_segment_dist2,
+    segment_segment_dist2,
+)
 from polytorus.geometry import (
     PAIR_RULES,
     _one_side,
@@ -15,11 +24,10 @@ from polytorus.geometry import (
     collinear,
     first_conflict,
     homogeneous_point,
-    orient3d,
-    point_segment_dist2,
     rational_to_decimal,
     reduce_direction,
-    segment_segment_dist2,
+    scaled_to_integers,
+    segment_dist2,
     segments_intersect_2d,
     sqrt_floor,
     triangles_conflict,
@@ -47,11 +55,50 @@ def test_segment_distances_exact():
     assert point_segment_dist2(vec(0, 0, 7), vec(-1, 0, 0), vec(1, 0, 0)) == 49
 
 
+def test_integer_segment_distance_matches_fraction_oracle():
+    """``segment_dist2`` on the segments scaled to integers is the Fraction
+    oracle's squared distance times D^2: on seeded segment pairs on a grid
+    of thirds and halves and on {-1, 0, 1}^3, which hold touching, crossing,
+    parallel, collinear and point-like segments, and pairs whose closest
+    points lie inside both segments."""
+    rng = random.Random(28)
+    grids = ([F(n, d) for d in (1, 2, 3) for n in range(-2 * d, 2 * d + 1)], (-1, 0, 1))
+    kinds = set()
+    for m in range(3000):
+        seg = [tuple(F(rng.choice(grids[m % 2])) for _ in range(3)) for _ in range(4)]
+        ints, D = scaled_to_integers(seg)
+        num, den = segment_dist2(*ints)
+        want = segment_segment_dist2(*seg)
+        assert F(num, den * D * D) == want, seg
+        kinds.add((want == 0, den > 1))
+    assert kinds == {(True, False), (True, True), (False, False), (False, True)}
+
+
 def test_sqrt_floor_bounds():
     for x in (F(2), F(1, 3), F(10**12), F(1, 10**18), F(9)):
         r = sqrt_floor(x, 50)
         assert r * r <= x
         assert (r + F(1, 2**45)) ** 2 > x or r == 0
+
+
+def test_sqrt_floor_matches_loop_oracle():
+    """``sqrt_floor`` reads its power-of-4 exponent off the bit lengths and
+    returns the oracle's value, which finds it one factor of 4 at a time:
+    on seeded rationals from 2**-4000 to 2**4000, on powers of 4 and of 2,
+    and just above and below the powers of 4, at 30, 40, 48 and 64 bits."""
+    rng = random.Random(28)
+    xs = []
+    for _ in range(60):
+        e = rng.randint(-4000, 4000)
+        x = F(rng.getrandbits(rng.randint(1, 90)) + 1, rng.getrandbits(rng.randint(1, 90)) + 1)
+        xs.append(x * F(2) ** e)
+    for e in list(range(-12, 13)) + [-2001, -1000, -333, 334, 999, 2000]:
+        x = F(4) ** e
+        xs += [x, 2 * x, x * (1 + F(1, 2 ** 300)), x * (1 - F(1, 2 ** 300)),
+               x + F(1, 2 ** 9000), x - F(1, 2 ** 9000)]
+    for x in xs:
+        for bits in (30, 40, 48, 64):
+            assert sqrt_floor(x, bits) == oracle_sqrt_floor(x, bits), (x, bits)
 
 
 def test_segments_intersect_2d_degenerate():

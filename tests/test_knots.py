@@ -1,9 +1,11 @@
 """Stick knot validation and text I/O."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from oracles import oracle_is_general_position, oracle_min_clearance_sq, point_segment_dist2
 from polytorus.errors import DegenerateKnot, ParseError
 from polytorus.geometry import parse_rational
 from polytorus.knots import (
@@ -14,6 +16,7 @@ from polytorus.knots import (
     trefoil_6stick,
     triangle_unknot,
 )
+from test_realization import _seeded_general_position_knots
 
 
 def test_triangle_valid():
@@ -88,3 +91,52 @@ def test_self_touching_polygon_rejected():
     # planar bowtie: two non-adjacent edges cross at (1,0,0)
     with pytest.raises(DegenerateKnot):
         StickKnot([(0, 0, 0), (2, 0, 0), (1, 1, 0), (1, -1, 0)]).min_clearance_sq()
+
+
+def _grid_polygons(count, seed):
+    """Seeded polygons of 3 to 8 vertices, every other one on the grid of
+    thirds and halves in [-2, 2]^3 and the rest on {-1, 0, 1}^3, which gives
+    many collinear triples, coplanar quadruples, parallel sticks and
+    touching sticks; those that StickKnot rejects are skipped."""
+    rng = random.Random(seed)
+    grids = (sorted({Fraction(n, d) for d in (1, 2, 3) for n in range(-2 * d, 2 * d + 1)}),
+             (-1, 0, 1))
+    out = []
+    while len(out) < count:
+        grid = grids[len(out) % 2]
+        pts = [tuple(rng.choice(grid) for _ in range(3)) for _ in range(rng.randint(3, 8))]
+        try:
+            out.append(StickKnot(pts))
+        except DegenerateKnot:
+            continue
+    return out
+
+
+def _clearance(K, f):
+    try:
+        return f(K)
+    except DegenerateKnot as exc:
+        return str(exc)
+
+
+def test_integer_clearance_and_general_position_match_fraction_oracles():
+    """On seeded grid polygons, the trefoil scaled by 2/7 and the seeded
+    general-position polygons, ``min_clearance_sq`` and
+    ``is_general_position`` on integers over a common denominator return
+    the Fraction oracles' values, or raise the same DegenerateKnot.  The
+    grid polygons reach both outcomes of each, and clearances attained
+    between two stick interiors as well as at a vertex."""
+    knots = (_grid_polygons(400, 28) + [trefoil_6stick().scaled(Fraction(2, 7))]
+             + _seeded_general_position_knots(40))
+    outcomes = set()
+    for K in knots:
+        general = K.is_general_position()
+        assert general == oracle_is_general_position(K)
+        got = _clearance(K, StickKnot.min_clearance_sq)
+        assert got == _clearance(K, oracle_min_clearance_sq)
+        vertex = isinstance(got, Fraction) and any(
+            point_segment_dist2(K.vertices[i], K.vertices[j], K.vertices[(j + 1) % K.k]) == got
+            for i in range(K.k) for j in range(K.k))
+        outcomes.add((general, type(got), vertex))
+    assert {(True, Fraction), (False, Fraction), (False, str)} <= {o[:2] for o in outcomes}
+    assert {(Fraction, True), (Fraction, False)} <= {o[1:] for o in outcomes}

@@ -12,11 +12,13 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from oracles import (
+    oracle_circumcenter,
     oracle_encloses,
     oracle_first_conflict,
     oracle_hull_facets,
     oracle_prism_faces,
     oracle_verify_embedding,
+    orient3d,
     supporting_plane_of_edge,
 )
 from polytorus.cycles import homology_basis, cycle_signature, stick_number_and_type
@@ -39,7 +41,6 @@ from polytorus.geometry import (
     first_conflict,
     homogeneous_point,
     norm2,
-    orient3d,
     scale,
     sub,
 )
@@ -576,21 +577,61 @@ def _coordinate_bits(mesh):
 
 def test_tube_sweep_certifies_with_bounded_bits():
     """Sixty seeded polygons of 4 to 14 sticks, coordinates in [-20, 20]:
-    every tube certifies with the exact core and its determinant, and the
-    coordinates of the long knots are no larger than those of the short
-    ones, since each ring frame is transported through a direction of
-    FRAME_BITS bits."""
+    every tube certifies at the closed-form radius, with no halving, with
+    the exact core and its determinant, and the coordinates of the long
+    knots are no larger than those of the short ones, since each ring frame
+    is transported through a direction of FRAME_BITS bits.  No coordinate
+    takes more than 327 bits, the largest with ring normals summed from
+    NORMAL_BITS-bit directions (488 with 48-bit ones)."""
     from polytorus.diagrams import knot_determinant
     bits = {}
     for K in _seeded_general_position_knots(60, seed=7, sticks=(4, 14), span=20):
         mesh = tube_construction(K)
         assert mesh.embedding.ok
+        assert mesh.provenance["halvings"] == []
         assert core_curve(mesh) == K
         assert knot_determinant(core_curve(mesh)) == knot_determinant(K)
         bits.setdefault(K.k, []).append(_coordinate_bits(mesh))
     short = max(b for k, bs in bits.items() if k <= 5 for b in bs)
     long = max(b for k, bs in bits.items() if k >= 10 for b in bs)
     assert long <= short + 32, (short, long)
+    assert max(b for bs in bits.values() for b in bs) <= 327, bits
+
+
+def test_complements_of_seeded_polygons_certify():
+    """The complements of all 40 seeded polygons certify at their tube's
+    closed-form radius, with no halving, 3k + 4 vertices and the exact
+    core."""
+    from polytorus.realization import complement_construction
+    for K in _seeded_general_position_knots(40):
+        mesh = complement_construction(K)
+        assert mesh.embedding.ok
+        assert mesh.provenance["halvings"] == []
+        assert mesh.complex.n_vertices == 3 * K.k + 4
+        assert core_curve(mesh) == K
+
+
+def test_integer_circumcenter_matches_fraction_oracle():
+    """``_circumcenter`` on integers over the common denominator returns the
+    Fraction oracle's point: on every ring of the trefoil's tube and
+    complement, and on seeded rational triangles with mixed denominators,
+    obtuse and right ones among them."""
+    from polytorus.realization import complement_construction
+    triangles = []
+    for mesh in (tube_construction(trefoil_6stick()), complement_construction(trefoil_6stick())):
+        triangles += [tuple(mesh.coords[3 * r + j] for j in (1, 2, 3)) for r in range(6)]
+    rng = random.Random(28)
+    grid = [Fraction(n, d) for d in (1, 2, 3, 7, 2 ** 40) for n in range(-9, 10)]
+    while len(triangles) < 400:
+        tri = tuple(tuple(rng.choice(grid) for _ in range(3)) for _ in range(3))
+        if not collinear(*tri):
+            triangles.append(tri)
+    triangles.append(((0, 0, 0), (Fraction(1, 3), 0, 0), (0, Fraction(1, 5), 0)))
+    for a, b, c in triangles:
+        a, b, c = (tuple(map(Fraction, p)) for p in (a, b, c))
+        center = realization._circumcenter(a, b, c)
+        assert center == oracle_circumcenter(a, b, c)
+        assert norm2(sub(center, a)) == norm2(sub(center, b)) == norm2(sub(center, c))
 
 
 @pytest.mark.parametrize("index", [6, 17, 18, 26])
