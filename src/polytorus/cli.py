@@ -119,7 +119,7 @@ def _cmd_census(args) -> int:
 def _cmd_realize(args) -> int:
     if args.what == "tube":
         K = load_stick_knot(args.knot)
-        mesh = tube_construction(K, ExactRadius.from_value(args.eps) if args.eps else None)
+        mesh = tube_construction(K, None if args.eps is None else ExactRadius.from_value(args.eps))
     elif args.what == "complement":
         K = load_stick_knot(args.knot)
         mesh = complement_construction(K)
@@ -136,7 +136,7 @@ def _cmd_realize(args) -> int:
         cert["determinant"] = knot_determinant(core_curve(mesh))
     if "core_determinant" in mesh.provenance:
         cert["determinant"] = mesh.provenance["core_determinant"]
-    if args.output:
+    if args.output is not None:
         export_mesh(mesh, args.output, args.format or "off",
                     12 if args.precision is None else args.precision)
         cert["output"] = args.output
@@ -212,7 +212,7 @@ def main(argv=None) -> int:
         if args.what != "cyclic" and args.k is not None:
             parser.error(f"--k does not apply to realize {args.what}")
         for option in ("format", "precision"):
-            if not args.output and getattr(args, option) is not None:
+            if args.output is None and getattr(args, option) is not None:
                 parser.error(f"--{option} does not apply to realize without -o")
         if (args.precision or 0) < 0:
             parser.error("--precision must be >= 0")

@@ -22,17 +22,22 @@ faces holding each point, and the faces whose plane has the point strictly
 above or below.  A few ORs and ANDs of these give, for row i, the faces
 j > i coplanar with face i, and the ``one_side`` faces, where one triangle
 lies strictly on one side of the other's plane (disjoint); those are
-counted in bulk.  The other pairs are visited in increasing j:
+counted in bulk.  The other pairs are visited in increasing j, and the
+first pair that meets is returned with the reason of the rule that found it:
 
 * a coplanar pair goes to ``_coplanar_conflict`` on its points times the
   least common multiple of their W, a positive factor that keeps every
-  sign it reads;
+  sign it reads; the reason is that function's own text;
 * a shared edge, not coplanar: they meet exactly in that edge;
 * a shared vertex: they meet exactly in it if the other two corners of
   either triangle are strictly on one side of the other's plane, else
   iff the edge opposite it in one of them meets the other, by orientation
-  signs, each the permuted inner product of two edge lines;
-* no shared corner: the two-sign test of Guigue and Devillers (2003).
+  signs, each the permuted inner product of two edge lines (VERTEX_MEET);
+* no shared corner: the two-sign test of Guigue and Devillers (2003)
+  (DISJOINT_MEET).
+
+This kernel is the embedding proof's only decision path; the rational
+triangle test, ``triangles_conflict`` in ``tests/oracles.py``, is its oracle.
 """
 
 from __future__ import annotations
@@ -223,76 +228,8 @@ def point_in_triangle_2d(p, a, b, c, strict=False) -> bool:
     return (o1 >= 0 and o2 >= 0 and o3 >= 0) or (o1 <= 0 and o2 <= 0 and o3 <= 0)
 
 
-# -- triangle/triangle intersection beyond shared simplices -----------------------
-
-
-def triangles_conflict(t1, t2, shared):
-    """Whether two mesh triangles touch outside their shared simplex.
-
-    ``shared`` is the tuple of common corner points (length 0, 1 or 2).
-    Returns None when the contact is exactly the shared simplex (or empty),
-    else a short description of the violation.
-    """
-    n1 = cross(sub(t1[1], t1[0]), sub(t1[2], t1[0]))
-    n2 = cross(sub(t2[1], t2[0]), sub(t2[2], t2[0]))
-    s2 = [dot(n1, sub(q, t1[0])) for q in t2]
-    s1 = [dot(n2, sub(p, t2[0])) for p in t1]
-
-    if all(v == 0 for v in s2):
-        return _coplanar_conflict(t1, t2, shared, n1)
-    if all(v > 0 for v in s2) or all(v < 0 for v in s2):
-        return None
-    if all(v > 0 for v in s1) or all(v < 0 for v in s1):
-        return None
-
-    if len(shared) == 2:
-        # non-coplanar triangles sharing an edge meet exactly in that edge
-        return None
-
-    d = cross(n1, n2)
-    i1 = _triangle_line_interval(t1, n2, dot(n2, t2[0]), d)
-    i2 = _triangle_line_interval(t2, n1, dot(n1, t1[0]), d)
-    if i1 is None or i2 is None:
-        return None
-    lo = max(i1[0], i2[0])
-    hi = min(i1[1], i2[1])
-    if lo > hi:
-        return None
-    if len(shared) == 1:
-        v = shared[0]
-        # the shared vertex lies on the intersection line; the contact must
-        # be exactly that point
-        tv = _line_param(v, d)
-        if lo == hi == tv:
-            return None
-        return f"contact interval [{float(lo):.6g},{float(hi):.6g}] beyond shared vertex"
-    return f"contact interval [{float(lo):.6g},{float(hi):.6g}] between disjoint faces"
-
-
-def _line_param(point: Vec, d: Vec) -> Fraction:
-    return dot(point, d) / norm2(d)
-
-
-def _triangle_line_interval(tri, n_other, c_other, d):
-    """Parameter interval of tri cut by the plane (n_other . x = c_other),
-    measured along direction d (the plane-plane intersection line)."""
-    sides = [dot(n_other, p) - c_other for p in tri]
-    pts = []
-    for i in range(3):
-        j = (i + 1) % 3
-        si, sj = sides[i], sides[j]
-        if si == 0:
-            pts.append(tri[i])
-        if (si > 0 > sj) or (si < 0 < sj):
-            t = si / (si - sj)
-            pts.append(add(tri[i], scale(sub(tri[j], tri[i]), t)))
-    if not pts:
-        return None
-    params = [_line_param(p, d) for p in pts]
-    return (min(params), max(params))
-
-
 def _coplanar_conflict(t1, t2, shared, n):
+    """How coplanar triangles, normal n, meet outside their shared corners, or None."""
     axis = dominant_axis(n)
     a1 = [drop_axis(p, axis) for p in t1]
     a2 = [drop_axis(p, axis) for p in t2]
@@ -339,18 +276,16 @@ def _only_touch_at(p1, p2, q1, q2, v):
     # with the other endpoints on the same side
     if orient2d(v, pa, qa) != 0:
         return True
-    return dot2_sign(v, pa, qa) <= 0
-
-
-def dot2_sign(v, a, b) -> int:
-    d = (a[0] - v[0]) * (b[0] - v[0]) + (a[1] - v[1]) * (b[1] - v[1])
-    return (d > 0) - (d < 0)
+    return (pa[0] - v[0]) * (qa[0] - v[0]) + (pa[1] - v[1]) * (qa[1] - v[1]) <= 0
 
 
 # -- the integer embedding kernel --------------------------------------------------
 
 # the rules that discharge a face pair, in the order first_conflict tries them
 PAIR_RULES = ("coplanar", "one_side", "shared_edge", "shared_vertex", "orientation")
+# the reasons first_conflict gives for pairs that are not coplanar
+VERTEX_MEET = "faces meet beyond their shared vertex"
+DISJOINT_MEET = "disjoint faces meet"
 
 
 def scaled_to_integers(points):
@@ -369,8 +304,10 @@ def homogeneous_point(p: Vec) -> tuple[int, int, int, int]:
 
 def first_conflict(points, faces):
     """The first face pair (i, j), i < j, in row order whose triangles meet
-    outside their shared simplex, or None; and the number of pairs each
-    rule of PAIR_RULES decided up to it.
+    outside their shared simplex, as (i, j, reason), or None; and the
+    number of pairs each rule of PAIR_RULES decided up to it.  The reason
+    is ``_coplanar_conflict``'s for a coplanar pair, else VERTEX_MEET or
+    DISJOINT_MEET by whether the faces share a corner.
 
     ``points`` are distinct ``homogeneous_point``s and ``faces`` triples of
     indices into them.  A face whose corners are collinear has the zero
@@ -433,18 +370,18 @@ def first_conflict(points, faces):
                 vs = vsets[i] | vsets[j]
                 m = lcm(*(points[v][3] for v in vs))
                 at = {v: tuple(c * (m // points[v][3]) for c in points[v][:3]) for v in vs}
-                conflict = _coplanar_conflict(
+                reason = _coplanar_conflict(
                     tuple(at[v] for v in fi), tuple(at[v] for v in fj),
-                    tuple(at[v] for v in common), table[i][0][:3]) is not None
+                    tuple(at[v] for v in common), table[i][0][:3])
             elif len(common) == 2:
-                rule, conflict = "shared_edge", False
+                rule, reason = "shared_edge", None
             else:
                 sj = table[j][1]
                 on_i = (si[fj[0]], si[fj[1]], si[fj[2]])  # corners of j against plane i
                 on_j = (sj[p], sj[q], sj[r])
+                rule = "orientation"
                 if not common:
-                    rule = "orientation"
-                    conflict = _triangles_meet(edges[i], on_j, edges[j], on_i)
+                    meet = _triangles_meet(edges[i], on_j, edges[j], on_i)
                 else:
                     # the edge opposite the shared corner k runs from corner
                     # k + 1 to k + 2; these are its side signs
@@ -452,15 +389,15 @@ def first_conflict(points, faces):
                     si_opp = (on_i[(kj + 1) % 3], on_i[(kj + 2) % 3])
                     sj_opp = (on_j[(ki + 1) % 3], on_j[(ki + 2) % 3])
                     if _one_side(sj_opp) or _one_side(si_opp):
-                        rule, conflict = "shared_vertex", False
+                        rule, meet = "shared_vertex", False
                     else:
-                        rule = "orientation"
-                        conflict = (_segment_meets(edges[i][(ki + 1) % 3], *sj_opp, edges[j])
-                                    or _segment_meets(edges[j][(kj + 1) % 3], *si_opp, edges[i]))
+                        meet = (_segment_meets(edges[i][(ki + 1) % 3], *sj_opp, edges[j])
+                                or _segment_meets(edges[j][(kj + 1) % 3], *si_opp, edges[i]))
+                reason = (VERTEX_MEET if common else DISJOINT_MEET) if meet else None
             discharged[rule] += 1
-            if conflict:
+            if reason:
                 discharged["one_side"] += (one_side & (low - 1)).bit_count()
-                return (i, j), discharged
+                return (i, j, reason), discharged
         discharged["one_side"] += one_side.bit_count()
     return None, discharged
 

@@ -55,8 +55,6 @@ from .errors import (
 from .generators import hamiltonian_sequence, minimal_torus_3k, ring_cycle
 from .geometry import (
     Vec,
-    _line,
-    _plane,
     _side_table,
     add,
     approx_unit,
@@ -75,7 +73,6 @@ from .geometry import (
     scaled_to_integers,
     sqrt_floor,
     sub,
-    triangles_conflict,
 )
 from .knots import StickKnot
 from .surfaces import Cycle, SimplicialTorus, parse_int
@@ -153,8 +150,9 @@ class Mesh:
 @dataclass
 class EmbeddingReport:
     """Verdict of one embedding proof, with the first conflicting face pair
-    as witness; ``discharged`` counts the pairs each rule of
-    ``geometry.PAIR_RULES`` decided, up to the verdict."""
+    and the reason ``geometry.first_conflict`` gave for it as witness;
+    ``discharged`` counts the pairs each rule of ``geometry.PAIR_RULES``
+    decided, up to the verdict."""
 
     ok: bool
     witness: tuple | None = None
@@ -172,8 +170,8 @@ def verify_embedding(mesh: Mesh) -> EmbeddingReport:
     of the other's plane in bulk.  Of the pairs left, coplanar ones go to
     the 2D test, the ones sharing a corner to the table or to orientation
     signs from one Plücker line per edge, and disjoint ones to the
-    two-sign test of Guigue and Devillers.  Only a conflicting pair goes
-    to the rational ``triangles_conflict``, for the witness text.
+    two-sign test of Guigue and Devillers.  The rule that finds the first
+    conflicting pair also names its reason, the witness's third entry.
     Coincident vertices raise first, then DegenerateFace for the first face
     whose corners are collinear (a zero plane), before any pair is decided.
     """
@@ -183,16 +181,13 @@ def verify_embedding(mesh: Mesh) -> EmbeddingReport:
     index = {v: i for i, v in enumerate(labels)}
     points = [homogeneous_point(mesh.coords[v]) for v in labels]
     try:
-        pair, discharged = first_conflict(points, [tuple(index[v] for v in f) for f in faces])
+        conflict, discharged = first_conflict(points, [tuple(index[v] for v in f) for f in faces])
     except DegenerateFace as exc:
         raise DegenerateFace(tuple(labels[i] for i in exc.face)) from None
-    if pair is None:
+    if conflict is None:
         return EmbeddingReport(True, discharged=discharged)
-    fi, fj = faces[pair[0]], faces[pair[1]]
-    shared = tuple(mesh.coords[v] for v in sorted(set(fi) & set(fj)))
-    msg = triangles_conflict(mesh.face_points(fi), mesh.face_points(fj), shared)
-    assert msg is not None
-    return EmbeddingReport(False, (fi, fj, msg), discharged)
+    i, j, reason = conflict
+    return EmbeddingReport(False, (faces[i], faces[j], reason), discharged)
 
 
 # -- tube construction ----------------------------------------------------------
@@ -519,7 +514,9 @@ def complement_construction(K: StickKnot) -> Mesh:
     """Torus of complement knot type with 3k+4 vertices: the tube with one
     subdivided hull triangle, glued to an enclosing octahedron boundary.
     The radius is halved while the complement fails; ``provenance["halvings"]``
-    holds the tube's halvings, then the reason for each of these."""
+    holds the tube's halvings, then the reason for each of these, and
+    ``provenance["failed_lifts"]`` the (w, t, witness) of each failed lift
+    of the subdivision vertex y in the build that certified, in try order."""
     tube = tube_construction(K)
     eps = ExactRadius(tube.provenance["epsilon_sq"])
     halvings = list(tube.provenance["halvings"])
@@ -561,7 +558,7 @@ def _build_complement(K: StickKnot, tube: Mesh) -> Mesh:
     # supporting plane: y sits over that face close to the edge, *in* the
     # supporting plane, so v1-v2-y is in convex position by construction
     y_label = n_tube + 1
-    sub_mesh = None
+    sub_mesh, failed = None, []
     face_ids = tube.complex.edge_faces[(min(v1, v2), max(v1, v2))]
     for fi in sorted(face_ids, key=lambda i: tube.complex.faces[i]):
         f_old = tube.complex.faces[fi]
@@ -588,9 +585,11 @@ def _build_complement(K: StickKnot, tube: Mesh) -> Mesh:
             coords = dict(tube.coords)
             coords[y_label] = y
             cand = Mesh(coords, torus2, {})
-            if verify_embedding(cand).ok:
+            report = verify_embedding(cand)
+            if report.ok:
                 sub_mesh = (cand, y, w)
                 break
+            failed.append((w, t, report.witness))
             t /= 2
         if sub_mesh is not None:
             break
@@ -619,6 +618,7 @@ def _build_complement(K: StickKnot, tube: Mesh) -> Mesh:
         "epsilon_sq": tube.provenance["epsilon_sq"],
         "meridian": ring_cycle(k),
         "glued_edge": (v1, v2),
+        "failed_lifts": failed,
     })
     mesh.embedding = verify_embedding(mesh)
     if not mesh.embedding.ok:
@@ -770,29 +770,20 @@ def _moment_point(t: int):
     return (t, t * t, t ** 3, t ** 4)
 
 
-def _facet_plane(positions):
-    """Integer normal N and offset c of the hyperplane N.x = c through the
-    moment points at four positions."""
-    p = [_moment_point(t) for t in positions]
-    a, b, c = (tuple(x - y for x, y in zip(q, p[0])) for q in p[1:])
-    N = _plane(_line(a, b), c)  # orthogonal to a, b and c
-    return N, _dot4(N, p[0])
-
-
 def _dot4(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def _moment_plane(positions):
+def _moment_plane(positions, lead=1):
     """The facet hyperplane N.x = c of C_4(n) through the moment points at
-    four positions, in closed form (Gale): N = (-e3, e2, -e1, 1) and
-    c = -e4 from their elementary symmetric polynomials e1..e4, so that
-    N.m(t) - c is the product of t - t_i over the four positions t_i."""
-    e = [1, 0, 0, 0, 0]
+    four positions, in closed form (Gale): N = (-e3, e2, -e1, e0) and
+    c = -e4 from their elementary symmetric polynomials e1..e4 times
+    e0 = lead, so that N.m(t) - c is lead times the product of t - t_i."""
+    e = [lead, 0, 0, 0, 0]
     for t in positions:
         for i in range(4, 0, -1):
             e[i] += e[i - 1] * t
-    return (-e[3], e[2], -e[1], 1), -e[4]
+    return (-e[3], e[2], -e[1], e[0]), -e[4]
 
 
 def _schlegel_viewpoint(sum_fp, N, sides):
@@ -828,9 +819,10 @@ def cyclic_polytope_realization(k: int) -> Mesh:
     facet_pos = (1, 2, 3, 4)
     assert gale_evenness(facet_pos, n)
     fp = [_moment_point(t) for t in facet_pos]
-    N, c = _facet_plane(facet_pos)
-    # N = (600, -420, 120, -12) and c = 288, so N.m(t) - c is
-    # -12(t-1)(t-2)(t-3)(t-4) < 0 at every other position t >= 5
+    # the viewpoint moves along N, so N keeps the Plücker plane's scale:
+    # lead -12, minus the positions' Vandermonde product.  N = (600, -420,
+    # 120, -12), c = 288 and N.m(t) - c < 0 at every other position t >= 5
+    N, c = _moment_plane(facet_pos, -12)
     inside = [v for v in pts4 if pos[v] not in facet_pos]
     if any(_dot4(N, pts4[v]) - c >= 0 for v in inside):
         raise PolytorusError("facet hyperplane did not support the polytope")

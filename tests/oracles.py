@@ -6,7 +6,11 @@ simple-cycle enumeration, automorphism groups and the sorted canonical form
 come from full traversals of every flag (no orbit skip, no early abort),
 cutting along a cycle is redone from face scans (no rotation system), and
 embeddings are proved by the rational all-pairs face test (no integer
-kernel).
+kernel): ``triangles_conflict``, with its helpers ``_line_param`` and
+``_triangle_line_interval``, kept as it was when ``src/`` still ran it to
+word the witness of a conflict the kernel had found.  ``_facet_plane``,
+the Plücker plane through four moment points that the cyclic realization
+once took its projection facet from, checks the closed-form facet planes.
 Convex-hull certificates come from Carathéodory subset tests and
 brute-force rational facet loops (no integer side table).  Knot
 determinants are recomputed from the Alexander relation at t = -1, the
@@ -51,6 +55,7 @@ from polytorus.geometry import (
     _coplanar_conflict,
     _line,
     _one_side,
+    _plane,
     _segment_meets,
     _side_table,
     add,
@@ -67,9 +72,8 @@ from polytorus.geometry import (
     point_on_segment_2d,
     scale,
     sub,
-    triangles_conflict,
 )
-from polytorus.realization import EmbeddingReport
+from polytorus.realization import EmbeddingReport, _dot4, _moment_point
 from polytorus.surfaces import (
     Cycle,
     _flags,
@@ -223,6 +227,72 @@ def oracle_min_clearance_sq(K) -> Fraction:
     return best
 
 
+def triangles_conflict(t1, t2, shared):
+    """Whether two mesh triangles touch outside their shared simplex.
+
+    ``shared`` is the tuple of common corner points (length 0, 1 or 2).
+    Returns None when the contact is exactly the shared simplex (or empty),
+    else a short description of the violation.
+    """
+    n1 = cross(sub(t1[1], t1[0]), sub(t1[2], t1[0]))
+    n2 = cross(sub(t2[1], t2[0]), sub(t2[2], t2[0]))
+    s2 = [dot(n1, sub(q, t1[0])) for q in t2]
+    s1 = [dot(n2, sub(p, t2[0])) for p in t1]
+
+    if all(v == 0 for v in s2):
+        return _coplanar_conflict(t1, t2, shared, n1)
+    if all(v > 0 for v in s2) or all(v < 0 for v in s2):
+        return None
+    if all(v > 0 for v in s1) or all(v < 0 for v in s1):
+        return None
+
+    if len(shared) == 2:
+        # non-coplanar triangles sharing an edge meet exactly in that edge
+        return None
+
+    d = cross(n1, n2)
+    i1 = _triangle_line_interval(t1, n2, dot(n2, t2[0]), d)
+    i2 = _triangle_line_interval(t2, n1, dot(n1, t1[0]), d)
+    if i1 is None or i2 is None:
+        return None
+    lo = max(i1[0], i2[0])
+    hi = min(i1[1], i2[1])
+    if lo > hi:
+        return None
+    if len(shared) == 1:
+        v = shared[0]
+        # the shared vertex lies on the intersection line; the contact must
+        # be exactly that point
+        tv = _line_param(v, d)
+        if lo == hi == tv:
+            return None
+        return f"contact interval [{float(lo):.6g},{float(hi):.6g}] beyond shared vertex"
+    return f"contact interval [{float(lo):.6g},{float(hi):.6g}] between disjoint faces"
+
+
+def _line_param(point: Vec, d: Vec) -> Fraction:
+    return dot(point, d) / norm2(d)
+
+
+def _triangle_line_interval(tri, n_other, c_other, d):
+    """Parameter interval of tri cut by the plane (n_other . x = c_other),
+    measured along direction d (the plane-plane intersection line)."""
+    sides = [dot(n_other, p) - c_other for p in tri]
+    pts = []
+    for i in range(3):
+        j = (i + 1) % 3
+        si, sj = sides[i], sides[j]
+        if si == 0:
+            pts.append(tri[i])
+        if (si > 0 > sj) or (si < 0 < sj):
+            t = si / (si - sj)
+            pts.append(add(tri[i], scale(sub(tri[j], tri[i]), t)))
+    if not pts:
+        return None
+    params = [_line_param(p, d) for p in pts]
+    return (min(params), max(params))
+
+
 def oracle_verify_embedding(mesh):
     """The rational pairwise face test: every face pair through
     ``triangles_conflict``, the first conflict in (i, j) order as witness;
@@ -247,8 +317,11 @@ def oracle_verify_embedding(mesh):
 def oracle_first_conflict(points, faces):
     """``geometry.first_conflict`` as it ran before the row masks and the
     two-sign test, one pair at a time: the first face pair (i, j), i < j,
-    in row order whose triangles meet outside their shared simplex, or
-    None; and the number of pairs each rule of PAIR_RULES decided up to it.
+    in row order whose triangles meet outside their shared simplex, as
+    (i, j, reason), or None; and the number of pairs each rule of
+    PAIR_RULES decided up to it.  The reason is the one its own rule
+    names: ``_coplanar_conflict``'s text, or the shared-vertex or disjoint
+    text by the number of shared corners.
 
     ``points`` are distinct ``homogeneous_point``s and ``faces`` triples of
     indices into them.  A face whose corners are collinear has the zero
@@ -283,11 +356,11 @@ def oracle_first_conflict(points, faces):
                 at = {v: tuple(c * (m // points[v][3]) for c in points[v][:3]) for v in vs}
                 conflict = _coplanar_conflict(
                     tuple(at[v] for v in fi), tuple(at[v] for v in fj),
-                    tuple(at[v] for v in common), table[i][0][:3]) is not None
+                    tuple(at[v] for v in common), table[i][0][:3])
             elif _one_side(on_i) or _one_side(on_j):
-                rule, conflict = "one_side", False
+                rule, conflict = "one_side", None
             elif len(common) == 2:
-                rule, conflict = "shared_edge", False
+                rule, conflict = "shared_edge", None
             elif len(common) == 1:
                 # the edge opposite the shared corner k runs from corner
                 # k + 1 to k + 2; these are its side signs
@@ -295,18 +368,24 @@ def oracle_first_conflict(points, faces):
                 si_opp = (on_i[(kj + 1) % 3], on_i[(kj + 2) % 3])
                 sj_opp = (on_j[(ki + 1) % 3], on_j[(ki + 2) % 3])
                 if _one_side(sj_opp) or _one_side(si_opp):
-                    rule, conflict = "shared_vertex", False
+                    rule, conflict = "shared_vertex", None
                 else:
                     rule = "orientation"
-                    conflict = (_segment_meets(edges[i][(ki + 1) % 3], *sj_opp, edges[j])
-                                or _segment_meets(edges[j][(kj + 1) % 3], *si_opp, edges[i]))
+                    if (_segment_meets(edges[i][(ki + 1) % 3], *sj_opp, edges[j])
+                            or _segment_meets(edges[j][(kj + 1) % 3], *si_opp, edges[i])):
+                        conflict = "faces meet beyond their shared vertex"
+                    else:
+                        conflict = None
             else:
                 rule = "orientation"
-                conflict = (_edge_meets(edges[i], on_j, edges[j])
-                            or _edge_meets(edges[j], on_i, edges[i]))
+                if (_edge_meets(edges[i], on_j, edges[j])
+                        or _edge_meets(edges[j], on_i, edges[i])):
+                    conflict = "disjoint faces meet"
+                else:
+                    conflict = None
             discharged[rule] += 1
-            if conflict:
-                return (i, j), discharged
+            if conflict is not None:
+                return (i, j, conflict), discharged
     return None, discharged
 
 
@@ -321,6 +400,15 @@ def _edge_meets(edges, sides, other) -> bool:
     """
     return any(_segment_meets(edges[k], sides[k], sides[(k + 1) % 3], other)
                for k in range(3))
+
+
+def _facet_plane(positions):
+    """Integer normal N and offset c of the hyperplane N.x = c through the
+    moment points at four positions."""
+    p = [_moment_point(t) for t in positions]
+    a, b, c = (tuple(x - y for x, y in zip(q, p[0])) for q in p[1:])
+    N = _plane(_line(a, b), c)  # orthogonal to a, b and c
+    return N, _dot4(N, p[0])
 
 
 def supporting_plane_of_edge(points, i, j):

@@ -247,6 +247,26 @@ def test_realize_tube_bad_eps(tri_file, eps, capsys):
     assert captured.err.startswith("error: tube radius must be")
 
 
+def test_realize_tube_empty_eps_is_a_bad_radius(tri_file, capsys):
+    """An empty --eps is refused, not read as the closed-form radius."""
+    assert main(["realize", "tube", "--knot", tri_file, "--eps", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: tube radius must be a rational number, got ''\n"
+
+
+@pytest.mark.parametrize("argv", [["generate", "moebius"], ["realize", "cyclic", "--k", "3"],
+                                  ["realize", "tube", "--knot", "TRI"]])
+def test_empty_output_path_is_an_io_error(argv, tri_file, capsys):
+    """-o "" names no file: realize fails as generate does, with an io error,
+    and writes nothing to stdout."""
+    argv = [tri_file if a == "TRI" else a for a in argv]
+    assert main(argv + ["-o", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("io error: ")
+
+
 def test_analyze_bad_header(tmp_path, capsys):
     # '²' passes str.isdigit() but is no integer
     p = tmp_path / "bad.txt"

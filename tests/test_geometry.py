@@ -16,6 +16,7 @@ from oracles import (
     point_in_tetra,
     point_segment_dist2,
     segment_segment_dist2,
+    triangles_conflict,
 )
 from polytorus.geometry import (
     PAIR_RULES,
@@ -30,7 +31,6 @@ from polytorus.geometry import (
     segment_dist2,
     segments_intersect_2d,
     sqrt_floor,
-    triangles_conflict,
 )
 
 F = Fraction
@@ -259,16 +259,27 @@ def triangle_pairs(draw):
           suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
 @given(triangle_pairs())
 def test_kernel_matches_triangles_conflict(case):
-    """The integer kernel's verdict on one face pair is the rational test's."""
+    """The integer kernel's verdict on one face pair is the rational test's.
+    A conflict's reason is the rational test's coplanar text exactly when
+    the coplanar rule decided the pair; otherwise it names a shared vertex
+    or disjoint faces, by the number of shared corners."""
     points, face = case
     t1 = tuple(vec(*points[v]) for v in (0, 1, 2))
     t2 = tuple(vec(*points[v]) for v in face)
     shared = tuple(vec(*points[v]) for v in sorted(set(face) & {0, 1, 2}))
-    expected = triangles_conflict(t1, t2, shared) is not None
-    pair, discharged = first_conflict([homogeneous_point(vec(*p)) for p in points],
-                                      [(0, 1, 2), face])
-    assert (pair is not None) == expected
+    expected = triangles_conflict(t1, t2, shared)
+    conflict, discharged = first_conflict([homogeneous_point(vec(*p)) for p in points],
+                                          [(0, 1, 2), face])
+    assert (conflict is not None) == (expected is not None)
     assert sum(discharged.values()) == 1 and set(discharged) == set(PAIR_RULES)
+    if conflict is not None:
+        assert conflict[:2] == (0, 1)
+        if discharged["coplanar"] == 1:
+            assert conflict[2] == expected
+        else:
+            assert len(shared) < 2
+            assert conflict[2] == ("faces meet beyond their shared vertex" if shared
+                                   else "disjoint faces meet")
 
 
 @st.composite

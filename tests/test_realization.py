@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from oracles import (
+    _facet_plane,
     oracle_circumcenter,
     oracle_encloses,
     oracle_first_conflict,
@@ -149,6 +150,20 @@ def _moved(mesh, lam, off, perm, signs):
     return Mesh(coords, mesh.complex, {})
 
 
+def _matches_oracles(mesh, report):
+    """``report`` has the rational all-pairs oracle's verdict and face pair,
+    and the pair loop oracle's reason for that pair."""
+    want = oracle_verify_embedding(mesh)
+    assert report.ok == want.ok
+    if not report.ok:
+        faces, labels = mesh.complex.faces, sorted(mesh.coords)
+        index = {v: i for i, v in enumerate(labels)}
+        (i, j, reason), _ = oracle_first_conflict(
+            [homogeneous_point(mesh.coords[v]) for v in labels],
+            [tuple(index[v] for v in f) for f in faces])
+        assert report.witness == (*want.witness[:2], reason) == (faces[i], faces[j], reason)
+
+
 def test_embedding_detects_collision(tri_tube):
     report = verify_embedding(_dragged(tri_tube))
     assert not report.ok
@@ -186,7 +201,8 @@ def test_verify_names_the_first_degenerate_face(tri_tube, collapse):
 
 def test_verify_matches_oracle_on_constructed_meshes(monkeypatch):
     """Every mesh the constructions prove, failed candidates included, gets
-    the rational all-pairs oracle's verdict and witness."""
+    the rational all-pairs oracle's verdict and witness pair, and the pair
+    loop oracle's reason."""
     from polytorus.realization import complement_construction
     proved = []
 
@@ -204,19 +220,19 @@ def test_verify_matches_oracle_on_constructed_meshes(monkeypatch):
         cyclic_polytope_realization(k)
     assert len(proved) == 9  # the complement proves its tube, candidate and glued mesh
     for mesh, report in proved:
-        assert report == oracle_verify_embedding(mesh)
+        _matches_oracles(mesh, report)
 
 
 def test_verify_matches_oracle_on_colliding_meshes(tri_tube):
     """The dragged vertex, and subdivision candidates whose new vertex is
-    pushed across the tube: the same verdicts and witnesses as the oracle,
-    failures among them."""
+    pushed across the tube: the same verdicts, witness pairs and reasons
+    as the oracles, failures among them."""
     meshes = [_dragged(tri_tube)] + [_pushed_through(tri_tube, f)
                                      for f in tri_tube.complex.faces[:6]]
     reports = [verify_embedding(m) for m in meshes]
     assert sum(not r.ok for r in reports) >= 3
     for mesh, report in zip(meshes, reports):
-        assert report == oracle_verify_embedding(mesh)
+        _matches_oracles(mesh, report)
 
 
 @pytest.mark.parametrize("lam, off, perm, signs", [
@@ -234,7 +250,7 @@ def test_verdict_invariant_under_rational_motions(tri_tube, lam, off, perm, sign
         assert moved.discharged == base.discharged
         if not base.ok:
             assert moved.witness[:2] == base.witness[:2]
-            assert moved == oracle_verify_embedding(_moved(mesh, lam, off, perm, signs))
+            _matches_oracles(_moved(mesh, lam, off, perm, signs), moved)
 
 
 def test_discharged_counts_cover_every_pair(tri_tube):
@@ -288,29 +304,34 @@ def test_cyclic_realization_small():
 
 
 def test_closed_form_facet_planes(monkeypatch):
-    """For every facet of C_4(n), 7 <= n <= 40, the closed-form plane
-    (N, c) is a nonzero multiple of the Plücker plane through the four
-    moment points, N.m(t) - c is the product of t - t_i at every position t,
+    """For every facet of C_4(n), 7 <= n <= 40, the Plücker plane through
+    the four moment points is the closed-form plane (N, c) times minus the
+    Vandermonde product of the positions, which is the closed form with
+    that lead; N.m(t) - c is the product of t - t_i at every position t,
     and the side of the centroid read from the power sums is the sum of the
-    sides of the moment points.  The realization computes one Plücker plane,
-    the projection facet's."""
+    sides of the moment points.  The realization's projection plane, the
+    normal its viewpoint moves along, is the Plücker plane of the facet
+    (1, 2, 3, 4)."""
     for n in range(7, 41):
         total = [sum(t ** i for t in range(1, n + 1)) for i in range(1, 5)]
         for g in cyclic_facets(n):
             N, c = realization._moment_plane(g)
-            plucker, c_plucker = realization._facet_plane(g)
-            lam = plucker[3]
-            assert lam != 0
-            assert plucker == tuple(lam * x for x in N) and c_plucker == lam * c
+            lam = -math.prod(b - a for a, b in combinations(g, 2))
+            assert _facet_plane(g) == (tuple(lam * x for x in N), lam * c)
+            assert realization._moment_plane(g, lam) == _facet_plane(g)
             sides = [realization._dot4(N, realization._moment_point(t)) - c
                      for t in range(1, n + 1)]
             assert sides == [math.prod(t - ti for ti in g) for t in range(1, n + 1)]
             assert realization._dot4(N, total) - n * c == sum(sides)
-    calls = []
-    plane = realization._facet_plane
-    monkeypatch.setattr(realization, "_facet_plane", lambda g: calls.append(g) or plane(g))
+    planes, normals = [], []
+    moment_plane, viewpoint = realization._moment_plane, realization._schlegel_viewpoint
+    monkeypatch.setattr(realization, "_moment_plane",
+                        lambda *args: planes.append(moment_plane(*args)) or planes[-1])
+    monkeypatch.setattr(realization, "_schlegel_viewpoint",
+                        lambda fp, N, sides: normals.append(N) or viewpoint(fp, N, sides))
     cyclic_polytope_realization(5)
-    assert calls == [(1, 2, 3, 4)]
+    N, c = _facet_plane((1, 2, 3, 4))
+    assert planes.count((N, c)) == 1 and normals == [N]
 
 
 def test_schlegel_viewpoint_strictly_beneath_every_facet():
@@ -567,7 +588,7 @@ def test_tube_certifies_where_transported_frames_twist():
         assert mesh.embedding.ok
         assert core_curve(mesh) == K
         assert knot_determinant(core_curve(mesh)) == knot_determinant(K)
-    assert oracle_verify_embedding(meshes[0]) == meshes[0].embedding
+    _matches_oracles(meshes[0], meshes[0].embedding)
 
 
 def _coordinate_bits(mesh):
@@ -634,6 +655,39 @@ def test_integer_circumcenter_matches_fraction_oracle():
         assert norm2(sub(center, a)) == norm2(sub(center, b)) == norm2(sub(center, c))
 
 
+@pytest.mark.parametrize("index", [None, 15], ids=["trefoil", "polygon15"])
+def test_complement_records_failed_lifts(monkeypatch, index):
+    """``provenance["failed_lifts"]`` holds (w, t, witness) for each lift
+    candidate of the subdivision vertex y whose proof failed, in try order:
+    on the trefoil's complement, and on seeded polygon 15, whose first
+    face fails all 60 values of t.  Each t halves the one before on the
+    same face and starts at 1/4 on a new one."""
+    from polytorus.realization import complement_construction
+    K = trefoil_6stick() if index is None else _seeded_general_position_knots(40)[index]
+    proved = []
+
+    def recording(mesh):
+        report = verify_embedding(mesh)
+        proved.append((mesh, report))
+        return report
+    monkeypatch.setattr(realization, "verify_embedding", recording)
+    mesh = complement_construction(K)
+    assert mesh.provenance["halvings"] == []
+    y = 3 * K.k + 1
+    lifts = [(m, r) for m, r in proved if m.complex.n_vertices == y]
+    assert [r.ok for _, r in lifts] == [False] * (len(lifts) - 1) + [True]
+    failed = mesh.provenance["failed_lifts"]
+    assert [witness for _, _, witness in failed] == [r.witness for _, r in lifts[:-1]]
+    v1, _ = mesh.provenance["glued_edge"]
+    previous = None
+    for (w, t, _), (cand, _) in zip(failed, lifts):
+        assert tuple(sorted((v1, y, w))) in cand.complex.faces
+        assert t == (previous[1] / 2 if previous and previous[0] == w else Fraction(1, 4))
+        previous = (w, t)
+    if index == 15:
+        assert len(failed) == 60 and len({w for w, _, _ in failed}) == 1
+
+
 @pytest.mark.parametrize("index", [6, 17, 18, 26])
 def test_complement_tries_further_rings(index):
     """Seeded polygons where the ring of the least knot vertex once had, or
@@ -654,8 +708,9 @@ ROTATIONS_ABOUT_X = [(perm, signs) for perm in ((0, 1, 2), (0, 2, 1))
 
 
 def _kernel_matches_oracle(points, faces):
-    """``first_conflict`` returns the pair loop oracle's (pair, discharged),
-    or raises the same DegenerateFace; returns the pair, or "degenerate"."""
+    """``first_conflict`` returns the pair loop oracle's (conflict,
+    discharged), the conflict's pair and reason included, or raises the
+    same DegenerateFace; returns the conflict, or "degenerate"."""
     try:
         want = oracle_first_conflict(points, faces)
     except DegenerateFace as exc:
