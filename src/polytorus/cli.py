@@ -16,6 +16,7 @@ Identical arguments and inputs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -155,6 +156,7 @@ def _cmd_knot(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="polytorus", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)

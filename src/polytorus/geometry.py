@@ -239,11 +239,8 @@ def _coplanar_conflict(t1, t2, shared, n):
         e1, e2 = sh
         apex1 = next(p for p in a1 if p not in sh)
         apex2 = next(p for p in a2 if p not in sh)
-        o1 = orient2d(e1, e2, apex1)
-        o2 = orient2d(e1, e2, apex2)
-        if o1 == 0 or o2 == 0:
-            return "degenerate coplanar neighbor"
-        if o1 == o2:
+        # neither is 0: DegenerateFace precedes, and dropping the dominant axis keeps area
+        if orient2d(e1, e2, apex1) == orient2d(e1, e2, apex2):
             return "coplanar faces sharing an edge overlap"
         return None
 
@@ -539,10 +536,9 @@ def rational_to_decimal(x: Fraction, digits: int) -> str:
     """Decimal string with ``digits`` places, rounding half away from zero."""
     if digits < 0:
         raise ValueError(f"digits must be >= 0, got {digits}")
-    sign = "-" if x < 0 else ""
-    x = abs(x)
-    scaledx2 = x.numerator * 10 ** digits * 2 + x.denominator
-    q = scaledx2 // (2 * x.denominator)
+    num, den = x.numerator, x.denominator
+    sign = "-" if num < 0 else ""
+    q = (abs(num) * 10 ** digits * 2 + den) // (2 * den)
     s = str(q).rjust(digits + 1, "0")
     if digits == 0:
         return sign + s

@@ -134,9 +134,6 @@ class Mesh:
     provenance: dict = field(default_factory=dict)
     embedding: EmbeddingReport | None = None
 
-    def face_points(self, face):
-        return tuple(self.coords[v] for v in face)
-
     def cycle_points(self, cycle: Cycle):
         return [self.coords[v] for v in cycle.vertices]
 
@@ -743,27 +740,22 @@ def gale_evenness(subset, n: int) -> bool:
     """Facet test for the cyclic 4-polytope on n vertices: every two
     non-members are separated by an even number of members."""
     s = set(subset)
-    if len(s) != 4:
-        return False
     comp = [x for x in range(1, n + 1) if x not in s]
-    for i in range(len(comp)):
-        for j in range(i + 1, len(comp)):
-            between = sum(1 for x in s if comp[i] < x < comp[j])
-            if between % 2:
-                return False
-    return True
+    # b - a - 1 members lie between consecutive non-members; other counts are sums
+    return len(s) == 4 and all((b - a) % 2 for a, b in zip(comp, comp[1:]))
 
 
 def cyclic_facets(n: int):
-    """All facets of C_4(n): two disjoint circularly-adjacent pairs."""
-    out = []
-    for i in range(1, n + 1):
-        i2 = i % n + 1
-        for j in range(1, n + 1):
-            j2 = j % n + 1
-            if len({i, i2, j, j2}) == 4 and (i, i2) < (j, j2):
-                out.append(tuple(sorted((i, i2, j, j2))))
-    return sorted(set(out))
+    """The n(n-3)/2 facets of C_4(n), n >= 5, sorted: two disjoint pairs {i, i+1} or {n, 1}."""
+    wrap = [(1, j, j + 1, n) for j in range(2, n - 1)]
+    return sorted([(i, i + 1, j, j + 1) for i in range(1, n) for j in range(i + 2, n)] + wrap)
+
+
+def _in_facet(x, y, z, n):
+    """Whether positions x < y < z lie in a facet of C_4(n), n >= 5."""
+    # iff two are circularly adjacent: three of a facet's positions hold one of its
+    # pairs, and a third position r has a neighbour outside any pair without r
+    return y - x == 1 or z - y == 1 or z - x == n - 1
 
 
 def _moment_point(t: int):
@@ -786,6 +778,22 @@ def _moment_plane(positions, lead=1):
     return (-e[3], e[2], -e[1], e[0]), -e[4]
 
 
+def _viewpoint_sides(n, total, sum_fp, N):
+    """(N_g.total - n c_g, N_g.sum_fp - 4 c_g, 4 N_g.N) for each facet g but
+    the first, (1, 2, 3, 4): linear forms in g's e1..e4, from the closed-form
+    plane N_g = (-e3, e2, -e1, 1), c_g = -e4 and the sums and products of two pairs."""
+    (t1, t2, t3, t4), (f1, f2, f3, f4) = total, sum_fp
+    m1, m2, m3, m4 = (4 * x for x in N)
+    sides = []
+    for a, b, c, d in cyclic_facets(n)[1:]:
+        s, q, s2, q2 = a + b, a * b, c + d, c * d
+        e1, e2, e3, e4 = s + s2, q + q2 + s * s2, q * s2 + q2 * s, q * q2
+        sides.append((t4 - e1 * t3 + e2 * t2 - e3 * t1 + n * e4,
+                      f4 - e1 * f3 + e2 * f2 - e3 * f1 + 4 * e4,
+                      m4 - e1 * m3 + e2 * m2 - e3 * m1))
+    return sides
+
+
 def _schlegel_viewpoint(sum_fp, N, sides):
     """(x4, w) with x = x4 / w = sum_fp / 4 + N / 4^j for the least j < 80 at
     which sc * (4^j a + b) > 0 for every (sc, a, b) in ``sides``: positive
@@ -800,17 +808,17 @@ def _schlegel_viewpoint(sum_fp, N, sides):
 
 def cyclic_polytope_realization(k: int) -> Mesh:
     """Embed the minimal 3xk torus in the boundary of C_4(3k-2) and project
-    it to rational 3D coordinates through one facet (Schlegel diagram)."""
+    it to rational 3D coordinates through one facet (Schlegel diagram).
+    Face membership, facet support and the viewpoint's side of every other
+    facet are certified in closed form from Gale's evenness criterion."""
     T = minimal_torus_3k(k)
     n = 3 * k - 2
     seq = hamiltonian_sequence(k)
     pos = {v: i + 1 for i, v in enumerate(seq)}
 
     # every torus face must lie in a facet of the cyclic polytope
-    facets = cyclic_facets(n)
-    in_facet = {t for g in facets for t in combinations(g, 3)}
     for face in T.faces:
-        if tuple(sorted(pos[v] for v in face)) not in in_facet:
+        if not _in_facet(*sorted(pos[v] for v in face), n):
             raise FaceNotInPolytope(face)
 
     # moment points, facet planes and the viewpoint are integers; Fraction
@@ -823,21 +831,14 @@ def cyclic_polytope_realization(k: int) -> Mesh:
     # lead -12, minus the positions' Vandermonde product.  N = (600, -420,
     # 120, -12), c = 288 and N.m(t) - c < 0 at every other position t >= 5
     N, c = _moment_plane(facet_pos, -12)
-    inside = [v for v in pts4 if pos[v] not in facet_pos]
-    if any(_dot4(N, pts4[v]) - c >= 0 for v in inside):
+    if any(_dot4(N, pts4[v]) - c >= 0 for v in pts4 if pos[v] not in facet_pos):
         raise PolytorusError("facet hyperplane did not support the polytope")
 
     # x = facet centre + N / 4^j is beyond the facet (N.x - c = |N|^2 / 4^j)
-    # and, for j large enough, beneath every other facet g, on the
-    # centroid's side.  With g's closed-form plane, n times the centroid's
-    # side is N_g.total - n c_g (total: the power sums of the positions) and
-    # 4^(j+1) times x's side is 4^j (N_g.sum(fp) - 4 c_g) + 4 N_g.N
+    # and, for j large enough, beneath every other facet (total: power sums)
     total = [sum(col) for col in zip(*pts4.values())]
     sum_fp = [sum(col) for col in zip(*fp)]
-    planes = [_moment_plane(g) for g in facets if g != facet_pos]
-    sides = [(_dot4(Ng, total) - n * cg, _dot4(Ng, sum_fp) - 4 * cg, 4 * _dot4(Ng, N))
-             for Ng, cg in planes]
-    x4, w = _schlegel_viewpoint(sum_fp, N, sides)
+    x4, w = _schlegel_viewpoint(sum_fp, N, _viewpoint_sides(n, total, sum_fp, N))
 
     # p projects through the facet hyperplane to x + (c - N.x) / (N.p - N.x)
     # (p - x): the integer vector (N.p - c) x4 + (c w - N.x4) p over

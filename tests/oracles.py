@@ -11,6 +11,15 @@ kernel): ``triangles_conflict``, with its helpers ``_line_param`` and
 word the witness of a conflict the kernel had found.  ``_facet_plane``,
 the Plücker plane through four moment points that the cyclic realization
 once took its projection facet from, checks the closed-form facet planes.
+The cyclic realization's other two certificates are kept as it computed
+them from the facet list: ``oracle_faces_in_facets`` is the set of every
+triple of every facet that each torus face was looked up in, and
+``oracle_viewpoint_sides`` builds each facet's plane with ``_moment_plane``
+and takes three dot products with it, where ``src/`` now tests circular
+adjacency and evaluates linear forms in the facet's elementary symmetric
+polynomials.  ``oracle_gale_evenness`` counts the members between every
+two non-members, where ``src/`` reads the gaps between consecutive ones.
+``face_points`` is the former ``Mesh.face_points``.
 Convex-hull certificates come from Carathéodory subset tests and
 brute-force rational facet loops (no integer side table).  Knot
 determinants are recomputed from the Alexander relation at t = -1, the
@@ -40,6 +49,8 @@ clamps segment parameters in ``segment_segment_dist2`` (also the oracle of
 ``geometry.segment_dist2``) and ``point_segment_dist2``, and
 ``oracle_is_general_position`` tests every triple and quadruple with
 ``collinear`` and ``orient3d``.
+``oracle_rational_to_decimal`` is the mesh writer's decimal formatter as it
+was when it took the sign and absolute value with ``Fraction`` operations.
 """
 
 from collections import deque
@@ -73,7 +84,13 @@ from polytorus.geometry import (
     scale,
     sub,
 )
-from polytorus.realization import EmbeddingReport, _dot4, _moment_point
+from polytorus.realization import (
+    EmbeddingReport,
+    _dot4,
+    _moment_plane,
+    _moment_point,
+    cyclic_facets,
+)
 from polytorus.surfaces import (
     Cycle,
     _flags,
@@ -146,6 +163,20 @@ def segment_segment_dist2(p1: Vec, p2: Vec, q1: Vec, q2: Vec) -> Fraction:
         consider(Fraction(0), Fraction(0))
         consider(Fraction(1), Fraction(0))
     return best
+
+
+def oracle_rational_to_decimal(x: Fraction, digits: int) -> str:
+    """Decimal string with ``digits`` places, rounding half away from zero."""
+    if digits < 0:
+        raise ValueError(f"digits must be >= 0, got {digits}")
+    sign = "-" if x < 0 else ""
+    x = abs(x)
+    scaledx2 = x.numerator * 10 ** digits * 2 + x.denominator
+    q = scaledx2 // (2 * x.denominator)
+    s = str(q).rjust(digits + 1, "0")
+    if digits == 0:
+        return sign + s
+    return f"{sign}{s[:-digits]}.{s[-digits:]}"
 
 
 def oracle_sqrt_floor(x: Fraction, bits: int = 64) -> Fraction:
@@ -293,6 +324,10 @@ def _triangle_line_interval(tri, n_other, c_other, d):
     return (min(params), max(params))
 
 
+def face_points(mesh, face):
+    return tuple(mesh.coords[v] for v in face)
+
+
 def oracle_verify_embedding(mesh):
     """The rational pairwise face test: every face pair through
     ``triangles_conflict``, the first conflict in (i, j) order as witness;
@@ -300,9 +335,9 @@ def oracle_verify_embedding(mesh):
     mesh.check_coords()
     faces = mesh.complex.faces
     for f in faces:
-        if collinear(*mesh.face_points(f)):
+        if collinear(*face_points(mesh, f)):
             raise DegenerateFace(f)
-    pts = [mesh.face_points(f) for f in faces]
+    pts = [face_points(mesh, f) for f in faces]
     vsets = [set(f) for f in faces]
     for i in range(len(faces)):
         for j in range(i + 1, len(faces)):
@@ -409,6 +444,36 @@ def _facet_plane(positions):
     a, b, c = (tuple(x - y for x, y in zip(q, p[0])) for q in p[1:])
     N = _plane(_line(a, b), c)  # orthogonal to a, b and c
     return N, _dot4(N, p[0])
+
+
+def oracle_gale_evenness(subset, n: int) -> bool:
+    """Facet test for the cyclic 4-polytope on n vertices: every two
+    non-members are separated by an even number of members."""
+    s = set(subset)
+    if len(s) != 4:
+        return False
+    comp = [x for x in range(1, n + 1) if x not in s]
+    for i in range(len(comp)):
+        for j in range(i + 1, len(comp)):
+            between = sum(1 for x in s if comp[i] < x < comp[j])
+            if between % 2:
+                return False
+    return True
+
+
+def oracle_faces_in_facets(n):
+    """Every triple of positions that lies in a facet of C_4(n), from the
+    facet list."""
+    return {t for g in cyclic_facets(n) for t in combinations(g, 3)}
+
+
+def oracle_viewpoint_sides(n, total, sum_fp, N):
+    """The Schlegel viewpoint's ``sides`` from each facet's closed-form
+    plane and three dot products."""
+    facet_pos = (1, 2, 3, 4)
+    planes = [_moment_plane(g) for g in cyclic_facets(n) if g != facet_pos]
+    return [(_dot4(Ng, total) - n * cg, _dot4(Ng, sum_fp) - 4 * cg, 4 * _dot4(Ng, N))
+            for Ng, cg in planes]
 
 
 def supporting_plane_of_edge(points, i, j):

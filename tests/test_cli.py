@@ -354,6 +354,24 @@ def test_python_m_entry_point():
     assert run("realize", "cyclic", "--eps", "1").returncode == 2
 
 
+def test_parser_reused_across_calls_matches_fresh_runs(capsys):
+    """``main`` builds its parser once per process; calls in a row, one of
+    them a usage error (exit 2), print and exit as fresh runs do."""
+    assert cli.build_parser() is cli.build_parser()
+    for argv in (["generate", "moebius", "--k", "3"], ["generate", "minimal3k", "--k", "4"],
+                 ["generate", "moebius", "--k", "3"]):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        out, err = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "polytorus", *argv],
+                               cwd=Path(__file__).resolve().parents[1],
+                               env=dict(os.environ, PYTHONPATH="src"),
+                               capture_output=True, text=True, timeout=120)
+        assert (rc, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
 def test_negative_precision_exit_2(tmp_path):
     out = tmp_path / "c.off"
     with pytest.raises(SystemExit) as exc:

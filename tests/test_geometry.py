@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from oracles import (
     is_hull_vertex,
+    oracle_rational_to_decimal,
     oracle_sqrt_floor,
     orient3d,
     plane_supports,
@@ -191,6 +192,20 @@ def test_rational_to_decimal():
     assert rational_to_decimal(F(5), 0) == "5"
     with pytest.raises(ValueError):
         rational_to_decimal(F(1, 4), -2)
+
+
+def test_rational_to_decimal_matches_fraction_oracle():
+    """Zero, integers, halves at every scale (which round away from zero)
+    and seeded signed rationals, at 0..15 digits."""
+    rng = random.Random(30)
+    values = [F(0), F(7), F(-7), F(-1, 10 ** 20)]
+    values += [F(s * (2 * m + 1), 2 * 10 ** d) for s in (1, -1) for m in (0, 1, 4, 12345)
+               for d in range(16)]
+    values += [F(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** rng.randint(1, 30)))
+               for _ in range(300)]
+    for x in values:
+        for digits in range(16):
+            assert rational_to_decimal(x, digits) == oracle_rational_to_decimal(x, digits), (x, digits)
 
 
 def test_conflict_verdict_invariant_under_rational_motions():

@@ -13,12 +13,16 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from oracles import (
     _facet_plane,
+    face_points,
     oracle_circumcenter,
     oracle_encloses,
+    oracle_faces_in_facets,
     oracle_first_conflict,
+    oracle_gale_evenness,
     oracle_hull_facets,
     oracle_prism_faces,
     oracle_verify_embedding,
+    oracle_viewpoint_sides,
     orient3d,
     supporting_plane_of_edge,
 )
@@ -191,7 +195,7 @@ def test_verify_names_the_first_degenerate_face(tri_tube, collapse):
         coords[a] = scale(add(coords[b], coords[c]), Fraction(1, 2))
     mesh = Mesh(coords, tri_tube.complex, {})
     first = faces[min(k % len(faces) for k in collapse)]
-    assert first == next(f for f in faces if collinear(*mesh.face_points(f)))
+    assert first == next(f for f in faces if collinear(*face_points(mesh, f)))
     for verify in (verify_embedding, oracle_verify_embedding):
         with pytest.raises(DegenerateFace) as exc:
             verify(mesh)
@@ -485,6 +489,58 @@ def test_cyclic_facets_match_gale_predicate():
         from_predicate = {s for s in combinations(range(1, n + 1), 4)
                           if gale_evenness(s, n)}
         assert from_pairs == from_predicate
+
+
+def test_gale_evenness_matches_all_pairs_oracle():
+    """Consecutive gaps decide evenness as all pairs of non-members do, on
+    every subset of up to five positions, some out of range."""
+    for n in range(1, 11):
+        for size in range(6):
+            for s in combinations(range(0, n + 2), size):
+                assert gale_evenness(s, n) == oracle_gale_evenness(s, n), (n, s)
+
+
+def test_cyclic_facets_count():
+    for n in range(5, 41):
+        facets = cyclic_facets(n)
+        assert len(facets) == n * (n - 3) // 2
+        assert facets == sorted(set(facets)) and facets[0] == (1, 2, 3, 4)
+
+
+def test_face_membership_matches_facet_triples():
+    """The circular-adjacency test equals membership in the set of every
+    triple of every facet, over all 3-subsets of positions."""
+    for n in range(7, 41):
+        in_facet = oracle_faces_in_facets(n)
+        for t in combinations(range(1, n + 1), 3):
+            assert realization._in_facet(*t, n) == (t in in_facet), (n, t)
+
+
+def test_viewpoint_sides_match_plane_and_dot_oracle(monkeypatch):
+    """The closed-form ``sides`` equal the per-facet plane-and-dot list
+    element for element, on the realization's own vectors and on seeded
+    random ones (each entry is a linear form, whatever the vectors); and
+    the realization passes the viewpoint exactly that list."""
+    rng = random.Random(30)
+    sum_fp = [sum(t ** i for t in range(1, 5)) for i in range(1, 5)]
+    N = realization._moment_plane((1, 2, 3, 4), -12)[0]
+    for n in range(7, 41):
+        total = [sum(t ** i for t in range(1, n + 1)) for i in range(1, 5)]
+        args = [(total, sum_fp, N)]
+        args += [tuple([rng.randint(-10 ** 6, 10 ** 6) for _ in range(4)] for _ in range(3))
+                 for _ in range(3)]
+        for vectors in args:
+            assert realization._viewpoint_sides(n, *vectors) == oracle_viewpoint_sides(n, *vectors)
+    seen = []
+    viewpoint = realization._schlegel_viewpoint
+    monkeypatch.setattr(realization, "_schlegel_viewpoint",
+                        lambda fp, N, sides: seen.append((fp, N, sides)) or viewpoint(fp, N, sides))
+    for k in (3, 4, 5):
+        cyclic_polytope_realization(k)
+    for k, (fp, N, sides) in zip((3, 4, 5), seen):
+        n = 3 * k - 2
+        total = [sum(t ** i for t in range(1, n + 1)) for i in range(1, 5)]
+        assert fp == sum_fp and sides == oracle_viewpoint_sides(n, total, sum_fp, N)
 
 
 # proper signed axis permutations v -> (signs[i] * v[perm[i]]) whose image
