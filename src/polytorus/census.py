@@ -12,25 +12,28 @@ Two independent generation strategies back each other up:
   degree sum, which cannot pass 6n once every vertex is held to the seed
   degree (kept incrementally as ``excess``).  It keeps only completions
   whose seed flag (1, 2, 3) is a start flag of the key, so it builds each
-  class once per Aut-orbit of those flags;
+  class once per Aut-orbit of those flags.  It accepts a completion exactly
+  when its seed flag attains the key (orderly acceptance): each class once,
+  with no state shared between branches of the search;
 
 * strategy B (cross-check): closes the link of the smallest unfinished
   vertex in all admissible cyclic orders, with its own link bookkeeping
   (per-vertex link adjacency kept as faces come and go), its own coherent
-  orientation rule, which never builds a Klein bottle, and a screen that
-  drops a link with a closed cycle beside its open paths.  It keeps only
-  completions where vertex 1 has the maximum degree and vertex 2 the
-  maximum degree among vertex 1's neighbours, a rule A does not use, so
-  it builds each class once per Aut-orbit of those flags.  It shares no
-  code with A, and every completion still goes through the full surface
-  validator.
+  orientation rule, which never builds a Klein bottle, a screen that drops
+  a link with a closed cycle beside its open paths, and a cut by the sum of
+  max(degree, 3), which cannot pass 6n.  It keeps only completions where
+  vertex 1 has the maximum degree and vertex 2 the maximum degree among
+  vertex 1's neighbours, a rule A does not use, so it builds each class
+  once per Aut-orbit of those flags.  It shares no code with A, every
+  completion still goes through the full surface validator, and the
+  completions are deduplicated through the canonical key.
 
-Both deduplicate through the canonical key of ``surfaces``: the minimum
-visit-order code over the start flags (a, b, c), where a minimizes (degree,
-sorted neighbour degrees) and b minimizes it among a's neighbours.  The
-flags tying the key are one orbit of the automorphism group, and the group
-is the key's tie set.  A class's record is built from the completion that
-first found it: the sorted canonical form the records publish (handed the
+The canonical key of ``surfaces`` is the minimum visit-order code over the
+start flags (a, b, c), where a minimizes (degree, sorted neighbour degrees)
+and b minimizes it among a's neighbours.  The flags tying the key are one
+orbit of the automorphism group, and the group is the key's tie set.  A
+class's record is built from one completion of it, A's accepted one or the
+first B finds: the sorted canonical form the records publish (handed the
 ties, the form scan walks one flag per orbit of the group), and the type,
 from the completion's own orientation.  The type, |Aut| and the equivelar
 flag are invariants, so any completion of the class gives the same record.
@@ -46,7 +49,15 @@ from dataclasses import dataclass
 from .cycles import stick_number_and_type
 from .errors import OutOfRange, PolytorusError
 from .generators import minimal_torus_3k
-from .surfaces import SimplicialTorus, _key_scan, _start_pairs, canonical_form, is_isomorphic
+from .surfaces import (
+    SimplicialTorus,
+    _flags,
+    _key_scan,
+    _start_pairs,
+    _traverse_flag,
+    canonical_form,
+    is_isomorphic,
+)
 
 N_MIN, N_MAX = 7, 11
 K_MIN, K_MAX = 3, (N_MAX + 2) // 3  # Theorem 3.1's k, with 3k - 2 <= N_MAX
@@ -247,8 +258,9 @@ class _LinkState:
 
 
 def _generate_strategy_a(n, budget):
-    """Yield oriented face lists of all n-vertex torus triangulations (with
-    labeled duplicates across symmetric discovery orders)."""
+    """Yield the oriented face lists of all n-vertex torus triangulations
+    (with labeled duplicates across symmetric discovery orders), each with
+    its key's start pairs."""
     target_f = 2 * n
     for d in range(3, 7):
         st = _LinkState(n, d)
@@ -267,19 +279,23 @@ def _generate_strategy_a(n, budget):
 def _seed_may_start(st, face=None):
     """Whether the seed flag (1, 2, 3) can be a start flag of the key
     (``surfaces._start_pairs``).  Exact on a finished torus, where the keys
-    of ``st.oe[v]`` are v's neighbours.  Just after ``face`` was added, by
-    degrees: deg[2] can only grow, so a u in 3..d+1 (vertex 1's other
-    neighbours) with no open edge left, hence closed, and deg[u] < deg[2]
-    rules vertex 2 out."""
+    of ``st.oe[v]`` are v's neighbours: there it returns the key's start
+    pairs when (1, 2) is among them, else an empty set, so the pairs are
+    built once per completion.  Just after ``face`` was added, by degrees:
+    deg[2] can only grow, so a u in 3..d+1 (vertex 1's other neighbours)
+    with no open edge left, hence closed, and deg[u] < deg[2] rules vertex
+    2 out."""
     if face is None:
-        return (1, 2) in _start_pairs(st.oe)
+        pairs = _start_pairs(st.oe)
+        return pairs if (1, 2) in pairs else set()
     deg, nopen = st.deg, st.nopen
     near = range(3, st.min_deg + 2) if 2 in face else face  # verdicts that can change
     return not any(nopen[u] == 0 and deg[u] < deg[2] and 2 < u <= st.min_deg + 1 for u in near)
 
 
 def _dfs_a(st, n, target_f, budget):
-    """Complete ``st`` in every legal way, yielding each accepted torus.
+    """Complete ``st`` in every legal way, yielding each accepted torus as
+    its oriented faces and its key's start pairs.
 
     A node is cut when its open edges or unlabelled vertices outnumber what
     the faces left can cover, and a child is cut when it can have no
@@ -297,8 +313,8 @@ def _dfs_a(st, n, target_f, budget):
     """
     budget.check()
     if not st.open_edges:
-        if st.maxlab == n and len(st.faces) == target_f and _seed_may_start(st):
-            yield list(st.faces)
+        if st.maxlab == n and len(st.faces) == target_f and (pairs := _seed_may_start(st)):
+            yield list(st.faces), pairs
         return
     remaining = target_f - len(st.faces)
     if len(st.open_edges) > 3 * remaining:
@@ -356,35 +372,51 @@ def _generate_strategy_b(n, budget):
     both conditions is never cut.  Such flags form whole Aut-orbits, since
     automorphisms keep degrees, and every torus has one, so every class
     survives, once per orbit of those flags.
+
+    Degree-sum cut (``_b_degrees_fit``).  ``total`` is the sum over all n
+    vertices of max(deg u, 3), where deg u is the size of u's link, kept as
+    faces come and go.  A torus on n vertices has 3n edges (Euler), so its
+    degrees sum to 6n.  Every vertex of a completion ends with degree at
+    least 3, since its link is a cycle, and at least its degree now, since
+    below a node faces are only added.  So no completion lies below a
+    ``grow`` node with total > 6n, and such a node is cut.  This rests on
+    Euler's relation alone, not on A's labeling.
     """
     target_f = 2 * n
     link = {v: {} for v in range(1, n + 1)}  # vertex -> link vertex -> its link neighbours
     runs = {}                                # sorted open edge -> (a, b): its face runs a -> b
     faces = []                               # oriented triples
     results = []
+    total = 3 * n                            # sum of max(deg u, 3)
 
     def edge(a, b):
         return (a, b) if a < b else (b, a)
 
     def add_face(tri):
+        nonlocal total
         faces.append(tri)
         a, b, c = tri
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
             lx = link[x]
+            before = len(lx)
             lx.setdefault(y, set()).add(z)
             lx.setdefault(z, set()).add(y)
+            total += max(len(lx), 3) - max(before, 3)
             if runs.pop(edge(x, y), None) is None:
                 runs[edge(x, y)] = (x, y)
 
     def pop_face(tri):
+        nonlocal total
         faces.pop()
         a, b, c = tri
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
             lx = link[x]
+            before = len(lx)
             for p, q in ((y, z), (z, y)):
                 lx[p].discard(q)
                 if not lx[p]:
                     del lx[p]
+            total -= max(before, 3) - max(len(lx), 3)
             e = edge(x, y)
             if e in runs:
                 del runs[e]
@@ -421,7 +453,8 @@ def _generate_strategy_b(n, budget):
 
     def grow(v, maxlab, ncomp):
         budget.check()
-        if len(faces) + ncomp > target_f or len(faces) + (n - maxlab) > target_f:
+        if len(faces) + ncomp > target_f or len(faces) + (n - maxlab) > target_f \
+                or not _b_degrees_fit(total, n):
             return
         adj = link[v]
         start = min(a for a, nb in adj.items() if len(nb) == 1)
@@ -464,6 +497,12 @@ def _generate_strategy_b(n, budget):
     yield from results
 
 
+def _b_degrees_fit(total, n):
+    """Whether a sum ``total`` of max(deg u, 3) over n vertices leaves room
+    for a torus, whose degrees sum to 6n."""
+    return total <= 6 * n
+
+
 def _b_may_keep(link, closed, touched):
     """Whether a completion can still give vertex 1 the maximum degree and
     vertex 2 the maximum degree among vertex 1's neighbours, with vertices
@@ -504,23 +543,71 @@ def _link_walk(adj, start):
 # -- public API -------------------------------------------------------------------
 
 
-_STRATEGIES = {"a": _generate_strategy_a, "b": _generate_strategy_b}
+_STRATEGIES = ("a", "b")
 
 _CENSUS_CACHE: dict = {}
 
 
 def _completions(n, strategy, budget):
-    """Every orientable completion the strategy finds, as a torus; isomorphic
-    copies included."""
-    for faces in _STRATEGIES[strategy](n, budget):
-        if strategy == "b":
-            T = SimplicialTorus(faces)  # the full validator
-        else:
-            # the seed face (1, 2, 3) runs 1 -> 2 -> 3 and is the least face,
-            # which the validator's face walk keeps as given, so no flip is needed
-            T = SimplicialTorus(faces, _skip_validation=True)
-            T._oriented = sorted(faces, key=sorted)
-        yield T
+    """Every orientable completion the strategy finds, as a torus with its
+    key's start pairs (None from B); isomorphic copies included."""
+    if strategy == "b":
+        for faces in _generate_strategy_b(n, budget):
+            yield SimplicialTorus(faces), None  # the full validator
+        return
+    for faces, pairs in _generate_strategy_a(n, budget):
+        # the seed face (1, 2, 3) runs 1 -> 2 -> 3 and is the least face,
+        # which the validator's face walk keeps as given, so no flip is needed
+        T = SimplicialTorus(faces, _skip_validation=True)
+        T._oriented = sorted(faces, key=sorted)
+        yield T, pairs
+
+
+def _seed_ties(T, pairs):
+    """Strategy A's orderly acceptance: the key scan's tie labelings, in
+    flag order, if the seed flag (1, 2, 3) attains the key, else None.
+
+    The seed flag comes first in flag order ((1, 2, 3) is T's least face),
+    so it is walked first, and every other start flag (``pairs``) is walked
+    against its code: the first smaller one rejects T, and the equal ones
+    are the ties.  Exactly one completion per class passes.  A's labeling
+    is a function of the torus and its seed flag: vertex 1 and its link
+    come from the flag, and each later face is fixed by the least open edge
+    and the first-use label order.  So the completions built from flags of
+    one Aut-orbit are one labeled face list, and the search yields one
+    completion per orbit of start flags.  The flags attaining the key are
+    one such orbit, and a completion is accepted exactly when its seed
+    flag is among them.
+    """
+    if (1, 2) not in pairs:
+        return None
+    code, ties = None, []
+    for f in T.faces:
+        for flag in _flags(f):
+            if flag[:2] not in pairs:
+                continue
+            match = _traverse_flag(T, flag, code)
+            if match is None:
+                continue
+            if code is not None and match[0] != code:
+                return None  # a start flag below the seed flag
+            code = match[0]
+            ties.append(match[1])
+    return ties
+
+
+def _record(T, ties):
+    """The class record of completion T, from its key scan's ties."""
+    res = stick_number_and_type(T)
+    return CensusRecord(
+        # the ties are Aut(T): the form scan skips its orbits
+        canonical_faces=canonical_form(T, ties),
+        n=T.n_vertices,
+        m=res.m,
+        s=res.s,
+        equivelar=len({len(nb) for nb in T.neighbors.values()}) == 1,
+        automorphism_order=len(ties),
+    )
 
 
 def enumerate_tori(n: int, strategy: str = "a", time_budget: float | None = None,
@@ -529,7 +616,9 @@ def enumerate_tori(n: int, strategy: str = "a", time_budget: float | None = None
 
     ``strategy`` picks the generation algorithm ("a" or "b"); results agree.
     ``time_budget`` (seconds; also env TORUS_TIME_BUDGET_SECS) aborts long
-    runs with TimeBudgetExceeded.  Completed runs are memoized per process.
+    runs with TimeBudgetExceeded.  ``progress`` is called with the number
+    of classes so far each time a class is found.  Completed runs are
+    memoized per process.
     """
     if not N_MIN <= n <= N_MAX:
         raise OutOfRange(n, N_MIN, N_MAX)
@@ -539,23 +628,19 @@ def enumerate_tori(n: int, strategy: str = "a", time_budget: float | None = None
     budget = _Budget(time_budget if time_budget is not None else _env_budget())
     if (n, strategy) in _CENSUS_CACHE:
         return list(_CENSUS_CACHE[(n, strategy)])
-    seen = {}
-    for T in _completions(n, strategy, budget):
-        key, ties = _key_scan(T)
-        if key not in seen:
-            res = stick_number_and_type(T)
-            seen[key] = CensusRecord(
-                # the ties are Aut(T): the form scan skips its orbits
-                canonical_faces=canonical_form(T, ties),
-                n=n,
-                m=res.m,
-                s=res.s,
-                equivelar=len({len(nb) for nb in T.neighbors.values()}) == 1,
-                automorphism_order=len(ties),
-            )
-        if progress is not None:
-            progress(len(seen))
-    records = sorted(seen.values(), key=lambda rec: rec.canonical_faces)
+    records, seen = [], set()
+    for T, pairs in _completions(n, strategy, budget):
+        if strategy == "a":
+            ties = _seed_ties(T, pairs)
+        else:  # strategy B deduplicates by the key
+            key, ties = _key_scan(T)
+            ties = None if key in seen else ties
+            seen.add(key)
+        if ties:
+            records.append(_record(T, ties))
+            if progress is not None:
+                progress(len(records))
+    records.sort(key=lambda rec: rec.canonical_faces)
     _CENSUS_CACHE[(n, strategy)] = records
     return list(records)
 

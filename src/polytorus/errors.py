@@ -71,9 +71,12 @@ class InvalidType(PolytorusError):
 # -- generator / census errors -----------------------------------------------
 
 class InvalidK(PolytorusError):
-    def __init__(self, k):
+    def __init__(self, k, hi=None):
         self.k = k
-        super().__init__(f"k must be >= 3, got {k}")
+        if hi is None:
+            super().__init__(f"k must be >= 3, got {k}")
+        else:
+            super().__init__(f"k must be between 3 and {hi}, got {k}")
 
 
 class OutOfRange(PolytorusError):

@@ -52,7 +52,7 @@ from .errors import (
     SeparatingCycle,
     read_input,
 )
-from .generators import hamiltonian_sequence, minimal_torus_3k, ring_cycle
+from .generators import _check_k, hamiltonian_sequence, minimal_torus_3k, ring_cycle
 from .geometry import (
     Vec,
     _side_table,
@@ -82,6 +82,9 @@ MAX_EPS_HALVINGS = 16
 FRAME_BITS = 30
 # relative precision of the two stick directions summed into a ring normal
 NORMAL_BITS = 16
+# the largest k of the cyclic realization: its embedding proof grows as k^3
+# (k = 160 took 5.5 s on a 2-core host); far larger k would die for lack of memory
+CYCLIC_K_MAX = 200
 
 
 class ExactRadius:
@@ -810,7 +813,9 @@ def cyclic_polytope_realization(k: int) -> Mesh:
     """Embed the minimal 3xk torus in the boundary of C_4(3k-2) and project
     it to rational 3D coordinates through one facet (Schlegel diagram).
     Face membership, facet support and the viewpoint's side of every other
-    facet are certified in closed form from Gale's evenness criterion."""
+    facet are certified in closed form from Gale's evenness criterion.
+    k runs from 3 to CYCLIC_K_MAX, else InvalidK."""
+    _check_k(k, CYCLIC_K_MAX)
     T = minimal_torus_3k(k)
     n = 3 * k - 2
     seq = hamiltonian_sequence(k)

@@ -445,28 +445,62 @@ def _form_labels(T: SimplicialTorus, flag, best):
     return None if best else labels
 
 
+def _head(T: SimplicialTorus, flag):
+    """The y of the fourth face (1, 4, y) of ``flag``'s form, on a torus
+    with no degree-3 vertex (``_canonical_scan``): 5 if the vertex across
+    (a, w4) from b is w5, 6 if deg(a) = 4, else 7."""
+    rot = T.rotation
+    a, b, c = flag
+    if rot[a, b][1] == c:  # the flag runs with the orientation
+        w4, w5 = rot[b, a][1], rot[c, b][1]
+        y = rot[w4, a][1]
+    else:
+        w4, w5 = rot[a, b][1], rot[b, c][1]
+        y = rot[a, w4][1]
+    return 5 if y == w5 else 6 if len(T.neighbors[a]) == 4 else 7
+
+
 def _canonical_scan(T: SimplicialTorus, ties=None):
     """Least sorted form over all flags, with the first labeling attaining it
-    in flag order.  Flag (a, b, c) gives (1,2,3), (1,2,4), (1,3,x), x = 4 iff
-    the vertices across {a, b} and {a, c} agree, iff deg(a) = 3, else x = 5
-    or 6: if T has a degree-3 vertex, only flags at one are walked.  Walks
-    compare blocks (block m: faces with least label m, final once m's
+    in flag order.
+
+    Only flags that can attain the least form are walked.  The walk from
+    flag (a, b, c) labels a, b, c as 1, 2, 3, then, from the first face, the
+    vertices w4, w5, w6 across {a, b}, {b, c} and {c, a} as 4, 5, 6 as they
+    are new.  w4 = w6 iff deg(a) = 3 (a's link would be the triangle b, c,
+    w4), so the form has (1,3,x) with x = 4 there, else x = 5 or 6: if T has
+    a degree-3 vertex, only flags at one are walked.  Else w4, w5 and w6 are
+    distinct, since any coincidence puts a, b or c at degree 3, and the
+    next face walked is (b, a, w4), whose new vertex y across (a, w4) is
+    labeled next: 5 if y = w5, 6 if y = w6, which is deg(a) = 4 (a's link is
+    then c, b, w4, w6), else 7.  The faces at vertex 1 are its link edges,
+    and those other than (1,2,3), (1,2,4) and (1,3,6) are the edges of the
+    path w4, y, ..., w6 of a's link, all of whose vertices but w4 are
+    labeled 5 or more.  So every form starts (1,2,3), (1,2,4), (1,3,6),
+    (1,4,y), and only the flags with the least y (``_head``) are walked.
+
+    Walks compare blocks (block m: faces with least label m, final once m's
     neighbours are labeled) with the best form's in order, to the first that
     differs.  Forms equal before block m have it as m's link cycle less the
     same edges, so neither is a proper prefix of the other.  Automorphisms
     keep degrees and forms: given the key scan's ``ties``, one flag per orbit
     of their group."""
     autos, done = _tie_group(ties)[1:] if ties else (), set()  # [0] is the identity
-    degree3 = 3 in map(len, T.neighbors.values())
+    flags = [flag for f in T.faces for flag in _flags(f)]
+    if 3 in map(len, T.neighbors.values()):
+        flags = [flag for flag in flags if T.degree(flag[0]) == 3]
+    else:
+        heads = [_head(T, flag) for flag in flags]
+        least = min(heads)
+        flags = [flag for flag, y in zip(flags, heads) if y == least]
     form = labeling = None
-    for f in T.faces:
-        for flag in _flags(f):
-            if flag in done or degree3 and T.degree(flag[0]) != 3:
-                continue
-            done.update(tuple(g[v] for v in flag) for g in autos)
-            if labels := _form_labels(T, flag, form):
-                labeling = labels
-                form = tuple(sorted(tuple(sorted(labels[v] for v in t)) for t in T.faces))
+    for flag in flags:
+        if flag in done:
+            continue
+        done.update(tuple(g[v] for v in flag) for g in autos)
+        if labels := _form_labels(T, flag, form):
+            labeling = labels
+            form = tuple(sorted(tuple(sorted(labels[v] for v in t)) for t in T.faces))
     return form, labeling
 
 

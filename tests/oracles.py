@@ -30,6 +30,9 @@ polygons and the frame to integers, every test in ``Fraction`` arithmetic;
 ``oracle_simplify`` is the collinear-vertex removal of that time.
 The values of the region-colouring Goeritz matrix that ``src/`` computed
 before are pinned in ``test_diagrams.py``.
+``oracle_census`` is the census's deduplication before strategy A accepted
+each class once: a key scan of every completion and a dict of the keys
+seen.  ``oracle_flag_forms`` walks every flag to the end.
 ``oracle_stick_number_and_type`` is the type search that ``src/`` ran
 before it read per-root minima off BFS trees: a state BFS over
 (vertex, p, q) in the signature-labelled covering graph from every root,
@@ -58,7 +61,14 @@ from fractions import Fraction
 from itertools import combinations
 from math import isqrt, lcm
 
-from polytorus.cycles import _separates, cycle_signature, enumerate_simple_cycles, homology_basis
+from polytorus.census import CensusRecord, _Budget, _completions
+from polytorus.cycles import (
+    _separates,
+    cycle_signature,
+    enumerate_simple_cycles,
+    homology_basis,
+    stick_number_and_type,
+)
 from polytorus.errors import BadVertexLink, DegenerateFace, DegenerateKnot, NonGenericDirection
 from polytorus.geometry import (
     PAIR_RULES,
@@ -94,8 +104,10 @@ from polytorus.realization import (
 from polytorus.surfaces import (
     Cycle,
     _flags,
+    _key_scan,
     _traverse_flag,
     automorphism_group,
+    canonical_form,
 )
 from polytorus.diagrams import Crossing
 
@@ -657,7 +669,7 @@ def oracle_canonical_scan(T):
     """The least sorted form over every flag, each walked to the end (no
     orbit skip, no degree rule, no early abort), and the first labeling in
     flag order that attains it."""
-    return min(_flag_forms(T), key=lambda scan: scan[0])
+    return min(oracle_flag_forms(T), key=lambda scan: scan[0])
 
 
 def canonical_labeling(T):
@@ -905,7 +917,7 @@ def _proportional(a, b):
     return a[0] * b[1] - a[1] * b[0] == 0
 
 
-def _flag_forms(T):
+def oracle_flag_forms(T):
     """(sorted form, labeling) of every flag, in flag order."""
     for f in T.faces:
         for flag in _flags(f):
@@ -916,11 +928,32 @@ def _flag_forms(T):
 def oracle_automorphisms(T):
     """Every flag whose full sorted form equals the minimum over all flags,
     mapped through the first flag attaining it."""
-    scans = list(_flag_forms(T))
+    scans = list(oracle_flag_forms(T))
     best = min(form for form, _ in scans)
     optimal = [labels for form, labels in scans if form == best]
     inv0 = {new: old for old, new in optimal[0].items()}
     return [{v: inv0[lab[v]] for v in lab} for lab in optimal]
+
+
+def oracle_census(n, strategy="a"):
+    """The census records as ``enumerate_tori`` built them before strategy
+    A's orderly acceptance: every completion takes a key scan, and the
+    first completion of each key builds the class's record (``seen``)."""
+    seen = {}
+    for T, _ in _completions(n, strategy, _Budget(None)):
+        key, ties = _key_scan(T)
+        if key not in seen:
+            res = stick_number_and_type(T)
+            seen[key] = CensusRecord(
+                # the ties are Aut(T): the form scan skips its orbits
+                canonical_faces=canonical_form(T, ties),
+                n=n,
+                m=res.m,
+                s=res.s,
+                equivelar=len({len(nb) for nb in T.neighbors.values()}) == 1,
+                automorphism_order=len(ties),
+            )
+    return sorted(seen.values(), key=lambda rec: rec.canonical_faces)
 
 
 def oracle_start_flags(T):

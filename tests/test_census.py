@@ -10,6 +10,7 @@ import os
 import pytest
 from oracles import (
     oracle_automorphisms,
+    oracle_census,
     oracle_link_paths,
     oracle_max_degree_flags,
     oracle_start_flags,
@@ -26,6 +27,7 @@ from polytorus.cycles import stick_number_and_type
 from polytorus.errors import OutOfRange, PolytorusError
 from polytorus.surfaces import (
     SimplicialTorus,
+    _key_scan,
     canonical_form,
     validate_surface,
 )
@@ -189,6 +191,41 @@ def test_max_degree_rule_yields_exactly_the_max_degree_flag_completions(n, count
     assert len(kept) == count == _flag_formula(enumerate_tori(n), oracle_max_degree_flags)
 
 
+@pytest.mark.parametrize("n", [7, 8, 9])
+def test_degree_sum_cut_keeps_every_strategy_b_completion(n, monkeypatch):
+    """Strategy B with its degree-sum cut switched off finds the same
+    completions, with its maximum-degree rule on and (n <= 8) off, and
+    visits more nodes from n = 8 on (at n = 7 the cut drops none).  At
+    every ``grow`` node the sum B keeps is the sum of max(deg u, 3) read
+    off the links."""
+    links = []
+
+    def recording(link, closed, touched):
+        links[:] = [link]
+        return keep(link, closed, touched)
+
+    def checked(total, n):
+        if links:
+            assert total == sum(max(len(adj), 3) for adj in links[0].values())
+        return fit(total, n)
+
+    def run():
+        budget = census_mod._Budget(math.inf)  # counts every node
+        return _digest(census_mod._generate_strategy_b(n, budget)), budget.counter
+
+    keep, fit = census_mod._b_may_keep, census_mod._b_degrees_fit
+    monkeypatch.setattr(census_mod, "_b_may_keep", recording)
+    monkeypatch.setattr(census_mod, "_b_degrees_fit", checked)
+    cut, cut_nodes = run()
+    monkeypatch.setattr(census_mod, "_b_degrees_fit", lambda total, n: True)
+    uncut, uncut_nodes = run()
+    assert cut == uncut == STRATEGY_B_PRUNED[n]
+    assert cut_nodes <= uncut_nodes and (cut_nodes < uncut_nodes) == (n > 7)
+    if n <= 8:
+        keep = lambda link, closed, touched: True  # noqa: E731
+        assert run()[0] == STRATEGY_B_COMPLETIONS[n]
+
+
 @pytest.mark.parametrize("index, change", [
     (3, lambda rec: dataclasses.replace(rec, automorphism_order=rec.automorphism_order + 1)),
     (3, lambda rec: dataclasses.replace(rec, equivelar=not rec.equivelar)),
@@ -216,7 +253,13 @@ def _directed(tri):
 
 
 def _completion_faces(n):
-    return sorted(T.faces for T in census_mod._completions(n, "a", census_mod._Budget(None)))
+    return sorted(T.faces for T, _ in census_mod._completions(n, "a", census_mod._Budget(None)))
+
+
+def _every_seed(st, face=None):
+    """The seed rule switched off: every node goes on, and a finished torus
+    hands on all of its start pairs."""
+    return True if face else census_mod._start_pairs(st.oe)
 
 
 @pytest.mark.parametrize("n", sorted(ORIENTABLE_COMPLETIONS))
@@ -224,8 +267,8 @@ def test_pruned_dfs_yields_exactly_the_orientable_completions(n, monkeypatch):
     """With the seed rule accepting every flag, the orientation-pruned DFS
     against the unpruned one (recorded digest) and the full validator; its
     orientation is the validator's."""
-    monkeypatch.setattr(census_mod, "_seed_may_start", lambda st, face=None: True)
-    tori = list(census_mod._completions(n, "a", census_mod._Budget(None)))
+    monkeypatch.setattr(census_mod, "_seed_may_start", _every_seed)
+    tori = [T for T, _ in census_mod._completions(n, "a", census_mod._Budget(None))]
     assert _digest(T.faces for T in tori) == ORIENTABLE_COMPLETIONS[n]
     for T in tori:
         report = validate_surface(T.faces)
@@ -263,10 +306,26 @@ def test_seed_rule_yields_exactly_the_start_flag_completions(n, count, monkeypat
     is a start flag of the key, and as many as the classes' start flags
     divided by their automorphism orders."""
     kept = _completion_faces(n)
-    monkeypatch.setattr(census_mod, "_seed_may_start", lambda st, face=None: True)
+    monkeypatch.setattr(census_mod, "_seed_may_start", _every_seed)
     every = [SimplicialTorus(faces, _skip_validation=True) for faces in _completion_faces(n)]
     assert kept == [T.faces for T in every if (1, 2, 3) in oracle_start_flags(T)]
     assert len(kept) == count == _flag_formula(enumerate_tori(n), oracle_start_flags)
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 10])
+def test_orderly_acceptance_matches_key_dedup_oracle(n, monkeypatch):
+    """Strategy A's records, each class accepted once, against the key-scan
+    deduplication of every completion (``oracle_census``), record for
+    record.  For n <= 9, each completion is accepted exactly when a tie of
+    its key scan starts at the seed flag (1, 2, 3), and then with the key
+    scan's ties."""
+    monkeypatch.setattr(census_mod, "_CENSUS_CACHE", {})
+    assert enumerate_tori(n) == oracle_census(n)
+    if n <= 9:
+        for T, pairs in census_mod._completions(n, "a", census_mod._Budget(None)):
+            key_ties = _key_scan(T)[1]
+            seed_is_tie = any(tie[1] == 1 and tie[2] == 2 and tie[3] == 3 for tie in key_ties)
+            assert census_mod._seed_ties(T, pairs) == (key_ties if seed_is_tie else None)
 
 
 def _flag_formula(records, flags_of):
@@ -350,14 +409,14 @@ def test_degree_sum_cut_keeps_every_completion(n, monkeypatch):
         monkeypatch.setattr(census_mod, "_LinkState", state_class)
         del nodes[:]
         found = []
-        for faces in census_mod._generate_strategy_a(n, census_mod._Budget(None)):
+        for faces, _ in census_mod._generate_strategy_a(n, census_mod._Budget(None)):
             if state_class is RecordedLinkState:
                 assert states[-1].excess == n * (6 - states[-1].min_deg)
             found.append(faces)
         return _digest(found), len(nodes)
 
     monkeypatch.setattr(census_mod, "_dfs_a", counted)
-    for seed_rule in (census_mod._seed_may_start, lambda st, face=None: True):
+    for seed_rule in (census_mod._seed_may_start, _every_seed):
         monkeypatch.setattr(census_mod, "_seed_may_start", seed_rule)
         cut, cut_nodes = run(RecordedLinkState)
         uncut, uncut_nodes = run(UncutLinkState)
@@ -417,9 +476,17 @@ def test_census_published_counts_through_n11(monkeypatch):
     for n, count in zip(range(7, 11), (1, 7, 112, 2109)):
         assert len(enumerate_tori(n)) == count
     monkeypatch.setattr(census_mod, "_CENSUS_CACHE", {})
-    calls = []
+    calls, completions = [], 0
+    accept = census_mod._seed_ties
+
+    def counted(T, pairs):
+        nonlocal completions
+        completions += 1
+        return accept(T, pairs)
+
+    monkeypatch.setattr(census_mod, "_seed_ties", counted)
     records = enumerate_tori(11, progress=calls.append)
     assert len(records) == 37867
-    # one progress call per completion
-    assert len(calls) == _flag_formula(records, oracle_start_flags)
+    assert calls == list(range(1, 37868))  # one progress call per class
+    assert completions == _flag_formula(records, oracle_start_flags)
     assert census_mod.census_counts_agree(11) == (37867, 37867)

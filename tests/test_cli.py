@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -76,7 +77,7 @@ def test_census_progress_on_stderr_only(monkeypatch, capsys):
     assert lines[-1] == "census --n 8: 7 classes, done"
     counts = [int(line.split(": ")[1].split()[0]) for line in lines]
     assert counts[0] == 1 and counts == sorted(counts)
-    # 31 completions call back; throttling writes a line per interval
+    # each of the 7 classes calls back; throttling writes a line per interval
     assert len(lines) <= 2 + elapsed / cli.PROGRESS_INTERVAL_S
 
 
@@ -339,6 +340,28 @@ def test_generate_default_k_is_3(capsys):
         omitted = capsys.readouterr().out
         assert main(["generate", kind, "--k", "3"]) == 0
         assert capsys.readouterr().out == omitted
+
+
+@pytest.mark.parametrize("argv, hi", [
+    (["generate", "minimal3k", "--k", "100000000000"], "10000"),
+    (["generate", "tube-complex", "--k", "10001"], "10000"),
+    (["realize", "cyclic", "--k", "100000"], "200"),
+    (["realize", "cyclic", "--k", "201"], "200"),
+])
+def test_k_above_its_ceiling_exit_1_before_allocating(argv, hi, capsys):
+    """A k above the construction's ceiling (``generators.K_MAX``,
+    ``realization.CYCLIC_K_MAX``) is refused with InvalidK before anything
+    is built: exit 1, one error line, and under 1 MiB traced."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: k must be between 3 and {hi}, got {argv[-1]}\n"
 
 
 def test_python_m_entry_point():

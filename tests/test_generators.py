@@ -6,6 +6,7 @@ from oracles import oracle_vertex_orbits
 from polytorus.cycles import stick_number_and_type
 from polytorus.errors import InvalidK
 from polytorus.generators import (
+    K_MAX,
     cyclic_symmetry,
     hamiltonian_sequence,
     minimal_torus_3k,
@@ -81,3 +82,6 @@ def test_invalid_k():
         minimal_torus_3k(2)
     with pytest.raises(InvalidK):
         tube_complex(2)
+    for build in (minimal_torus_3k, tube_complex, hamiltonian_sequence, cyclic_symmetry):
+        with pytest.raises(InvalidK, match="between 3 and 10000"):
+            build(K_MAX + 1)

@@ -11,8 +11,8 @@ from oracles import (
     canonical_labeling,
     link_cycle,
     oracle_automorphisms,
-    oracle_canonical_scan,
     oracle_cut,
+    oracle_flag_forms,
     oracle_vertex_orbits,
 )
 from polytorus.census import _Budget, _completions, _generate_strategy_b, enumerate_tori
@@ -219,8 +219,11 @@ def test_canonical_scan_matches_unrestricted_scan(monkeypatch):
     every census class for n = 7..10 and on seeded relabelings of
     minimal_torus_3k(5) and tube_complex(6).  Without a group the scan walks
     exactly the flags (a, b, c) with deg(a) = 3 when there are any, six per
-    degree-3 vertex.  Each torus but the n = 10 classes is scanned again
-    with its key scan's ties, as the census scans its completions."""
+    degree-3 vertex.  Else every flag's form starts (1,2,3), (1,2,4),
+    (1,3,6), (1,4,y), and the scan walks exactly the flags with the least
+    y, in flag order.  Tori of minimum degree 3, 4, 5 and 6 all occur.  Each
+    torus but the n = 10 classes is scanned again with its key scan's ties,
+    as the census scans its completions."""
     rng = random.Random(1610)
 
     def shuffled(T):
@@ -238,17 +241,26 @@ def test_canonical_scan_matches_unrestricted_scan(monkeypatch):
         return original(T, flag, best)
 
     monkeypatch.setattr(surfaces, "_form_labels", counting)
-    with_degree3 = 0
+    min_degrees = set()
     for T in tori:
-        expected = oracle_canonical_scan(T)
+        scans = list(oracle_flag_forms(T))
+        expected = min(scans, key=lambda scan: scan[0])  # as oracle_canonical_scan(T)
         del walks[:]
         assert surfaces._canonical_scan(T) == expected
-        degree3 = sum(len(ns) == 3 for ns in T.neighbors.values())
-        assert len(walks) == (6 * degree3 if degree3 else 6 * len(T.faces))
-        with_degree3 += degree3 > 0
+        degrees = [len(ns) for ns in T.neighbors.values()]
+        min_degrees.add(min(degrees))
+        if 3 in degrees:
+            assert len(walks) == 6 * degrees.count(3)
+        else:
+            heads = []
+            for form, _ in scans:
+                assert form[:3] == ((1, 2, 3), (1, 2, 4), (1, 3, 6)) and form[3][:2] == (1, 4)
+                heads.append(form[3][2])
+            flags = [flag for f in T.faces for flag in surfaces._flags(f)]
+            assert walks == [flag for flag, y in zip(flags, heads) if y == min(heads)]
         if T.n_vertices != 10:
             assert surfaces._canonical_scan(T, surfaces._key_scan(T)[1]) == expected
-    assert 0 < with_degree3 < len(tori)
+    assert min_degrees == {3, 4, 5, 6}
 
 
 def test_is_isomorphic_returns_valid_bijection(minimal5):
@@ -435,7 +447,7 @@ def test_canonical_key_matches_form_on_completions():
     """Every strategy-A and strategy-B completion at n = 7 and 8, taken
     before deduplication, against the slow sorted canonical form."""
     tori = [T for n in (7, 8) for strategy in ("a", "b")
-            for T in _completions(n, strategy, _Budget(None))]
+            for T, _ in _completions(n, strategy, _Budget(None))]
     assert len(tori) > 2 * 8
     assert _assert_key_matches_form(tori) == 1 + 7
 
