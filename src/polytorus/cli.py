@@ -28,6 +28,7 @@ from .errors import PolytorusError
 from .generators import minimal_torus_3k, moebius_torus, tube_complex
 from .knots import load_stick_knot
 from .realization import (
+    PRECISION_MAX,
     ExactRadius,
     complement_construction,
     core_curve,
@@ -189,7 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--eps", help="tube radius override (rational)")
     r.add_argument("-o", "--output", help="mesh output file")
     r.add_argument("--format", choices=["off", "obj"], help="mesh format (default off)")
-    r.add_argument("--precision", type=parse_int, help="mesh decimal digits (default 12)")
+    r.add_argument("--precision", type=parse_int,
+                   help=f"mesh decimal digits (default 12, at most {PRECISION_MAX})")
     r.set_defaults(func=_cmd_realize)
 
     k = sub.add_parser("knot", help="knot invariants")
@@ -216,8 +218,8 @@ def main(argv=None) -> int:
         for option in ("format", "precision"):
             if args.output is None and getattr(args, option) is not None:
                 parser.error(f"--{option} does not apply to realize without -o")
-        if (args.precision or 0) < 0:
-            parser.error("--precision must be >= 0")
+        if not 0 <= (args.precision or 0) <= PRECISION_MAX:
+            parser.error(f"--precision must be between 0 and {PRECISION_MAX}")
     try:
         return args.func(args)
     except PolytorusError as exc:

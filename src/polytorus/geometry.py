@@ -15,7 +15,8 @@ the four W are positive, so the negated determinant has the rational sign,
 from ints with no division and no gcd.  One integer side table,
 ``_side_table``, gives the plane of each index triple as a cofactor
 4-vector and the side of every point against it.  The realization's prism
-and octahedron certificates read it for the triples of six points.
+and octahedron certificates read it for the triples of six points, and the
+complement's hull-edge search for the triples through a ring edge.
 ``first_conflict`` reads it for the faces of a mesh, computes each
 directed edge's Plücker line once, and builds bit masks over the faces: the
 faces holding each point, and the faces whose plane has the point strictly

@@ -34,6 +34,7 @@ report of that proof travels with the mesh as ``Mesh.embedding``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -85,6 +86,9 @@ NORMAL_BITS = 16
 # the largest k of the cyclic realization: its embedding proof grows as k^3
 # (k = 160 took 5.5 s on a 2-core host); far larger k would die for lack of memory
 CYCLIC_K_MAX = 200
+# the most decimal places the mesh writer takes: Python writes ints of at
+# most 4,300 digits as text, and this leaves 300 for a coordinate's integer part
+PRECISION_MAX = 4000
 
 
 class ExactRadius:
@@ -274,7 +278,11 @@ def _ring_points(center: Vec, frame, eps: ExactRadius):
     a = sqrt_floor(eps.sq / (2 * A), 40)
     b = sqrt_floor(eps.sq / (2 * B), 40)
     rho_sq = a * a * A + b * b * B
-    fA, fB, fr = float(A), float(B), float(rho_sq)
+    # the floats read a, b and rho times s, the power of two that brings a
+    # near 1: an exact scaling, so they stay finite and normal at any radius
+    # and give the slopes that the unscaled floats gave
+    s = Fraction(2) ** (a.denominator.bit_length() - a.numerator.bit_length())
+    fA, fB, fr, fa, fb = float(A), float(B), float(rho_sq * s * s), float(a * s), float(b * s)
     base = (a, b)  # roughly 45 degrees in the normalized frame
     params = []
     for target_deg in (90.0, 210.0, 330.0):
@@ -282,11 +290,11 @@ def _ring_points(center: Vec, frame, eps: ExactRadius):
         alpha_t = math.sqrt(fr / fA) * math.cos(phi)
         beta_t = math.sqrt(fr / fB) * math.sin(phi)
         scale_a = math.sqrt(fr / fA)
-        denom = alpha_t - float(a)
+        denom = alpha_t - fa
         nudge = 0.0
         for _ in range(8):
             if abs(denom) > 1e-6 * scale_a:
-                slope = Fraction(round((beta_t - float(b)) / denom * 2 ** 20 + nudge), 2 ** 20)
+                slope = Fraction(round((beta_t - fb) / denom * 2 ** 20 + nudge), 2 ** 20)
                 pt = _conic_second_point(A, B, base, slope)
                 if pt != base and pt not in params:
                     params.append(pt)
@@ -301,7 +309,7 @@ def _ring_points(center: Vec, frame, eps: ExactRadius):
         pts.append(add(center, add(scale(u, alpha), scale(w, beta))))
     if len(set(pts)) != 3 or collinear(*pts):
         raise EpsilonTooLarge("degenerate ring corners")
-    angles = sorted(math.atan2(float(be) * math.sqrt(fB), float(al) * math.sqrt(fA))
+    angles = sorted(math.atan2(float(be * s) * math.sqrt(fB), float(al * s) * math.sqrt(fA))
                     for al, be in params)
     gaps = [angles[1] - angles[0], angles[2] - angles[1],
             2 * math.pi - (angles[2] - angles[0])]
@@ -538,13 +546,14 @@ def _build_complement(K: StickKnot, tube: Mesh) -> Mesh:
     k = K.k
     n_tube = 3 * k
     all_pts = [tube.coords[i] for i in range(1, n_tube + 1)]
+    H = [homogeneous_point(p) for p in all_pts]
 
     # a ring edge on the hull, from the rings in lexicographic order of
     # their knot vertex: the least vertex is extreme, so its ring comes first
     edges = ((3 * i + a, 3 * i + b) for i in sorted(range(k), key=lambda i: K.vertices[i])
              for a, b in ((1, 2), (1, 3), (2, 3)))
     choice = next(((v1, v2, plane_n) for v1, v2 in edges
-                   if (plane_n := _strict_edge_support(all_pts, v1 - 1, v2 - 1)) is not None),
+                   if (plane_n := _strict_edge_support(all_pts, H, v1 - 1, v2 - 1)) is not None),
                   None)
     if choice is None:
         raise EnclosureFailure("no ring edge lies on the hull")
@@ -626,38 +635,35 @@ def _build_complement(K: StickKnot, tube: Mesh) -> Mesh:
     return mesh
 
 
-def _strict_edge_support(points, i, j):
-    """Outward normal of a plane through edge (i, j) with every other point
-    strictly below, or None.  Interior directions of the edge's normal cone
-    are found by averaging two distinct weakly-supporting normals."""
+def _strict_edge_support(points, H, i, j):
+    """Outward normal, reduced, of a plane through edge (i, j) with every
+    other point strictly below, or None.  ``H`` holds the
+    ``homogeneous_point``s of ``points``.
+
+    ``geometry._side_table`` of the triples (i, j, k) finds the weakly
+    supporting planes: nonzero, with no two points strictly on opposite
+    sides.  Their normals cross(b - a, p_k - a), negated when the points lie
+    above, are kept once per direction, in k order.  Interior directions of
+    the edge's normal cone are found by averaging the first with each other
+    one; the plane cofactors are positive multiples of these normals, but
+    ``approx_unit`` would round them differently.  A candidate n supports
+    strictly when (n . P) W_a < (n . A) W_p for every other point p."""
     a, b = points[i], points[j]
-    normals = []
-    for k in range(len(points)):
-        if k in (i, j):
-            continue
-        n = cross(sub(b, a), sub(points[k], a))
-        if is_zero(n):
-            continue
-        sides = [dot(n, sub(p, a)) for idx, p in enumerate(points) if idx not in (i, j)]
-        if all(s <= 0 for s in sides):
-            normals.append(n)
-        elif all(s >= 0 for s in sides):
-            normals.append(scale(n, -1))
-    # dedup by direction
-    distinct = []
-    for n in normals:
-        if not any(is_zero(cross(n, m)) and dot(n, m) > 0 for m in distinct):
-            distinct.append(n)
-    candidates = []
-    if len(distinct) >= 2:
-        for second in distinct[1:]:
-            candidates.append(add(approx_unit(distinct[0]), approx_unit(second)))
-    candidates.extend(distinct)
-    for n in map(reduce_direction, candidates):
-        if is_zero(n):
-            continue
-        sides = [dot(n, sub(p, a)) for idx, p in enumerate(points) if idx not in (i, j)]
-        if all(s < 0 for s in sides):
+    others = [k for k in range(len(points)) if k not in (i, j)]
+    distinct = {}
+    for k, (plane, signs) in zip(others, _side_table(H, [(i, j, k) for k in others])):
+        if any(plane) and not (1 in signs and -1 in signs):
+            n = cross(sub(b, a), sub(points[k], a))
+            n = scale(n, -1) if 1 in signs else n
+            distinct.setdefault(reduce_direction(n), n)
+    normals = list(distinct.values())
+    averaged = [add(approx_unit(normals[0]), approx_unit(m)) for m in normals[1:]]
+    ax, ay, az, aw = H[i]
+    for n in [*map(reduce_direction, averaged), *distinct]:
+        n0, n1, n2 = (c.numerator for c in n)
+        na = n0 * ax + n1 * ay + n2 * az
+        if not is_zero(n) and all((n0 * x + n1 * y + n2 * z) * aw < na * w
+                                  for x, y, z, w in (H[k] for k in others)):
             return n
     return None
 
@@ -890,25 +896,30 @@ def _independent_rows(basis):
 
 
 def export_mesh(mesh: Mesh, path, fmt: str = "off", precision: int = 12):
+    """Write the mesh as OFF or OBJ, each coordinate rounded to ``precision``
+    decimal places, 0 <= precision <= PRECISION_MAX.  A coordinate with more
+    digits than Python writes as text (``sys.get_int_max_str_digits``)
+    raises PolytorusError naming its vertex, and no file is written."""
     fmt = fmt.lower()
     if fmt not in ("off", "obj"):
         raise ValueError(f"unsupported format {fmt!r}")
+    if not 0 <= precision <= PRECISION_MAX:
+        raise ValueError(f"precision must be in 0..{PRECISION_MAX}, got {precision}")
     n = mesh.complex.n_vertices
-    lines = []
+    rows = []
+    for v in range(1, n + 1):
+        try:
+            rows.append(" ".join(rational_to_decimal(c, precision) for c in mesh.coords[v]))
+        except ValueError:  # the precision is in range: only the digit limit is left
+            raise PolytorusError(
+                f"vertex {v} has a coordinate of more than {sys.get_int_max_str_digits()} "
+                f"digits at precision {precision}") from None
     if fmt == "off":
-        lines.append("OFF")
-        lines.append(f"{n} {len(mesh.complex.faces)} 0")
-        for v in range(1, n + 1):
-            lines.append(" ".join(rational_to_decimal(cc, precision)
-                                  for cc in mesh.coords[v]))
-        for a, b, c in mesh.complex.faces:
-            lines.append(f"3 {a - 1} {b - 1} {c - 1}")
+        lines = ["OFF", f"{n} {len(mesh.complex.faces)} 0", *rows]
+        lines += [f"3 {a - 1} {b - 1} {c - 1}" for a, b, c in mesh.complex.faces]
     else:
-        for v in range(1, n + 1):
-            lines.append("v " + " ".join(rational_to_decimal(cc, precision)
-                                         for cc in mesh.coords[v]))
-        for a, b, c in mesh.complex.faces:
-            lines.append(f"f {a} {b} {c}")
+        lines = [f"v {row}" for row in rows]
+        lines += [f"f {a} {b} {c}" for a, b, c in mesh.complex.faces]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

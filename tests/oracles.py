@@ -43,7 +43,10 @@ canonical key's ties, which ``oracle_automorphisms`` checks separately.
 (``_link_edges``, ``_walk_link``), with a reason for each way a link can
 fail, apart from the validator's fan walk on the edge map.
 ``canonical_labeling`` and ``supporting_plane_of_edge`` are test-only
-certificates.
+certificates.  ``oracle_strict_edge_support`` is the complement's hull-edge
+search as it ran before it read the integer side table: every plane
+through the edge and a third point decided against every point in
+``Fraction`` dot products.
 The tube path's ``Fraction`` loops, before they ran on integers over a
 common denominator, are kept as they were: ``oracle_sqrt_floor`` finds its
 power-of-4 exponent one factor of 4 at a time, ``oracle_circumcenter``
@@ -80,6 +83,7 @@ from polytorus.geometry import (
     _segment_meets,
     _side_table,
     add,
+    approx_unit,
     collinear,
     cross,
     dominant_axis,
@@ -91,6 +95,7 @@ from polytorus.geometry import (
     perpendicular,
     point_in_triangle_2d,
     point_on_segment_2d,
+    reduce_direction,
     scale,
     sub,
 )
@@ -506,6 +511,42 @@ def supporting_plane_of_edge(points, i, j):
             hi = max(hi, (s > 0) - (s < 0))
         if lo >= 0 or hi <= 0:
             return (n, dot(n, a))
+    return None
+
+
+def oracle_strict_edge_support(points, i, j):
+    """Outward normal of a plane through edge (i, j) with every other point
+    strictly below, or None.  Interior directions of the edge's normal cone
+    are found by averaging two distinct weakly-supporting normals."""
+    a, b = points[i], points[j]
+    normals = []
+    for k in range(len(points)):
+        if k in (i, j):
+            continue
+        n = cross(sub(b, a), sub(points[k], a))
+        if is_zero(n):
+            continue
+        sides = [dot(n, sub(p, a)) for idx, p in enumerate(points) if idx not in (i, j)]
+        if all(s <= 0 for s in sides):
+            normals.append(n)
+        elif all(s >= 0 for s in sides):
+            normals.append(scale(n, -1))
+    # dedup by direction
+    distinct = []
+    for n in normals:
+        if not any(is_zero(cross(n, m)) and dot(n, m) > 0 for m in distinct):
+            distinct.append(n)
+    candidates = []
+    if len(distinct) >= 2:
+        for second in distinct[1:]:
+            candidates.append(add(approx_unit(distinct[0]), approx_unit(second)))
+    candidates.extend(distinct)
+    for n in map(reduce_direction, candidates):
+        if is_zero(n):
+            continue
+        sides = [dot(n, sub(p, a)) for idx, p in enumerate(points) if idx not in (i, j)]
+        if all(s < 0 for s in sides):
+            return n
     return None
 
 

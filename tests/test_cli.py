@@ -403,6 +403,39 @@ def test_negative_precision_exit_2(tmp_path):
     assert not out.exists()
 
 
+def test_precision_above_its_ceiling_exit_2(tmp_path, monkeypatch, capsys):
+    """--precision above PRECISION_MAX is a usage error, like a negative
+    one, and nothing is built: Python writes no int of more than 4,300
+    digits as text.  The ceiling itself writes."""
+    out = tmp_path / "c.off"
+    built = []
+    monkeypatch.setattr(cli, "cyclic_polytope_realization", built.append)
+    with pytest.raises(SystemExit) as exc:
+        main(["realize", "cyclic", "--k", "3", "--precision", "5000", "-o", str(out)])
+    assert exc.value.code == 2
+    assert "--precision must be between 0 and 4000" in capsys.readouterr().err
+    assert built == [] and not out.exists()
+    monkeypatch.undo()
+    assert main(["realize", "cyclic", "--k", "3", "--precision", "4000", "-o", str(out)]) == 0
+    assert len(out.read_text().splitlines()[2].split()[0]) == 4002
+
+
+@pytest.mark.parametrize("fmt", ["off", "obj"])
+def test_coordinate_past_the_digit_limit_exit_1(tmp_path, capsys, fmt):
+    """A coordinate whose integer part and decimal places take more than
+    the 4,300 digits Python writes as text is a PolytorusError naming its
+    vertex, and no file is written: the triangle unknot's tube at scale
+    10**4295 at 12 places."""
+    knot = tmp_path / "big.txt"
+    knot.write_text(format_stick_knot(triangle_unknot().scaled(10 ** 4295)))
+    out = tmp_path / f"t.{fmt}"
+    assert main(["realize", "tube", "--knot", str(knot), "--format", fmt, "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: vertex 1 has a coordinate of more than 4300 digits at precision 12\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, option", [
     (["census", "--n", "0_7"], "--n"),
     (["census", "--n", "\u0667"], "--n"),

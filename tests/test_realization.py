@@ -21,6 +21,7 @@ from oracles import (
     oracle_gale_evenness,
     oracle_hull_facets,
     oracle_prism_faces,
+    oracle_strict_edge_support,
     oracle_verify_embedding,
     oracle_viewpoint_sides,
     orient3d,
@@ -46,6 +47,7 @@ from polytorus.geometry import (
     first_conflict,
     homogeneous_point,
     norm2,
+    parse_rational,
     scale,
     sub,
 )
@@ -479,6 +481,27 @@ def test_tube_invariant_under_scaling():
     assert knot_determinant(core_curve(mesh)) == 1
 
 
+@pytest.mark.parametrize("scale, what, eps", [
+    ("1e400", "tube", None), ("1e400", "complement", None),
+    ("1e-400", "tube", None), ("1e-400", "complement", None), ("1", "tube", "1e-400")])
+def test_trefoil_certifies_at_extreme_scales(scale, what, eps):
+    """``choose_epsilon`` is exactly scale-covariant, and the constructions
+    follow it: the trefoil scaled by 10**400 and by 10**-400, tube and
+    complement, and its tube at radius 10**-400 certify with the exact core
+    and determinant 3.  The ring corners' floats once overflowed or
+    underflowed to zero at these scales."""
+    from polytorus.diagrams import knot_determinant
+    from polytorus.realization import complement_construction
+    K = trefoil_6stick().scaled(parse_rational(scale))
+    if what == "tube":
+        mesh = tube_construction(K, None if eps is None else ExactRadius.from_value(eps))
+    else:
+        mesh = complement_construction(K)
+    assert mesh.embedding.ok
+    assert core_curve(mesh) == K
+    assert knot_determinant(core_curve(mesh)) == 3
+
+
 def test_cyclic_facets_match_gale_predicate():
     """The pair-construction facet list must equal the evenness predicate
     over all 4-subsets: the face-membership check and the Schlegel
@@ -802,6 +825,45 @@ def test_kernel_matches_pair_loop_oracle_on_constructions(monkeypatch):
     complement_construction(_seeded_general_position_knots(40)[15])
     pairs = [_kernel_matches_oracle(points, faces) for points, faces in calls]
     assert sum(pair is not None for pair in pairs) >= 60
+
+
+def _edge_searches_agree(pts, pairs):
+    """``_strict_edge_support`` returns the ``Fraction`` oracle's normal, or
+    its None, on each index pair; returns the oracle's answers."""
+    H = [homogeneous_point(p) for p in pts]
+    answers = []
+    for i, j in pairs:
+        answers.append(oracle_strict_edge_support(pts, i, j))
+        assert realization._strict_edge_support(pts, H, i, j) == answers[-1], (pts, i, j)
+    return answers
+
+
+def test_edge_search_matches_fraction_oracle():
+    """The integer edge search agrees with the ``Fraction`` one on every ring
+    edge of the tubes of the 40 seeded polygons, and of the triangle unknot
+    and the trefoil under the 8 rotations about the x-axis; and on every
+    pair of the unit cube's corners and of seeded subsets of a 3x3x3 grid.
+    Tube points are in general position, so each hull edge there lies in
+    two hull facets; the grids add edges that lie in a hull facet with no
+    plane through them supporting strictly."""
+    knots = _seeded_general_position_knots(40) + [
+        StickKnot([tuple(signs[i] * v[perm[i]] for i in range(3)) for v in K.vertices])
+        for K in (triangle_unknot(), trefoil_6stick()) for perm, signs in ROTATIONS_ABOUT_X]
+    on_hull = 0
+    for K in knots:
+        tube = tube_construction(K)
+        pts = [tube.coords[v] for v in range(1, 3 * K.k + 1)]
+        on_hull += sum(n is not None for n in _edge_searches_agree(
+            pts, [(3 * r + a, 3 * r + b) for r in range(K.k) for a, b in ((0, 1), (0, 2), (1, 2))]))
+    grid = [tuple(map(Fraction, p)) for p in product(range(3), repeat=3)]
+    rng = random.Random(32)
+    weak_only = 0
+    for pts in [[p for p in grid if max(p) <= 1]] + [rng.sample(grid, rng.randint(5, 10))
+                                                     for _ in range(20)]:
+        pairs = list(combinations(range(len(pts)), 2))
+        weak_only += sum(n is None and supporting_plane_of_edge(pts, i, j) is not None
+                         for (i, j), n in zip(pairs, _edge_searches_agree(pts, pairs)))
+    assert on_hull >= 300 and weak_only >= 100, (on_hull, weak_only)
 
 
 def test_kernel_matches_pair_loop_oracle_on_perturbed_cyclic_mesh():
