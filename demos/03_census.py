@@ -6,7 +6,7 @@ generation strategies, and verifies the vertex-minimality statement for
 type 3x3 at census scale: the 7-vertex torus is the unique smallest
 triangulation, and no 3x4 torus exists on 9 = 3*4-3 vertices.
 
-The n=10 census (2109 classes, a couple of minutes) is exercised by the
+The n=10 census (2109 classes, a few seconds) is exercised by the
 acceptance suite; set TORUS_TIME_BUDGET_SECS to cap long runs.
 """
 

@@ -12,9 +12,7 @@ Two independent generation strategies back each other up:
   degree sum, which cannot pass 6n once every vertex is held to the seed
   degree (kept incrementally as ``excess``).  It keeps only completions
   whose seed flag (1, 2, 3) is a start flag of the key, so it builds each
-  class once per Aut-orbit of those flags.  It accepts a completion exactly
-  when its seed flag attains the key (orderly acceptance): each class once,
-  with no state shared between branches of the search;
+  class once per Aut-orbit of those flags;
 
 * strategy B (cross-check): closes the link of the smallest unfinished
   vertex in all admissible cyclic orders, with its own link bookkeeping
@@ -24,19 +22,19 @@ Two independent generation strategies back each other up:
   max(degree, 3), which cannot pass 6n.  It keeps only completions where
   vertex 1 has the maximum degree and vertex 2 the maximum degree among
   vertex 1's neighbours, a rule A does not use, so it builds each class
-  once per Aut-orbit of those flags.  It shares no code with A, every
-  completion still goes through the full surface validator, and the
-  completions are deduplicated through the canonical key.
+  once per Aut-orbit of those flags.  Its search shares no code with A, and
+  every completion still goes through the full surface validator.
 
-The canonical key of ``surfaces`` is the minimum visit-order code over the
-start flags (a, b, c), where a minimizes (degree, sorted neighbour degrees)
-and b minimizes it among a's neighbours.  The flags tying the key are one
-orbit of the automorphism group, and the group is the key's tie set.  A
-class's record is built from one completion of it, A's accepted one or the
-first B finds: the sorted canonical form the records publish (handed the
-ties, the form scan walks one flag per orbit of the group), and the type,
-from the completion's own orientation.  The type, |Aut| and the equivelar
-flag are invariants, so any completion of the class gives the same record.
+Both accept a completion exactly when its seed flag attains the least
+visit-order code over the flags the strategy keeps (orderly acceptance,
+``_seed_ties``); A keeps the start flags of ``surfaces``' canonical key.
+The flags attaining the code are one Aut-orbit, so each class is accepted
+once, with no state shared between branches of the search, and its ties
+are the group.  The record is built on that completion: the sorted
+canonical form the records publish (handed the ties, the form scan walks
+one flag per orbit of the group), and the type, from its own orientation.
+The type, |Aut| and the equivelar flag are invariants, so the two
+strategies' records agree though they accept different completions.
 """
 
 from __future__ import annotations
@@ -52,7 +50,6 @@ from .generators import minimal_torus_3k
 from .surfaces import (
     SimplicialTorus,
     _flags,
-    _key_scan,
     _start_pairs,
     _traverse_flag,
     canonical_form,
@@ -371,7 +368,13 @@ def _generate_strategy_b(n, budget):
     only grow below a node, so each cut is final and a completion meeting
     both conditions is never cut.  Such flags form whole Aut-orbits, since
     automorphisms keep degrees, and every torus has one, so every class
-    survives, once per orbit of those flags.
+    survives, once per orbit of those flags.  The caller accepts a
+    completion when its flag (1, 2, 3) attains the least visit-order code
+    over the kept flags (``_b_start_pairs``, ``_seed_ties``).  Flags with
+    equal codes relabel T to one face list, so they differ by an
+    automorphism, which keeps codes: the kept flags attaining it are one
+    Aut-orbit.  So exactly one completion per class passes, and its ties
+    are Aut(T), which the form scan and |Aut| need.
 
     Degree-sum cut (``_b_degrees_fit``).  ``total`` is the sum over all n
     vertices of max(deg u, 3), where deg u is the size of u's link, kept as
@@ -524,6 +527,13 @@ def _b_may_keep(link, closed, touched):
     return all(len(link[u]) <= (d2 if u in near else d1) for u in touched)
 
 
+def _b_start_pairs(nbrs) -> set:
+    """(a, b) of B's kept flags: deg a is the maximum, deg b the maximum over a's neighbours."""
+    top = max(map(len, nbrs.values()))
+    return {(a, b) for a, ns in nbrs.items() if len(ns) == top
+            for b in ns if len(nbrs[b]) == max(len(nbrs[u]) for u in ns)}
+
+
 def _link_walk(adj, start):
     """Walk a link from ``start``, a path end or a vertex on a cycle, to the
     path's other end or back round to ``start``; return where the walk
@@ -549,11 +559,12 @@ _CENSUS_CACHE: dict = {}
 
 
 def _completions(n, strategy, budget):
-    """Every orientable completion the strategy finds, as a torus with its
-    key's start pairs (None from B); isomorphic copies included."""
+    """Every orientable completion the strategy finds, as a torus with the
+    (a, b) of the start flags it keeps; isomorphic copies included."""
     if strategy == "b":
         for faces in _generate_strategy_b(n, budget):
-            yield SimplicialTorus(faces), None  # the full validator
+            T = SimplicialTorus(faces)  # the full validator
+            yield T, _b_start_pairs(T.neighbors)
         return
     for faces, pairs in _generate_strategy_a(n, budget):
         # the seed face (1, 2, 3) runs 1 -> 2 -> 3 and is the least face,
@@ -564,31 +575,26 @@ def _completions(n, strategy, budget):
 
 
 def _seed_ties(T, pairs):
-    """Strategy A's orderly acceptance: the key scan's tie labelings, in
-    flag order, if the seed flag (1, 2, 3) attains the key, else None.
+    """Orderly acceptance: the tie labelings, in flag order, of the least
+    code over the start flags with (a, b) in ``pairs``, if the seed flag
+    (1, 2, 3) attains it, else None.
 
     The seed flag comes first in flag order ((1, 2, 3) is T's least face),
-    so it is walked first, and every other start flag (``pairs``) is walked
-    against its code: the first smaller one rejects T, and the equal ones
-    are the ties.  Exactly one completion per class passes.  A's labeling
-    is a function of the torus and its seed flag: vertex 1 and its link
-    come from the flag, and each later face is fixed by the least open edge
-    and the first-use label order.  So the completions built from flags of
-    one Aut-orbit are one labeled face list, and the search yields one
-    completion per orbit of start flags.  The flags attaining the key are
-    one such orbit, and a completion is accepted exactly when its seed
-    flag is among them.
+    so it is walked first, and every other start flag is walked against its
+    code: the first smaller one rejects T, and the equal ones are the ties.
+    A's pairs are the key's (B's argument is with ``_generate_strategy_b``).
+    A's labeling is a function of the torus and its seed flag: vertex 1 and
+    its link come from the flag, and each later face is fixed by the least
+    open edge and the first-use label order.  So the completions built from
+    flags of one Aut-orbit are one labeled face list, one per orbit of
+    start flags.  The flags attaining the key are one such orbit, so
+    exactly one completion per class passes.
     """
     if (1, 2) not in pairs:
         return None
     code, ties = None, []
-    for f in T.faces:
-        for flag in _flags(f):
-            if flag[:2] not in pairs:
-                continue
-            match = _traverse_flag(T, flag, code)
-            if match is None:
-                continue
+    for flag in (flag for f in T.faces for flag in _flags(f) if flag[:2] in pairs):
+        if match := _traverse_flag(T, flag, code):
             if code is not None and match[0] != code:
                 return None  # a start flag below the seed flag
             code = match[0]
@@ -597,7 +603,7 @@ def _seed_ties(T, pairs):
 
 
 def _record(T, ties):
-    """The class record of completion T, from its key scan's ties."""
+    """The class record of completion T, from its acceptance's ties."""
     res = stick_number_and_type(T)
     return CensusRecord(
         # the ties are Aut(T): the form scan skips its orbits
@@ -628,15 +634,9 @@ def enumerate_tori(n: int, strategy: str = "a", time_budget: float | None = None
     budget = _Budget(time_budget if time_budget is not None else _env_budget())
     if (n, strategy) in _CENSUS_CACHE:
         return list(_CENSUS_CACHE[(n, strategy)])
-    records, seen = [], set()
+    records = []
     for T, pairs in _completions(n, strategy, budget):
-        if strategy == "a":
-            ties = _seed_ties(T, pairs)
-        else:  # strategy B deduplicates by the key
-            key, ties = _key_scan(T)
-            ties = None if key in seen else ties
-            seen.add(key)
-        if ties:
+        if ties := _seed_ties(T, pairs):
             records.append(_record(T, ties))
             if progress is not None:
                 progress(len(records))

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .cycles import homology_basis, cycle_signature, stick_number_and_type
+from .cycles import homology_basis, cycle_signature
 from .diagrams import linking_number, polygon_determinant
 from .errors import (
     DegenerateFace,
@@ -279,10 +279,13 @@ def _ring_points(center: Vec, frame, eps: ExactRadius):
     b = sqrt_floor(eps.sq / (2 * B), 40)
     rho_sq = a * a * A + b * b * B
     # the floats read a, b and rho times s, the power of two that brings a
-    # near 1: an exact scaling, so they stay finite and normal at any radius
-    # and give the slopes that the unscaled floats gave
+    # near 1, and A, B and rho^2 times t, the power of four that brings A
+    # near 1: exact scalings, so they stay finite and normal at any radius
+    # and frame, and give the slopes that the unscaled floats gave
     s = Fraction(2) ** (a.denominator.bit_length() - a.numerator.bit_length())
-    fA, fB, fr, fa, fb = float(A), float(B), float(rho_sq * s * s), float(a * s), float(b * s)
+    t = Fraction(4) ** ((A.denominator.bit_length() - A.numerator.bit_length()) // 2)
+    fA, fB, fr = float(A * t), float(B * t), float(rho_sq * s * s * t)
+    fa, fb = float(a * s), float(b * s)
     base = (a, b)  # roughly 45 degrees in the normalized frame
     params = []
     for target_deg in (90.0, 210.0, 330.0):
@@ -874,8 +877,8 @@ def cyclic_polytope_realization(k: int) -> Mesh:
         "positions": pos,
         "facet": facet_pos,
     })
-    res = stick_number_and_type(T)
-    mesh.provenance["core_determinant"] = polygon_determinant(mesh.cycle_points(res.witness_s))
+    # 1, 4, ..., 3k-2: a k-cycle whose class is not proportional to (1, 2, 3)'s, so an s-cycle
+    mesh.provenance["core_determinant"] = polygon_determinant(mesh.cycle_points(Cycle(seq[:k])))
     mesh.embedding = verify_embedding(mesh)
     if not mesh.embedding.ok:
         raise PolytorusError(f"Schlegel projection self-intersects: {mesh.embedding.witness}")

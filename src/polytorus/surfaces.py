@@ -14,16 +14,16 @@ vertices deterministically, and the lexicographic minimum over all flags is a
 relabeling-invariant normal form.  The published form (``canonical_form``)
 is the least sorted relabeled face list (``_canonical_scan`` prunes its walks).
 
-The canonical key, which deduplicates census completions and decides
-isomorphism, is cheaper.  It is the minimum of the *visit-order* codes, the
-relabeled faces in the order the traversal visits them, and only the start
-flags (a, b, c) are tried: a minimizes the invariant (degree, sorted
-neighbour degrees), and b minimizes it among a's neighbours.  That set is
-preserved by isomorphism.  Each traversal compares its faces with the best
-code so far and stops at the first larger one.  The flags that tie the
-minimum are one orbit of the automorphism group, so their number is |Aut|,
-and the group is the key's tie set: each tie, read through the first, is one
-automorphism (``automorphism_group``).
+The canonical key, which decides isomorphism and by which the census
+accepts its default strategy's completions, is cheaper.  It is the minimum
+of the *visit-order* codes, the relabeled faces in the order the traversal
+visits them, and only the start flags (a, b, c) are tried: a minimizes the
+invariant (degree, sorted neighbour degrees), and b minimizes it among a's
+neighbours.  That set is preserved by isomorphism.  Each traversal compares
+its faces with the best code so far and stops at the first larger one.  The
+flags that tie the minimum are one orbit of the automorphism group, so
+their number is |Aut|, and the group is the key's tie set: each tie, read
+through the first, is one automorphism (``automorphism_group``).
 
 Combinatorial core
 ------------------
@@ -483,8 +483,8 @@ def _canonical_scan(T: SimplicialTorus, ties=None):
     neighbours are labeled) with the best form's in order, to the first that
     differs.  Forms equal before block m have it as m's link cycle less the
     same edges, so neither is a proper prefix of the other.  Automorphisms
-    keep degrees and forms: given the key scan's ``ties``, one flag per orbit
-    of their group."""
+    keep degrees and forms: given ``ties`` (``canonical_form``), one flag per
+    orbit of their group."""
     autos, done = _tie_group(ties)[1:] if ties else (), set()  # [0] is the identity
     flags = [flag for f in T.faces for flag in _flags(f)]
     if 3 in map(len, T.neighbors.values()):
@@ -506,8 +506,8 @@ def _canonical_scan(T: SimplicialTorus, ties=None):
 
 def canonical_form(T: SimplicialTorus, ties=None):
     """Relabeling-invariant representative of the isomorphism class: the
-    least sorted relabeled face list over all flags.  ``ties``, the tie
-    labelings of T's key scan, let the scan skip the orbits of Aut(T)."""
+    least sorted relabeled face list over all flags.  ``ties``, labelings of
+    one Aut-orbit of flags as the key scan's are, skip the orbits of Aut(T)."""
     return _canonical_scan(T, ties)[0]
 
 
@@ -560,8 +560,8 @@ def canonical_key(T: SimplicialTorus) -> tuple[tuple[Face, ...], int]:
 
 
 def _tie_group(ties) -> list[dict[int, int]]:
-    """The automorphisms v -> inv0(tie(v)) of the key scan's tie labelings,
-    where inv0 inverts the first tie; that one gives the identity."""
+    """The automorphisms v -> inv0(tie(v)) of the labelings of one Aut-orbit
+    of flags, where inv0 inverts the first tie; that one gives the identity."""
     inv = {new: old for old, new in ties[0].items()}
     return [{v: inv[new] for v, new in tie.items()} for tie in ties]
 

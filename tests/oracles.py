@@ -30,9 +30,9 @@ polygons and the frame to integers, every test in ``Fraction`` arithmetic;
 ``oracle_simplify`` is the collinear-vertex removal of that time.
 The values of the region-colouring Goeritz matrix that ``src/`` computed
 before are pinned in ``test_diagrams.py``.
-``oracle_census`` is the census's deduplication before strategy A accepted
-each class once: a key scan of every completion and a dict of the keys
-seen.  ``oracle_flag_forms`` walks every flag to the end.
+``oracle_census`` is the census's deduplication before either strategy
+accepted each class once: a key scan of every completion and a dict of the
+keys seen.  ``oracle_flag_forms`` walks every flag to the end.
 ``oracle_stick_number_and_type`` is the type search that ``src/`` ran
 before it read per-root minima off BFS trees: a state BFS over
 (vertex, p, q) in the signature-labelled covering graph from every root,
@@ -977,9 +977,9 @@ def oracle_automorphisms(T):
 
 
 def oracle_census(n, strategy="a"):
-    """The census records as ``enumerate_tori`` built them before strategy
-    A's orderly acceptance: every completion takes a key scan, and the
-    first completion of each key builds the class's record (``seen``)."""
+    """The census records as ``enumerate_tori`` built them before orderly
+    acceptance, for either strategy: every completion takes a key scan, and
+    the first completion of each key builds the class's record (``seen``)."""
     seen = {}
     for T, _ in _completions(n, strategy, _Budget(None)):
         key, ties = _key_scan(T)

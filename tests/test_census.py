@@ -28,6 +28,7 @@ from polytorus.errors import OutOfRange, PolytorusError
 from polytorus.surfaces import (
     SimplicialTorus,
     _key_scan,
+    _traverse_flag,
     canonical_form,
     validate_surface,
 )
@@ -312,20 +313,42 @@ def test_seed_rule_yields_exactly_the_start_flag_completions(n, count, monkeypat
     assert len(kept) == count == _flag_formula(enumerate_tori(n), oracle_start_flags)
 
 
-@pytest.mark.parametrize("n", [7, 8, 9, 10])
-def test_orderly_acceptance_matches_key_dedup_oracle(n, monkeypatch):
-    """Strategy A's records, each class accepted once, against the key-scan
-    deduplication of every completion (``oracle_census``), record for
-    record.  For n <= 9, each completion is accepted exactly when a tie of
-    its key scan starts at the seed flag (1, 2, 3), and then with the key
-    scan's ties."""
+@pytest.mark.parametrize("n, strategy", [
+    *(pytest.param(n, "a", id=str(n)) for n in (7, 8, 9, 10)),
+    *(pytest.param(n, "b", id=f"{n}-b") for n in (7, 8, 9))])
+def test_orderly_acceptance_matches_key_dedup_oracle(n, strategy, monkeypatch):
+    """Each strategy's records, each class accepted once, against the
+    key-scan deduplication of every completion (``oracle_census``), record
+    for record.  For n <= 9, each completion is accepted exactly when its
+    seed flag (1, 2, 3) attains the least code over the flags the strategy
+    keeps, and then with those flags' ties: for A the key scan's, for B the
+    least of B's maximum-degree flags walked to the end, whose group, each
+    tie read through the first, is the key scan's."""
     monkeypatch.setattr(census_mod, "_CENSUS_CACHE", {})
-    assert enumerate_tori(n) == oracle_census(n)
-    if n <= 9:
-        for T, pairs in census_mod._completions(n, "a", census_mod._Budget(None)):
-            key_ties = _key_scan(T)[1]
+    assert enumerate_tori(n, strategy) == oracle_census(n, strategy)
+    if n > 9:
+        return
+    for T, pairs in census_mod._completions(n, strategy, census_mod._Budget(None)):
+        key_ties = _key_scan(T)[1]
+        ties = census_mod._seed_ties(T, pairs)
+        if strategy == "a":
             seed_is_tie = any(tie[1] == 1 and tie[2] == 2 and tie[3] == 3 for tie in key_ties)
-            assert census_mod._seed_ties(T, pairs) == (key_ties if seed_is_tie else None)
+            assert ties == (key_ties if seed_is_tie else None)
+            continue
+        flags = oracle_max_degree_flags(T)
+        assert flags[0] == (1, 2, 3)
+        walks = [_traverse_flag(T, flag) for flag in flags]
+        least = min(code for code, _ in walks)
+        assert ties == ([labels for code, labels in walks if code == least]
+                        if walks[0][0] == least else None)
+        if ties:
+            assert _group(ties) == _group(key_ties)
+
+
+def _group(ties):
+    """The automorphisms of a tie list, each tie read through the first."""
+    inv = {new: old for old, new in ties[0].items()}
+    return {tuple(sorted((v, inv[new]) for v, new in tie.items())) for tie in ties}
 
 
 def _flag_formula(records, flags_of):
@@ -424,9 +447,10 @@ def test_degree_sum_cut_keeps_every_completion(n, monkeypatch):
         assert cut_nodes < uncut_nodes
 
 
-def test_census_hands_over_the_key_scan_group(monkeypatch):
+@pytest.mark.parametrize("strategy", ["a", "b"])
+def test_census_hands_over_the_key_scan_group(strategy, monkeypatch):
     """Every completion the census builds a record from for n <= 9 reaches
-    the form scan with its key scan's ties, whose group, each tie read
+    the form scan with its acceptance's ties, whose group, each tie read
     through the first, equals the full-scan oracle's."""
     seen = []
     original = census_mod.canonical_form
@@ -439,7 +463,7 @@ def test_census_hands_over_the_key_scan_group(monkeypatch):
     monkeypatch.setattr(census_mod, "_CENSUS_CACHE", {})
     for n, count in ((7, 1), (8, 7), (9, 112)):
         del seen[:]
-        by_form = {rec.canonical_faces: rec for rec in enumerate_tori(n)}
+        by_form = {rec.canonical_faces: rec for rec in enumerate_tori(n, strategy)}
         assert len(seen) == len(by_form) == count
         for T, ties in seen:
             rec = by_form.pop(canonical_form(T))

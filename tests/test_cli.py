@@ -167,6 +167,31 @@ def test_realize_tube_twelve_sticks(tmp_path, capsys):
     assert cert["vertices"] == 36
 
 
+@pytest.mark.parametrize("what", ["tube", "complement"])
+def test_realize_far_vertex_certifies(what, tmp_path, capsys):
+    """The triangle (10**400, 0, 0), (0, 1, 0), (0, 0, 1), whose ring frames
+    carry entries too large for a float: tube and complement certify with
+    determinant 1.  The ring corners' floats once read the frames' squared
+    lengths unscaled and overflowed."""
+    knot = tmp_path / "far.txt"
+    knot.write_text("1e400 0 0\n0 1 0\n0 0 1\n")
+    assert main(["realize", what, "--knot", str(knot)]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    assert (cert["embedded"], cert["determinant"]) == (True, 1)
+
+
+def test_realize_flat_triangle_exit_1(tmp_path, capsys):
+    """The triangle (1, 0, 0), (0, 10**-300, 0), (0, 0, 10**300) certifies
+    no radius: exit 1 with the reason, where the ring corners' floats once
+    overflowed into a traceback."""
+    knot = tmp_path / "flat.txt"
+    knot.write_text("1 0 0\n0 1e-300 0\n0 0 1e300\n")
+    assert main(["realize", "tube", "--knot", str(knot)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no radius certified after repeated halving\n"
+
+
 @pytest.fixture()
 def proofs(monkeypatch):
     """Every mesh ``verify_embedding`` is called on, as (coords, faces)."""

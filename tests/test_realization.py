@@ -28,6 +28,7 @@ from oracles import (
     supporting_plane_of_edge,
 )
 from polytorus.cycles import homology_basis, cycle_signature, stick_number_and_type
+from polytorus.diagrams import polygon_determinant
 from polytorus.errors import (
     DegenerateFace,
     DegenerateKnot,
@@ -307,6 +308,26 @@ def test_cyclic_realization_small():
     assert mesh.embedding.ok
     assert verify_embedding(mesh).ok
     assert mesh.provenance["core_determinant"] == 1
+
+
+def test_cyclic_core_is_an_s_cycle_of_the_type_search():
+    """For k = 3..40 the core whose determinant the cyclic realization
+    prints, 1, 4, ..., 3k-2 (the first k entries of the Hamiltonian
+    sequence), is a cycle of the torus of length s, in a class not
+    proportional to the empty triangle (1, 2, 3)'s, and its determinant is
+    that of the type search's s-witness, 1."""
+    for k in range(3, 41):
+        mesh = cyclic_polytope_realization(k)
+        T = mesh.complex
+        core = Cycle(realization.hamiltonian_sequence(k)[:k])
+        T.require_cycle(core)
+        res = stick_number_and_type(T)
+        assert (res.m, res.s) == (3, len(core))
+        basis = homology_basis(T)
+        triangle = cycle_signature(T, basis, Cycle((1, 2, 3)))
+        assert not cycle_signature(T, basis, core).proportional_to(triangle)
+        witness = polygon_determinant(mesh.cycle_points(res.witness_s))
+        assert mesh.provenance["core_determinant"] == witness == 1
 
 
 def test_closed_form_facet_planes(monkeypatch):
